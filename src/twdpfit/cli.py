@@ -25,7 +25,7 @@ from .errors import DomainError, EstimationError, NumericalError, ParseError, Tw
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
 from .inference import GridConfig, fit_envelopes, partition_stride
 from .linksim import simulate_ber
-from .measurement import noise_mask, power_map, average_corr
+from .measurement import power_map, average_corr
 from .synth import PlaneWave, PlaneWaveScene, sample_twdp, synth_field
 
 log = logging.getLogger("twdpfit")
@@ -98,8 +98,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_scan(args) -> int:
     scan = fileio.read_scan(args.scan)
-    mask = noise_mask(scan, args.margin_db)
     power = power_map(scan, args.margin_db, args.stride)
+    mask = ~np.isnan(power)  # power_map leaves directions below the margin NaN
     grid = _grid_from_args(args)
     records = []
     rows = ["azimuth,elevation,power_norm,marker"]

@@ -41,10 +41,14 @@ __all__ = [
 # Above this K the series/quadrature accuracy targets are not validated.
 K_MAX_SUPPORTED = 1.0e4
 
-# Default number of trapezoid nodes for the phase-balance quadrature of the
-# TWDP CDF. The integrand is smooth and periodic, so the composite trapezoid
-# rule converges spectrally; 2048 nodes is converged to ~1e-14 for K <= 1e3.
-DEFAULT_CDF_NODES = 2048
+# Phase-balance quadrature of the TWDP CDF. The integrand is smooth and
+# 2pi-periodic in alpha, so the uniform trapezoid rule converges spectrally.
+# The rule starts at _CDF_NODES_START nodes and doubles until two successive
+# sums agree to _CDF_TOL everywhere; K <= 1e4 converges by 2048 nodes, and a
+# rule that has not converged at _CDF_NODES_CAP raises NumericalError.
+_CDF_NODES_START = 16
+_CDF_NODES_CAP = 2 ** 15
+_CDF_TOL = 1e-13
 
 _SERIES_CUTOFF = 1e-14
 # |a - b| beyond which Q1 is 0 or 1 to far better than the 1e-10 target
@@ -273,52 +277,66 @@ def rice_pdf(r, k: float, omega: float = 1.0):
     return float(out) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
-def _alpha_nodes(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unique cos(alpha) values and trapezoid weights on [0, 2pi).
+def _phase_average_cdf(b: np.ndarray, k: float, delta: float) -> np.ndarray:
+    """Mean over alpha of the Rician CDFs 1 - Q1(sqrt(2k(1 + delta cos alpha)), b).
 
-    The integrand depends on alpha only through cos(alpha), so the n-node
-    uniform trapezoid sum regroups exactly onto n/2 + 1 nodes.
+    Nested trapezoid doubling on [0, 2pi): the n-node set is a subset of the
+    2n-node set, so T_2n = T_n / 2 + (midpoint sum) / (2n), and each doubling
+    evaluates only the n new midpoints. The integrand depends on alpha only
+    through cos(alpha), so the nodes fold onto n/2 + 1 distinct values and
+    the midpoints onto n/2. Returns T_2n once max |T_2n - T_n| <= _CDF_TOL.
+    Nodes run along the last axis, where numpy sums pairwise.
     """
-    if n_nodes < 4 or n_nodes % 2:
-        raise DomainError("node count must be an even integer >= 4")
-    m = n_nodes // 2 + 1
-    cosn = np.cos(2.0 * np.pi * np.arange(m) / n_nodes)
-    w = np.full(m, 2.0 / n_nodes)
-    w[0] = w[-1] = 1.0 / n_nodes
-    return cosn, w
+    def rice_cdfs(cos_alpha):
+        a = np.sqrt(2.0 * k * (1.0 + delta * cos_alpha))
+        return special.chndtr((b * b)[:, None], 2.0, (a * a)[None, :])
+
+    n = _CDF_NODES_START
+    w = np.full(n // 2 + 1, 2.0 / n)
+    w[0] = w[-1] = 1.0 / n
+    total = rice_cdfs(np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) @ w
+    while n < _CDF_NODES_CAP:
+        mid = np.cos(np.pi * (2.0 * np.arange(n // 2) + 1.0) / n)
+        refined = 0.5 * total + rice_cdfs(mid).sum(axis=1) / n
+        n *= 2
+        if np.max(np.abs(refined - total), initial=0.0) <= _CDF_TOL:
+            return refined
+        total = refined
+    raise NumericalError(
+        f"phase-balance quadrature not converged at {n} nodes for k={k}, delta={delta}")
 
 
-def twdp_cdf(r, params: FadingParams, n_nodes: int = DEFAULT_CDF_NODES):
+def twdp_cdf(r, params: FadingParams):
     """TWDP envelope CDF by trapezoid quadrature over the phase balance.
 
     The CDF is the average over alpha of Rician kernels with per-angle
-    specular power K (1 + Delta cos alpha) and common sigma set by K.
+    specular power K (1 + Delta cos alpha) and common sigma set by K. The
+    node count doubles until successive sums agree to 1e-13.
     """
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
-    cosn, w = _alpha_nodes(n_nodes)
     sigma = math.sqrt(sigma2_from_k(params.k, params.omega))
-    a = np.sqrt(2.0 * params.k * (1.0 + params.delta * cosn))
     flat = np.atleast_1d(arr).ravel()
-    q = _q1_fast(a[:, None], (flat / sigma)[None, :])
-    out = 1.0 - (w[:, None] * q).sum(axis=0)
+    out = _phase_average_cdf(flat / sigma, params.k, params.delta)
     out = np.clip(out, 0.0, 1.0).reshape(np.atleast_1d(arr).shape)
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(out[0])
     return out
 
 
-def twdp_pdf(r, params: FadingParams, n_nodes: int = DEFAULT_CDF_NODES):
+def twdp_pdf(r, params: FadingParams):
     """TWDP envelope density via central differencing of the CDF.
 
     Step h = 1e-4 sqrt(omega). Near r = 0 the stencil is reflected so it
-    stays inside the support.
+    stays inside the support. Both stencil ends go through one CDF call, so
+    they share one node count.
     """
     arr = np.atleast_1d(_check_r(r)).astype(float)
     h = 1e-4 * math.sqrt(params.omega)
     lo = np.maximum(arr - h, 0.0)
     hi = arr + h
-    f = (twdp_cdf(hi, params, n_nodes) - twdp_cdf(lo, params, n_nodes)) / (hi - lo)
+    cdf_hi, cdf_lo = np.split(twdp_cdf(np.concatenate([hi.ravel(), lo.ravel()]), params), 2)
+    f = (cdf_hi - cdf_lo).reshape(arr.shape) / (hi - lo)
     f = np.maximum(f, 0.0)
     if np.isscalar(r) or np.asarray(r).ndim == 0:
         return float(f[0])

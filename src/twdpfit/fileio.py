@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import secrets
 from dataclasses import asdict
 from pathlib import Path
 
@@ -113,9 +113,20 @@ REPORT_SCHEMA = {
 # atomic text output
 # ---------------------------------------------------------------------------
 
+def _create_temp(path: Path) -> tuple[int, Path]:
+    """Open a fresh temp file beside path, mode 0o666 less the umask (the
+    mode an ordinary open() gives; mkstemp would force 0o600)."""
+    while True:
+        tmp = path.with_name(f"{path.name}.{secrets.token_hex(6)}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            continue
+
+
 def write_text_atomic(path: str | Path, text: str) -> None:
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name, suffix=".tmp")
+    fd, tmp = _create_temp(path)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DomainError, EstimationError, NumericalError
 from .fading import (
@@ -246,10 +246,10 @@ def ml_fit(
     kv, dv = grid.k_values, grid.delta_values
     n_k = len(kv)
     rice = ModelFit("rice", float(kv[i_rice]), 0.0, float(surface[i_rice, 0]),
-                    boundary_hit=i_rice in (0, n_k - 1) and kv[i_rice] != 0.0)
+                    boundary_hit=bool(i_rice in (0, n_k - 1) and kv[i_rice] != 0.0))
     twdp = ModelFit("twdp", float(kv[i_twdp]), float(dv[j_twdp]),
                     float(surface[i_twdp, j_twdp]),
-                    boundary_hit=i_twdp in (0, n_k - 1) and kv[i_twdp] != 0.0)
+                    boundary_hit=bool(i_twdp in (0, n_k - 1) and kv[i_twdp] != 0.0))
     return rice, twdp
 
 
@@ -286,12 +286,14 @@ def _g_statistic(observed: np.ndarray, expected: np.ndarray) -> float:
 
 
 def chi2_quantile(p: float, dof: int) -> float:
-    """Chi-square quantile, thin wrapper kept as a named seam for testing."""
+    """Chi-square quantile, 2 P^-1(dof/2, p) through the inverse regularized
+    lower incomplete gamma function (the form scipy's chi2.ppf evaluates),
+    so the command line does not load scipy.stats."""
     if not 0.0 < p < 1.0:
         raise DomainError("quantile level must lie in (0, 1)")
     if dof < 1:
         raise DomainError("dof must be >= 1")
-    return float(stats.chi2.ppf(p, dof))
+    return float(2.0 * special.gammaincinv(0.5 * dof, p))
 
 
 def g_test(

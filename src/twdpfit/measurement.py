@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import resample
 
 from .errors import DomainError
-from .inference import EnvelopeSet, partition_chequerboard
+from .inference import EnvelopeSet, estimate_omega, partition_chequerboard, partition_stride
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -149,8 +148,6 @@ def power_map(scan: DirectionalScan, margin_db: float = 10.0, stride: int = 10) 
     """
     if scan.n_directions == 0:
         raise DomainError("empty scan")
-    from .inference import estimate_omega, partition_stride
-
     mask = noise_mask(scan, margin_db)
     if not np.any(mask):
         raise DomainError("no direction lies above the noise margin")
@@ -218,6 +215,9 @@ def autocorr2d(field: np.ndarray) -> np.ndarray:
 
 def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
     """Band-limited (zero-padded spectrum) upsampling on the circular grid."""
+    # imported here: scipy.signal loads scipy.stats, which no other command needs
+    from scipy.signal import resample
+
     out = resample(arr, arr.shape[0] * q, axis=0)
     return resample(out, arr.shape[1] * q, axis=1)
 

@@ -1,6 +1,10 @@
 """CLI subcommands through their file interfaces, including exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,6 +67,25 @@ class TestFit:
         with pytest.raises(SystemExit) as err:
             run(["fit", "x.csv", "-o", "y.json", "--frobnicate"])
         assert err.value.code != 0
+
+    def test_k_at_grid_edge_reports_boundary_hit(self, tmp_path):
+        env_path = tmp_path / "env.csv"
+        assert run(["synth", "envelopes", "-o", str(env_path), "--k", "300",
+                    "--delta", "0.3", "--n", "100000", "--seed", "3"]) == 0
+        out = tmp_path / "report.json"
+        assert run(["fit", str(env_path), "-o", str(out), "--k-max", "20"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["twdp"]["k_hat"] == 20.0
+        assert doc["twdp"]["boundary_hit"] is True
+
+    def test_k_at_zero_row_writes_report(self, tmp_path):
+        env_path = tmp_path / "env.csv"
+        assert run(["synth", "envelopes", "-o", str(env_path), "--k", "0",
+                    "--n", "2000", "--seed", "0"]) == 0
+        out = tmp_path / "report.json"
+        assert run(["fit", str(env_path), "-o", str(out), "--k-max", "20"]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["rice"]["boundary_hit"] is False
 
     def test_deterministic_output(self, tmp_path):
         env = sample_twdp(FadingParams(2.0, 0.0, 1.0), 20_000, 5).envelopes
@@ -146,3 +169,14 @@ class TestBer:
         data = np.loadtxt(out, delimiter=",", skiprows=1)
         assert data.shape == (2, 2)
         assert data[1, 1] <= data[0, 1]
+
+
+def test_cli_import_skips_scipy_stats():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    probe = "import sys, twdpfit.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -15,6 +15,7 @@ from scipy import integrate, special
 from twdpfit import (
     DomainError,
     FadingParams,
+    NumericalError,
     marcum_q1,
     rayleigh_cdf,
     rice_cdf,
@@ -24,6 +25,7 @@ from twdpfit import (
     twdp_cdf,
     twdp_pdf,
 )
+from twdpfit import fading
 from twdpfit.fading import k_delta_from_amplitudes
 
 
@@ -51,6 +53,20 @@ def series_oracle_q1(a: float, b: float, cutoff: float = 1e-14) -> float:
 def ncx2_oracle_q1(a, b):
     """Noncentral chi-square survival function identity."""
     return 1.0 - special.chndtr(np.asarray(b) ** 2, 2.0, np.asarray(a) ** 2)
+
+
+def twdp_cdf_reference(r, k, delta, n_nodes=8192):
+    """TWDP CDF by a fixed n_nodes-point trapezoid rule over the phase
+    balance, folded onto the distinct cos(alpha) values and summed exactly
+    with math.fsum, so rounding stays far below the 1e-13 under test."""
+    m = n_nodes // 2 + 1
+    cos_alpha = np.cos(2.0 * np.pi * np.arange(m) / n_nodes)
+    w = np.full(m, 2.0 / n_nodes)
+    w[0] = w[-1] = 1.0 / n_nodes
+    a2 = 2.0 * k * (1.0 + delta * cos_alpha)
+    sigma2 = 1.0 / (2.0 * (1.0 + k))  # omega = 1
+    return np.array([math.fsum(w * special.chndtr(x * x / sigma2, 2.0, a2))
+                     for x in np.ravel(r)]).reshape(np.shape(r))
 
 
 def mc_envelopes(k, delta, omega, n, seed):
@@ -222,6 +238,32 @@ class TestTwdpCdf:
     def test_k_cap_enforced(self):
         with pytest.raises(DomainError):
             twdp_cdf(1.0, FadingParams(2e4, 0.5, 1.0))
+
+    @pytest.mark.parametrize("k", [0.0, 0.05, 4.0, 10.0, 30.0, 100.0, 1000.0, 1e4])
+    def test_converged_against_fixed_8192_node_rule(self, k):
+        # spans the bulk and both tails of every (K, Delta) on the grid
+        r = np.linspace(0.0, 3.0, 41).reshape(1, 41, 1)
+        for delta in (0.0, 0.3, 0.9, 1.0):
+            p = FadingParams(k, delta, 1.0)
+            want = twdp_cdf_reference(r, k, delta)
+            got = twdp_cdf(r, p)
+            assert got.shape == r.shape
+            assert np.max(np.abs(got - want)) <= 1e-13
+            for i in (0, 13, 20, 33):
+                x = float(r.ravel()[i])
+                got_scalar = twdp_cdf(x, p)
+                assert isinstance(got_scalar, float)
+                assert abs(got_scalar - float(want.ravel()[i])) <= 1e-13
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # a tolerance no sum can meet drives the doubling to its node cap
+        monkeypatch.setattr(fading, "_CDF_TOL", -1.0)
+        with pytest.raises(NumericalError, match="32768 nodes"):
+            twdp_cdf(1.0, FadingParams(10.0, 0.9, 1.0))
+
+    def test_empty_input(self):
+        out = twdp_cdf(np.array([]), FadingParams(10.0, 0.9, 1.0))
+        assert out.shape == (0,)
 
 
 class TestTwdpPdf:

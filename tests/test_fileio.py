@@ -1,6 +1,8 @@
 """File formats: round trips, parse failures, schema validation, atomicity."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -186,3 +188,12 @@ class TestAtomicity:
         fileio.write_text_atomic(path, "two\n")
         assert path.read_text() == "two\n"
         assert list(tmp_path.glob("*.tmp")) == []
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "x.csv"
+        old = os.umask(0o022)
+        try:
+            fileio.write_text_atomic(path, "one\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
