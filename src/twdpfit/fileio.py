@@ -141,6 +141,34 @@ def _sidecar(path: str | Path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+def _write_indexed(path: str | Path, header: dict, arr: np.ndarray, columns: str) -> None:
+    """JSON header sidecar, then one CSV row of indices, re and im per entry."""
+    write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
+    fmt = ",".join(["%d"] * arr.ndim) + ",%r,%r"
+    flat = arr.ravel()
+    rows = [columns] + [fmt % (*idx, re, im) for idx, re, im in
+                        zip(np.ndindex(arr.shape), flat.real.tolist(), flat.imag.tolist())]
+    write_text_atomic(path, "\n".join(rows) + "\n")
+
+
+def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarray:
+    """Complex array of `shape` from CSV rows of its indices, re and im."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"{path}: {exc}")
+    if data.shape[1] != len(shape) + 2:
+        raise ParseError(f"{path}: expected {len(shape) + 2} columns {columns}")
+    if data.shape[0] != np.prod(shape):
+        raise ParseError(f"{path}: row count does not match the header shape")
+    idx = data[:, :-2].astype(int)
+    if (idx < 0).any() or (idx >= shape).any():
+        raise ParseError(f"{path}: index outside the header shape")
+    out = np.zeros(shape, dtype=complex)
+    out[tuple(idx.T)] = data[:, -2] + 1j * data[:, -1]
+    return out
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:
@@ -201,15 +229,7 @@ def write_grid(path: str | Path, grid: SpatialGrid) -> None:
                       if grid.freq_axis is not None else None),
         "direction": (list(grid.direction) if grid.direction is not None else None),
     }
-    write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
-    rows = ["ix,iy,iz,ifreq,re,im"]
-    for ix in range(nx):
-        for iy in range(ny):
-            for iz in range(nz):
-                for jf in range(nf):
-                    val = grid.h[ix, iy, iz, jf]
-                    rows.append(f"{ix},{iy},{iz},{jf},{float(val.real)!r},{float(val.imag)!r}")
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    _write_indexed(path, header, grid.h, "ix,iy,iz,ifreq,re,im")
 
 
 def read_grid(path: str | Path) -> SpatialGrid:
@@ -222,19 +242,7 @@ def read_grid(path: str | Path) -> SpatialGrid:
         direction = header.get("direction")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{_sidecar(path)}: bad grid header ({exc})")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}")
-    if data.shape[1] != 6:
-        raise ParseError(f"{path}: expected 6 columns ix,iy,iz,ifreq,re,im")
-    if data.shape[0] != nx * ny * nz * nf:
-        raise ParseError(f"{path}: row count does not match the header shape")
-    h = np.zeros((nx, ny, nz, nf), dtype=complex)
-    idx = data[:, :4].astype(int)
-    if (idx < 0).any() or (idx >= [nx, ny, nz, nf]).any():
-        raise ParseError(f"{path}: index outside the header shape")
-    h[idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3]] = data[:, 4] + 1j * data[:, 5]
+    h = _read_indexed(path, (nx, ny, nz, nf), "ix,iy,iz,ifreq,re,im")
     return SpatialGrid(
         h, spacing=spacing,
         freq_axis=np.asarray(freq_axis, dtype=float) if freq_axis is not None else None,
@@ -257,13 +265,7 @@ def write_scan(path: str | Path, scan: DirectionalScan) -> None:
         "freq_axis": (list(map(float, scan.freq_axis))
                       if scan.freq_axis is not None else None),
     }
-    write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
-    rows = ["idir,ifreq,re,im"]
-    for i in range(scan.n_directions):
-        for jf in range(scan.samples.shape[1]):
-            val = scan.samples[i, jf]
-            rows.append(f"{i},{jf},{float(val.real)!r},{float(val.imag)!r}")
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    _write_indexed(path, header, scan.samples, "idir,ifreq,re,im")
 
 
 def read_scan(path: str | Path) -> DirectionalScan:
@@ -278,19 +280,7 @@ def read_scan(path: str | Path) -> DirectionalScan:
         freq_axis = header.get("freq_axis")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{_sidecar(path)}: bad scan header ({exc})")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}")
-    if data.shape[1] != 4:
-        raise ParseError(f"{path}: expected 4 columns idir,ifreq,re,im")
-    if data.shape[0] != len(dirs) * n_freq:
-        raise ParseError(f"{path}: row count does not match the header")
-    samples = np.zeros((len(dirs), n_freq), dtype=complex)
-    idx = data[:, :2].astype(int)
-    if (idx < 0).any() or (idx >= [len(dirs), n_freq]).any():
-        raise ParseError(f"{path}: index outside the header shape")
-    samples[idx[:, 0], idx[:, 1]] = data[:, 2] + 1j * data[:, 3]
+    samples = _read_indexed(path, (len(dirs), n_freq), "idir,ifreq,re,im")
     return DirectionalScan(azimuth, elevation, samples, noise,
                            freq_axis=(np.asarray(freq_axis, dtype=float)
                                       if freq_axis is not None else None))

@@ -17,7 +17,7 @@ they are directly comparable across the two models.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -200,13 +200,6 @@ def estimate_omega(envelope_set: EnvelopeSet) -> float:
 # maximum likelihood on the grid
 # ---------------------------------------------------------------------------
 
-def _extended_spec(spec: TableSpec, x_max: float) -> TableSpec:
-    """Grow the envelope axis (keeping its resolution) to cover outliers."""
-    new_rmax = float(x_max * 1.05)
-    step = spec.r_max / (spec.n_r - 1)
-    return replace(spec, r_max=new_rmax, n_r=int(np.ceil(new_rmax / step)) + 1)
-
-
 def ml_fit(
     envelope_set: EnvelopeSet,
     omega_hat: float,
@@ -221,7 +214,6 @@ def ml_fit(
     resolve to the smallest K, then the smallest Delta.
     """
     grid = grid or GridConfig()
-    spec = table_spec or TableSpec()
     fit = envelope_set.fit_values
     if len(fit) == 0:
         raise DomainError("fit class is empty")
@@ -231,9 +223,7 @@ def ml_fit(
         raise EstimationError(
             "fit sample with zero envelope has zero density at every grid cell")
     x = fit / math.sqrt(omega_hat)
-    if np.max(x) > spec.r_max:
-        spec = _extended_spec(spec, float(np.max(x)))
-    table = get_table(grid.k_values, grid.delta_values, spec)
+    table = get_table(grid.k_values, grid.delta_values, table_spec or TableSpec())
     surface = table.loglik_surface(x)
 
     i_rice = int(np.argmax(surface[:, 0]))

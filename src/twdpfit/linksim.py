@@ -25,6 +25,11 @@ class BerCurve:
     seed: int
 
 
+def _point_streams(seed: int, point: int) -> list[np.random.SeedSequence]:
+    """Channel, bit/noise and resample seed sequences of one SNR point."""
+    return np.random.SeedSequence(seed, spawn_key=(point,)).spawn(3)
+
+
 def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> BerCurve:
     """Monte Carlo BER of 4-QAM over independent flat-fading realizations.
 
@@ -32,9 +37,10 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
     receiver knows the channel perfectly and divides it out before the
     quadrant decision; with Gray mapping the I and Q bits decide
     independently, so errors are counted over 2 n_symbols bits per point.
-    Each SNR point draws its channel and noise from a sub-seed derived from
-    (seed, point index), so points are independent and the curve is
-    reproducible as a whole.
+    Each SNR point draws its channel, its bits and noise, and every
+    zero-channel resample from its own stream, spawned from (seed, point
+    index) by np.random.SeedSequence, so no two streams coincide and the
+    curve is reproducible as a whole.
     """
     if n_symbols < 10_000:
         raise DomainError("need at least 1e4 symbols per SNR point")
@@ -44,14 +50,14 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
     ber = np.empty(len(snr_db))
     amp = 1.0 / np.sqrt(2.0)
     for i, snr in enumerate(snr_db):
-        point_seed = (seed << 16) + i
-        rng = np.random.Generator(np.random.Philox(point_seed))
-        h = sample_twdp(params, n_symbols, point_seed + 1).samples
+        channel, bits, resample = _point_streams(seed, i)
+        rng = np.random.Generator(np.random.Philox(bits))
+        h = sample_twdp(params, n_symbols, channel).samples
         # |h| = 0 is a probability-zero event; resample defensively so the
         # zero-forcing division stays defined.
         while np.any(h == 0):
             bad = h == 0
-            h[bad] = sample_twdp(params, int(bad.sum()), point_seed + 2).samples
+            h[bad] = sample_twdp(params, int(bad.sum()), resample.spawn(1)[0]).samples
         bits_i = rng.random(n_symbols) < 0.5
         bits_q = rng.random(n_symbols) < 0.5
         symbols = amp * ((2.0 * bits_i - 1.0) + 1j * (2.0 * bits_q - 1.0))

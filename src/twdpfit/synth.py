@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -43,7 +43,7 @@ class ComplexSampleSet:
     """Independent complex-baseband fading realizations."""
 
     samples: np.ndarray
-    seed: int
+    seed: int | np.random.SeedSequence
     params: FadingParams
 
     @property
@@ -51,7 +51,8 @@ class ComplexSampleSet:
         return np.abs(self.samples)
 
 
-def sample_twdp(params: FadingParams, n: int, seed: int) -> ComplexSampleSet:
+def sample_twdp(params: FadingParams, n: int,
+                seed: int | np.random.SeedSequence) -> ComplexSampleSet:
     """Draw n independent realizations of the two-wave-plus-diffuse sum.
 
     Per sample, the two specular phases are independent and uniform on

@@ -4,6 +4,7 @@ the grids are kept small so the whole module runs in well under a minute.
 """
 
 import json
+import logging
 import math
 from dataclasses import asdict
 
@@ -29,11 +30,19 @@ from twdpfit import (
     select_model,
     twdp_pdf,
 )
+from twdpfit import likelihood
 from twdpfit.inference import _g_statistic
-from twdpfit.likelihood import TableSpec, get_table
+from twdpfit.likelihood import PdfTable, TableSpec, get_table
 
 SMALL_GRID = GridConfig(k_max=30.0)
 TINY_GRID = GridConfig(k_max=2.0)
+
+
+@pytest.fixture(scope="module")
+def high_k_table():
+    """Four exactly tabulated rows whose kernel bands do not cover the
+    envelope axis."""
+    return PdfTable(np.array([50.0, 200.0, 500.0, 1000.0]), SMALL_GRID.delta_values, TableSpec())
 
 
 def make_set(k, delta, n_total, seed, omega=1.0, stride=10):
@@ -260,6 +269,109 @@ class TestTableAccuracy:
             keep = want > -8.0
             worst = max(worst, np.max(np.abs(got[keep] - want[keep])))
         assert worst < 1.5e-2
+
+    def test_out_of_range_sample_matches_density(self):
+        # A sample beyond r_max = 4 is scored on the row density at its exact
+        # value. The CDF-differenced oracle loses its digits to cancellation
+        # below ln pdf ~ -20; K = 0 has the closed Rayleigh form everywhere.
+        grid = SMALL_GRID
+        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        x = np.concatenate([np.linspace(4.02, 4.6, 8), np.linspace(5.0, 8.0, 4)])
+        worst, checked = 0.0, 0
+        for k in (0.0, 0.05, 0.3, 1.0, 1.55):
+            ki = int(np.searchsorted(grid.k_values, k))
+            for di in (0, 10, 20):
+                got = np.array([table.loglik_surface(np.array([xi]))[ki, di] for xi in x])
+                with np.errstate(divide="ignore"):
+                    want = np.log(twdp_pdf(x, FadingParams(k, grid.delta_values[di], 1.0)))
+                keep = want > -20.0
+                checked += keep.sum()
+                worst = max(worst, np.max(np.abs(got[keep] - want[keep]), initial=0.0))
+                if k == 0.0:
+                    assert np.allclose(got, np.log(2.0 * x) - x * x, rtol=0, atol=1e-9)
+        assert checked >= 40
+        assert worst < 1.5e-2
+
+    def test_row_on_grid_nodes_matches_stored_rows(self, high_k_table):
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        nodes = np.array([0, 1, 257, 700, 1023])
+        for table in (small, high_k_table):
+            for i in range(0, len(table.coarse_k), 7):
+                row = table._build_row(table.coarse_k[i], table.x_grid[nodes])
+                assert np.max(np.abs(row - table.log_rows[i][:, nodes])) <= 1e-12
+
+    def test_banded_kernel_rows_are_bit_identical(self, high_k_table, monkeypatch):
+        # beyond the band exp(-0.5 (a - b)^2) underflows to exactly 0, so
+        # skipping those entries must not change a single bit against the
+        # kernel evaluated on the whole (a, b) plane
+        assert np.exp(-0.5 * likelihood._BAND ** 2) == 0.0
+
+        def full_kernel(self, a, b, s2):
+            return s2 * special.i0e(a[:, None] * b) * np.exp(-0.5 * (a[:, None] - b) ** 2)
+
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        monkeypatch.setattr(PdfTable, "_kernel", full_kernel)
+        for table in (small, high_k_table):
+            for i in range(0, len(table.coarse_k), 3):
+                row = table._build_row(table.coarse_k[i], table.x_grid)
+                assert np.array_equal(row, table.log_rows[i])
+
+    def test_far_spike_floors_every_row(self):
+        # at 30 root powers the density of every row underflows to 0; the
+        # K = 0 row must floor like the others, or the Lagrange step turns
+        # its -inf into NaN next to it and the fit fails
+        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        assert np.all(np.isfinite(table.loglik_surface(np.array([1.0, 30.0]))))
+        values = np.concatenate([np.full(40, 1.0), [1.0, 30.0]])
+        mask = np.zeros(42, bool)
+        mask[-2:] = True
+        rice, twdp = ml_fit(EnvelopeSet(values, mask), 1.0, TINY_GRID)
+        assert np.isfinite(rice.loglik) and np.isfinite(twdp.loglik)
+
+    def test_in_range_surface_is_the_histogram_product(self):
+        grid = SMALL_GRID
+        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        x = make_set(10.0, 0.9, 10 ** 4, 5).fit_values
+        x = 3.99 * x / x.max()
+        w, const = table.sample_weights(x)
+        nc, nd, nr = table.log_rows.shape
+        coarse = (table.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd)
+        want = np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
+        assert np.array_equal(table.loglik_surface(x), want)
+
+    def test_short_grid_tabulates_every_row(self):
+        # a 3- or 5-point grid above K = 20 spans less than one 0.4 coarse
+        # step: too few rows for the 4-point stencil, so every K is exact
+        x = make_set(20.0, 0.0, 10 ** 4, 11).fit_values
+        for k_max in (20.1, 20.2):
+            grid = GridConfig(k_min=20.0, k_max=k_max, k_step=0.05)
+            table = get_table(grid.k_values, grid.delta_values, TableSpec())
+            assert np.array_equal(table.coarse_k, grid.k_values)
+            w, const = table.sample_weights(x)
+            want = table.log_rows @ w + const
+            assert np.allclose(table.loglik_surface(x), want, rtol=0, atol=1e-9)
+
+
+class TestTableCache:
+    def test_spikes_share_one_table(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        for spike in (8.5, 5.2):
+            values = np.concatenate([np.full(40, 1.0), [1.0, spike]])
+            mask = np.zeros(42, bool)
+            mask[-2:] = True
+            rice, twdp = ml_fit(EnvelopeSet(values, mask), 1.0, TINY_GRID)
+            assert np.isfinite(twdp.loglik)
+        assert len(likelihood._TABLE_CACHE) == 1
+
+    def test_misses_and_hits_are_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        caplog.set_level(logging.DEBUG, logger="twdpfit.likelihood")
+        for _ in range(2):
+            get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
+        assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
+        assert "built: 41 K rows x 21 Delta x 1024 r, 7.1 MB" in miss.getMessage()
+        assert "cache hit: 41 K rows" in hit.getMessage()
 
 
 class TestGTest:

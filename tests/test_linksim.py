@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from twdpfit import BerCurve, DomainError, FadingParams, capacity_loss, simulate_ber
+from twdpfit import BerCurve, DomainError, FadingParams, capacity_loss, sample_twdp, simulate_ber
+from twdpfit import linksim
+from twdpfit.linksim import _point_streams
 
 
 def q_func(x):
@@ -64,6 +66,33 @@ class TestSimulateBer:
         assert isinstance(curve, BerCurve)
         assert len(curve.snr_db) == len(curve.ber) == 2
         assert np.all((curve.ber >= 0) & (curve.ber <= 1))
+
+    def test_bits_independent_of_previous_channel(self):
+        # With one Philox key per (point, role), the I bits of point i + 1
+        # replayed the first uniforms of point i's channel: [phi1(i) < pi].
+        n, seed = 10_000, 7
+        for i in range(3):
+            channel = _point_streams(seed, i)[0]
+            phi1 = 2.0 * np.pi * np.random.Generator(np.random.Philox(channel)).random(n)
+            bits = np.random.Generator(np.random.Philox(_point_streams(seed, i + 1)[1]))
+            agree = np.mean((bits.random(n) < 0.5) == (phi1 < np.pi))
+            assert abs(agree - 0.5) < 5.0 * 0.5 / math.sqrt(n)
+
+    def test_zero_channel_resample_draws_fresh_values(self, monkeypatch):
+        seeds = []
+
+        def fake(params, n, seed):
+            seeds.append(seed)
+            out = sample_twdp(params, n, seed)
+            if len(seeds) <= 3:
+                out.samples[0] = 0.0      # the first draw and two resamples hit |h| = 0
+            return out
+
+        monkeypatch.setattr(linksim, "sample_twdp", fake)
+        curve = simulate_ber(FadingParams(1.0, 0.0, 1.0), [10.0], 10_000, seed=1)
+        assert len(seeds) == 4 and np.isfinite(curve.ber[0])
+        states = [tuple(s.generate_state(4)) for s in seeds]
+        assert len(set(states)) == 4
 
     def test_too_few_symbols(self):
         with pytest.raises(DomainError):
