@@ -191,23 +191,35 @@ def read_envelopes(path: str | Path) -> np.ndarray:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}")
-    values = []
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
+    texts = [raw.strip() for raw in lines]
+    if texts:
+        try:
+            float(texts[0])
+        except ValueError:
+            texts[0] = ""                       # header
+    try:
+        values = np.fromiter(map(float, filter(None, texts)), float)
+    except ValueError:
+        values = None
+    if values is None or not np.all(np.isfinite(values) & (values >= 0)):
+        _raise_first_bad_line(path, texts)
+    if not len(values):
+        raise ParseError(f"{path}: no envelope samples found")
+    return values
+
+
+def _raise_first_bad_line(path: Path, texts: list[str]) -> None:
+    """ParseError naming the first stripped line that is not a finite,
+    nonnegative number."""
+    for lineno, text in enumerate(texts, start=1):
         if not text:
             continue
         try:
             val = float(text)
         except ValueError:
-            if lineno == 1:
-                continue  # header
             raise ParseError(f"{path}:{lineno}: not a number: {text!r}")
         if not np.isfinite(val) or val < 0:
             raise ParseError(f"{path}:{lineno}: envelope must be finite and >= 0")
-        values.append(val)
-    if not values:
-        raise ParseError(f"{path}: no envelope samples found")
-    return np.asarray(values)
 
 
 def write_envelopes(path: str | Path, values: np.ndarray) -> None:

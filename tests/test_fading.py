@@ -50,6 +50,18 @@ def series_oracle_q1(a: float, b: float, cutoff: float = 1e-14) -> float:
     return total * scale
 
 
+def scaled_series_oracle_q1(a: float, b: float, n_terms: int = 20_000) -> float:
+    """The same Bessel series with exponentially scaled terms over a fixed
+    range of orders, summed exactly: a second independent reference where
+    a*b is too large for the unscaled sum. Needs terms past n* = (a^2 -
+    b^2)/2 whose ive(n, a*b) does not underflow, i.e. a close to b."""
+    n = np.arange(n_terms)
+    z = a * b
+    with np.errstate(divide="ignore"):
+        logs = n * math.log(a / b) + np.log(special.ive(n, z)) + z - 0.5 * (a * a + b * b)
+    return math.fsum(np.exp(logs))
+
+
 def ncx2_oracle_q1(a, b):
     """Noncentral chi-square survival function identity."""
     return 1.0 - special.chndtr(np.asarray(b) ** 2, 2.0, np.asarray(a) ** 2)
@@ -117,6 +129,8 @@ class TestMarcumQ:
             q = marcum_q1(a, b)
             assert 0.0 <= q <= 1.0
             assert q == pytest.approx(ncx2_oracle_q1(a, b), abs=1e-10)
+            if abs(a - b) <= 1.0:
+                assert q == pytest.approx(scaled_series_oracle_q1(a, b), abs=1e-10)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):

@@ -65,6 +65,26 @@ class TestEnvelopes:
         with pytest.raises(ParseError):
             fileio.read_envelopes(tmp_path / "nope.csv")
 
+    def test_blank_lines_and_padding_skipped(self, tmp_path):
+        path = tmp_path / "env.csv"
+        path.write_text("  envelope \n\n 0.5\n\t\n2e-3  \n1\x1f\n")
+        assert np.array_equal(fileio.read_envelopes(path), [0.5, 2e-3, 1.0])
+
+    @pytest.mark.parametrize("body,message", [
+        ("envelope\n1.0\n2.0\n\nbogus\n3.0\n", r"env\.csv:5: not a number: 'bogus'$"),
+        ("envelope\n1.0\n-2.0\nbogus\n", r"env\.csv:3: envelope must be finite and >= 0$"),
+        ("1.0\nnan\n", r"env\.csv:2: envelope must be finite and >= 0$"),
+        ("nan\n1.0\n", r"env\.csv:1: envelope must be finite and >= 0$"),
+        ("1.0\n\ninf\n", r"env\.csv:3: envelope must be finite and >= 0$"),
+        ("envelope\n", r"env\.csv: no envelope samples found$"),
+        ("", r"env\.csv: no envelope samples found$"),
+    ])
+    def test_first_bad_line_is_reported(self, tmp_path, body, message):
+        path = tmp_path / "env.csv"
+        path.write_text(body)
+        with pytest.raises(ParseError, match=message):
+            fileio.read_envelopes(path)
+
 
 class TestGrid:
     def make_grid(self):

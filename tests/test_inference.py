@@ -6,6 +6,8 @@ the grids are kept small so the whole module runs in well under a minute.
 import json
 import logging
 import math
+import sys
+import time
 from dataclasses import asdict
 
 import numpy as np
@@ -352,6 +354,68 @@ class TestTableAccuracy:
             assert np.allclose(table.loglik_surface(x), want, rtol=0, atol=1e-9)
 
 
+class TestTablePool:
+    def rows_on_main_thread(self, table):
+        return np.array([table._build_row(k, table.x_grid) for k in table.coarse_k])
+
+    def test_pooled_rows_equal_main_thread_rows(self):
+        table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        assert table.workers == likelihood._worker_count()
+        assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
+
+    def test_oversubscribed_pool_loses_no_row(self, monkeypatch):
+        # more threads than cores, switching every microsecond: a row lost
+        # or written twice would leave np.empty garbage or a wrong K
+        monkeypatch.setattr(likelihood, "_worker_count", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            start = time.perf_counter()
+            table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+            elapsed = time.perf_counter() - start
+        finally:
+            sys.setswitchinterval(interval)
+        assert table.workers == 8
+        assert elapsed < 60.0
+        assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
+
+    def test_fold_matches_blas_reference(self, high_k_table):
+        # the fold sums in numpy's loop order, not OpenBLAS's; the parent
+        # form (per-Delta np.add.at weights, GEMM) stays the reference
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        for table in (small, high_k_table):
+            for k in table.coarse_k[1::4]:
+                ag, w_fold = table._fold_weights(k)
+                na, h = len(ag), ag[1] - ag[0]
+                ref_w = np.zeros((len(table.deltas), na))
+                for di, d in enumerate(table.deltas):
+                    pos = np.sqrt(2.0 * k * (1.0 + d * table._cos_nodes)) / h
+                    i0 = np.clip(pos.astype(np.int64), 0, na - 2)
+                    frac = pos - i0
+                    np.add.at(ref_w[di], i0, table._quad_w * (1.0 - frac))
+                    np.add.at(ref_w[di], i0 + 1, table._quad_w * frac)
+                assert np.array_equal(w_fold, ref_w)
+                s2 = 2.0 * (1.0 + k)
+                kern = table._kernel(ag, table.x_grid * np.sqrt(s2), s2)
+                ref = np.log(np.maximum(ref_w @ kern, 1e-300))
+                row = table._build_row(k, table.x_grid)
+                assert np.max(np.abs(row[1:] - ref[1:])) <= 1e-12
+
+    def test_worker_error_reaches_caller_and_caches_nothing(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        build_row = PdfTable._build_row
+
+        def failing_row(self, k, x):
+            if k > 1.0:
+                raise FloatingPointError("row failed")
+            return build_row(self, k, x)
+
+        monkeypatch.setattr(PdfTable, "_build_row", failing_row)
+        with pytest.raises(FloatingPointError, match="row failed"):
+            get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        assert likelihood._TABLE_CACHE == {}
+
+
 class TestTableCache:
     def test_spikes_share_one_table(self, monkeypatch):
         monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
@@ -371,6 +435,7 @@ class TestTableCache:
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
         assert "built: 41 K rows x 21 Delta x 1024 r, 7.1 MB" in miss.getMessage()
+        assert miss.getMessage().endswith(f" s on {likelihood._worker_count()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
 
 
