@@ -9,6 +9,10 @@ Conventions
   (0: single wave, i.e. Rician; 1: equal amplitudes).
 * Omega is the mean envelope power E[r^2] and acts as a pure scale factor.
 
+The TWDP CDF and density are phase-balance averages of the Rician ones
+(``_phase_average``); the density table shares their Rician kernel and
+trapezoid rule.
+
 All functions are pure and thread-safe; array inputs broadcast in the usual
 numpy fashion. K is capped at ``K_MAX_SUPPORTED`` = 1e4, above which the
 numerics of the distribution kernels are not guaranteed.
@@ -41,11 +45,11 @@ __all__ = [
 # Above this K the quadrature accuracy targets are not validated.
 K_MAX_SUPPORTED = 1.0e4
 
-# Phase-balance quadrature of the TWDP CDF. The integrand is smooth and
-# 2pi-periodic in alpha, so the uniform trapezoid rule converges spectrally.
-# The rule starts at _CDF_NODES_START nodes and doubles until two successive
-# sums agree to _CDF_TOL everywhere; K <= 1e4 converges by 2048 nodes, and a
-# rule that has not converged at _CDF_NODES_CAP raises NumericalError.
+# Phase-balance quadrature of the TWDP CDF and density. The integrand is
+# smooth and 2pi-periodic in alpha, so the uniform trapezoid rule converges
+# spectrally. It starts at _CDF_NODES_START nodes and doubles until two
+# successive sums agree to _CDF_TOL; K <= 1e4 converges by 4096 nodes, and
+# a rule not converged at _CDF_NODES_CAP raises NumericalError.
 _CDF_NODES_START = 16
 _CDF_NODES_CAP = 2 ** 15
 _CDF_TOL = 1e-13
@@ -132,9 +136,9 @@ def k_delta_from_amplitudes(v1: float, v2: float, sigma2: float) -> tuple[float,
 def marcum_q1(a, b):
     """First-order Marcum Q function Q1(a, b), absolute accuracy <= 1e-10.
 
-    Evaluated through the noncentral chi-square survival function (see
-    ``_q1_fast``). Accepts scalars or arrays (elementwise); scalar input
-    gives a float.
+    Evaluated as the noncentral chi-square survival function,
+    Q1(a, b) = P[X > b^2] with X ~ ncx2(df=2, nc=a^2). Accepts scalars or
+    arrays (elementwise); scalar input gives a float.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -142,19 +146,8 @@ def marcum_q1(a, b):
         raise DomainError("marcum_q1 arguments must be finite")
     if np.any(a_arr < 0) or np.any(b_arr < 0):
         raise DomainError("marcum_q1 arguments must be nonnegative")
-    q = _q1_fast(a_arr, b_arr)
+    q = 1.0 - special.chndtr(b_arr * b_arr, 2.0, a_arr * a_arr)
     return float(q) if q.ndim == 0 else q
-
-
-def _q1_fast(a, b):
-    """Vectorized Q1 through the noncentral chi-square survival function,
-    without argument checks.
-
-    Q1(a, b) = P[X > b^2] with X ~ ncx2(df=2, nc=a^2).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return 1.0 - special.chndtr(b * b, 2.0, a * a)
 
 
 # ---------------------------------------------------------------------------
@@ -170,61 +163,78 @@ def _check_r(r) -> np.ndarray:
     return arr
 
 
+def _shaped_like(r, out):
+    """`out` in the shape of the input `r`; a float for scalar input."""
+    out = np.reshape(out, np.shape(r))
+    return float(out) if out.ndim == 0 else out
+
+
+def _rice_kernel(a, b, prec):
+    """Rician envelope density over the envelope, prec I0(ab) exp(-(a^2 + b^2)/2),
+    for specular amplitude a and envelope b in units of sigma, prec = 1/sigma^2.
+    Exactly 0 where the exponential underflows."""
+    return prec * special.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)
+
+
+def _trapezoid_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-node periodic trapezoid rule on [0, 2pi), folded onto the
+    n/2 + 1 distinct values of cos(alpha): returns (cos_alpha, weights)."""
+    m = n // 2 + 1
+    w = np.full(m, 2.0 / n)
+    w[0] = w[-1] = 1.0 / n
+    return np.cos(2.0 * np.pi * np.arange(m) / n), w
+
+
 def rayleigh_cdf(r, omega: float = 1.0):
     """CDF of the zero-specular-power envelope, 1 - exp(-r^2/omega)."""
     arr = _check_r(r)
     if omega <= 0:
         raise DomainError("omega must be positive")
-    out = -np.expm1(-arr * arr / omega)
-    return float(out) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
+    return _shaped_like(r, -np.expm1(-arr * arr / omega))
 
 
 def rice_cdf(r, k: float, omega: float = 1.0):
-    """Rician envelope CDF, 1 - Q1(sqrt(2k), r/sigma)."""
+    """Rician envelope CDF, 1 - Q1(sqrt(2k), r/sigma), as the ncx2 CDF so
+    that its lower tail keeps its digits."""
     arr = _check_r(r)
     _validate_k_delta_omega(k, 0.0, omega, enforce_cap=True)
-    sigma = math.sqrt(sigma2_from_k(k, omega))
-    out = _q1_fast(math.sqrt(2.0 * k), arr / sigma)
-    out = 1.0 - out
-    out = np.clip(out, 0.0, 1.0)
-    return float(out) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
+    a = math.sqrt(2.0 * k)
+    b = arr / math.sqrt(sigma2_from_k(k, omega))
+    return _shaped_like(r, np.clip(special.chndtr(b * b, 2.0, a * a), 0.0, 1.0))
 
 
 def rice_pdf(r, k: float, omega: float = 1.0):
-    """Closed-form Rician envelope density (used as an independent check
-    against the differentiated CDF)."""
+    """Closed-form Rician envelope density."""
     arr = _check_r(r)
     _validate_k_delta_omega(k, 0.0, omega)
     s2 = sigma2_from_k(k, omega)
-    a = math.sqrt(2.0 * k)
-    b = arr / math.sqrt(s2)
-    out = arr / s2 * special.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)
-    return float(out) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
+    return _shaped_like(r, arr * _rice_kernel(math.sqrt(2.0 * k), arr / math.sqrt(s2), 1.0 / s2))
 
 
-def _phase_average_cdf(b: np.ndarray, k: float, delta: float) -> np.ndarray:
-    """Mean over alpha of the Rician CDFs 1 - Q1(sqrt(2k(1 + delta cos alpha)), b).
+def _phase_average(node_values, k: float, delta: float, relative: bool = False) -> np.ndarray:
+    """Mean over alpha of node_values(a), a = sqrt(2k(1 + delta cos alpha)).
 
-    Nested trapezoid doubling on [0, 2pi): the n-node set is a subset of the
-    2n-node set, so T_2n = T_n / 2 + (midpoint sum) / (2n), and each doubling
+    ``node_values`` maps node amplitudes to one column per node. Nested
+    trapezoid doubling on [0, 2pi): the n-node set is a subset of the 2n-node
+    set, so T_2n = T_n / 2 + (midpoint sum) / (2n), and each doubling
     evaluates only the n new midpoints. The integrand depends on alpha only
     through cos(alpha), so the nodes fold onto n/2 + 1 distinct values and
-    the midpoints onto n/2. Returns T_2n once max |T_2n - T_n| <= _CDF_TOL.
-    Nodes run along the last axis, where numpy sums pairwise.
+    the midpoints onto n/2. Returns T_2n once |T_2n - T_n| <= _CDF_TOL
+    everywhere, times |T_2n| pointwise when ``relative``. Nodes run along the
+    last axis, where numpy sums pairwise.
     """
-    def rice_cdfs(cos_alpha):
-        a = np.sqrt(2.0 * k * (1.0 + delta * cos_alpha))
-        return special.chndtr((b * b)[:, None], 2.0, (a * a)[None, :])
+    def values_at(cos_alpha):
+        return node_values(np.sqrt(2.0 * k * (1.0 + delta * cos_alpha)))
 
     n = _CDF_NODES_START
-    w = np.full(n // 2 + 1, 2.0 / n)
-    w[0] = w[-1] = 1.0 / n
-    total = rice_cdfs(np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) @ w
+    cos_alpha, w = _trapezoid_nodes(n)
+    total = values_at(cos_alpha) @ w
     while n < _CDF_NODES_CAP:
         mid = np.cos(np.pi * (2.0 * np.arange(n // 2) + 1.0) / n)
-        refined = 0.5 * total + rice_cdfs(mid).sum(axis=1) / n
+        refined = 0.5 * total + values_at(mid).sum(axis=1) / n
         n *= 2
-        if np.max(np.abs(refined - total), initial=0.0) <= _CDF_TOL:
+        bound = _CDF_TOL * np.abs(refined) if relative else _CDF_TOL
+        if np.all(np.abs(refined - total) <= bound):
             return refined
         total = refined
     raise NumericalError(
@@ -232,37 +242,26 @@ def _phase_average_cdf(b: np.ndarray, k: float, delta: float) -> np.ndarray:
 
 
 def twdp_cdf(r, params: FadingParams):
-    """TWDP envelope CDF by trapezoid quadrature over the phase balance.
-
-    The CDF is the average over alpha of Rician kernels with per-angle
-    specular power K (1 + Delta cos alpha) and common sigma set by K. The
-    node count doubles until successive sums agree to 1e-13.
-    """
+    """TWDP envelope CDF, the phase-balance average of Rician CDFs with
+    specular power K (1 + Delta cos alpha) and common sigma set by K.
+    Successive sums must agree to 1e-13 at every envelope."""
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
-    sigma = math.sqrt(sigma2_from_k(params.k, params.omega))
-    flat = np.atleast_1d(arr).ravel()
-    out = _phase_average_cdf(flat / sigma, params.k, params.delta)
-    out = np.clip(out, 0.0, 1.0).reshape(np.atleast_1d(arr).shape)
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(out[0])
-    return out
+    b = arr.ravel() / math.sqrt(sigma2_from_k(params.k, params.omega))
+    out = _phase_average(lambda a: special.chndtr((b * b)[:, None], 2.0, (a * a)[None, :]),
+                         params.k, params.delta)
+    return _shaped_like(r, np.clip(out, 0.0, 1.0))
 
 
 def twdp_pdf(r, params: FadingParams):
-    """TWDP envelope density via central differencing of the CDF.
-
-    Step h = 1e-4 sqrt(omega). Near r = 0 the stencil is reflected so it
-    stays inside the support. Both stencil ends go through one CDF call, so
-    they share one node count.
-    """
-    arr = np.atleast_1d(_check_r(r)).astype(float)
-    h = 1e-4 * math.sqrt(params.omega)
-    lo = np.maximum(arr - h, 0.0)
-    hi = arr + h
-    cdf_hi, cdf_lo = np.split(twdp_cdf(np.concatenate([hi.ravel(), lo.ravel()]), params), 2)
-    f = (cdf_hi - cdf_lo).reshape(arr.shape) / (hi - lo)
-    f = np.maximum(f, 0.0)
-    if np.isscalar(r) or np.asarray(r).ndim == 0:
-        return float(f[0])
-    return f.reshape(np.asarray(r).shape)
+    """TWDP envelope density, the exact phase-balance average of Rician
+    densities (Durgin, Rappaport & de Wolf 2002). Successive sums must agree
+    to 1e-13 relative at every envelope: the density spans too many decades
+    for an absolute bound."""
+    arr = _check_r(r)
+    _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
+    s2 = sigma2_from_k(params.k, params.omega)
+    b = arr.ravel() / math.sqrt(s2)
+    out = _phase_average(lambda a: _rice_kernel(a[None, :], b[:, None], 1.0 / s2),
+                         params.k, params.delta, relative=True)
+    return _shaped_like(r, arr.ravel() * out)

@@ -164,8 +164,11 @@ def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarra
     idx = data[:, :-2].astype(int)
     if (idx < 0).any() or (idx >= shape).any():
         raise ParseError(f"{path}: index outside the header shape")
+    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    if np.any(np.bincount(flat) > 1):   # given the row count, also a missing cell
+        raise ParseError(f"{path}: duplicate index rows")
     out = np.zeros(shape, dtype=complex)
-    out[tuple(idx.T)] = data[:, -2] + 1j * data[:, -1]
+    out.flat[flat] = data[:, -2] + 1j * data[:, -1]
     return out
 
 

@@ -204,7 +204,6 @@ def ml_fit(
     envelope_set: EnvelopeSet,
     omega_hat: float,
     grid: GridConfig | None = None,
-    table_spec: TableSpec | None = None,
 ) -> tuple[ModelFit, ModelFit]:
     """Grid-search ML estimates of the Rician and TWDP parameter sets.
 
@@ -223,7 +222,7 @@ def ml_fit(
         raise EstimationError(
             "fit sample with zero envelope has zero density at every grid cell")
     x = fit / math.sqrt(omega_hat)
-    table = get_table(grid.k_values, grid.delta_values, table_spec or TableSpec())
+    table = get_table(grid.k_values, grid.delta_values, TableSpec())
     surface = table.loglik_surface(x)
 
     i_rice = int(np.argmax(surface[:, 0]))
@@ -344,12 +343,11 @@ def fit_envelopes(
     grid: GridConfig | None = None,
     alpha: float = 0.01,
     per_cell: int = 10,
-    table_spec: TableSpec | None = None,
 ) -> FitReport:
     """Full decision pipeline on a pre-partitioned envelope set."""
     grid = grid or GridConfig()
     omega_hat = estimate_omega(envelope_set)
-    rice, twdp = ml_fit(envelope_set, omega_hat, grid, table_spec)
+    rice, twdp = ml_fit(envelope_set, omega_hat, grid)
     n = envelope_set.n_fit
     rice.aicc = aicc(rice.loglik, 1, n)
     twdp.aicc = aicc(twdp.loglik, 2, n)

@@ -8,11 +8,13 @@ product against a per-dataset weight vector:
 * Envelopes are normalized by sqrt(omega_hat), so one table serves every
   dataset.
 * The TWDP density is a mixture over the specular phase balance of Rician
-  kernels. Per tabulated K row, the kernel is evaluated on a uniform grid
-  of noncentrality amplitudes (skipping entries that underflow to exactly
-  0) and the fixed n_alpha-node trapezoid quadrature is folded into linear
-  interpolation weights on that grid, giving the density of every Delta
-  column from one kernel matrix.
+  kernels (``fading._rice_kernel``). Per tabulated K row, the kernel is
+  evaluated on a uniform grid of noncentrality amplitudes (skipping entries
+  that underflow to exactly 0) and the fixed n_alpha-node trapezoid rule is
+  folded into linear interpolation weights on that grid, giving the density
+  of every Delta column from one kernel matrix. The rule does not double
+  like ``twdp_pdf``'s: on a piecewise-linear a-grid it does not converge
+  spectrally, so the a-grid sets the accuracy.
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
   the build runs them on a thread pool with one worker per usable CPU.
   The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
@@ -54,9 +56,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError
+from .fading import _rice_kernel, _trapezoid_nodes
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
 
@@ -152,10 +154,7 @@ class PdfTable:
         self.spec = spec
         self.x_grid = np.linspace(0.0, spec.r_max, spec.n_r)
         self._dx = self.x_grid[1] - self.x_grid[0]
-        m = spec.n_alpha // 2 + 1
-        self._cos_nodes = np.cos(2.0 * np.pi * np.arange(m) / spec.n_alpha)
-        self._quad_w = np.full(m, 2.0 / spec.n_alpha)
-        self._quad_w[0] = self._quad_w[-1] = 1.0 / spec.n_alpha
+        self._cos_nodes, self._quad_w = _trapezoid_nodes(spec.n_alpha)
         self.coarse_idx = _coarse_k_indices(self.k_values)
         self.coarse_k = self.k_values[self.coarse_idx]
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
@@ -181,8 +180,7 @@ class PdfTable:
         for i in range(0, len(a), _BLOCK):
             ab = a[i:i + _BLOCK, None]
             lo, hi = np.searchsorted(b, [ab[0, 0] - _BAND, ab[-1, 0] + _BAND])
-            kern[i:i + _BLOCK, lo:hi] = (s2 * special.i0e(ab * b[lo:hi])
-                                         * np.exp(-0.5 * (ab - b[lo:hi]) ** 2))
+            kern[i:i + _BLOCK, lo:hi] = _rice_kernel(ab, b[lo:hi], s2)
         return kern
 
     def _build_row(self, k: float, x: np.ndarray) -> np.ndarray:

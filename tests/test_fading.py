@@ -62,23 +62,57 @@ def scaled_series_oracle_q1(a: float, b: float, n_terms: int = 20_000) -> float:
     return math.fsum(np.exp(logs))
 
 
-def ncx2_oracle_q1(a, b):
-    """Noncentral chi-square survival function identity."""
-    return 1.0 - special.chndtr(np.asarray(b) ** 2, 2.0, np.asarray(a) ** 2)
+def quad_oracle_q1(a: float, b: float) -> float:
+    """Q1 as the tail integral of the Rician density of unit diffuse
+    deviation, x I0(a x) exp(-(x^2 + a^2)/2), written with i0e so no term
+    overflows. Integrates the side of b away from the peak at x ~ a, so
+    the result never is a small difference of two numbers near 1."""
+    def density(x):
+        return x * special.i0e(a * x) * math.exp(-0.5 * (x - a) ** 2)
+
+    if b >= a:
+        return integrate.quad(density, b, math.inf, epsabs=1e-14, limit=200)[0]
+    return 1.0 - integrate.quad(density, 0.0, b, epsabs=1e-14, limit=200)[0]
+
+
+def fixed_trapezoid(n_nodes):
+    """The n_nodes-point trapezoid rule over the phase balance, folded onto
+    the distinct cos(alpha) values: (cos_alpha, weights)."""
+    m = n_nodes // 2 + 1
+    w = np.full(m, 2.0 / n_nodes)
+    w[0] = w[-1] = 1.0 / n_nodes
+    return np.cos(2.0 * np.pi * np.arange(m) / n_nodes), w
 
 
 def twdp_cdf_reference(r, k, delta, n_nodes=8192):
     """TWDP CDF by a fixed n_nodes-point trapezoid rule over the phase
-    balance, folded onto the distinct cos(alpha) values and summed exactly
-    with math.fsum, so rounding stays far below the 1e-13 under test."""
-    m = n_nodes // 2 + 1
-    cos_alpha = np.cos(2.0 * np.pi * np.arange(m) / n_nodes)
-    w = np.full(m, 2.0 / n_nodes)
-    w[0] = w[-1] = 1.0 / n_nodes
+    balance, summed exactly with math.fsum, so rounding stays far below
+    the 1e-13 under test."""
+    cos_alpha, w = fixed_trapezoid(n_nodes)
     a2 = 2.0 * k * (1.0 + delta * cos_alpha)
     sigma2 = 1.0 / (2.0 * (1.0 + k))  # omega = 1
     return np.array([math.fsum(w * special.chndtr(x * x / sigma2, 2.0, a2))
                      for x in np.ravel(r)]).reshape(np.shape(r))
+
+
+def twdp_pdf_reference(r, k, delta, n_nodes=8192):
+    """TWDP density by a fixed n_nodes-point trapezoid rule over the phase
+    balance of Rician densities, summed exactly with math.fsum.
+
+    Each Rician density is written in units of sigma, with specular
+    amplitude a = sqrt(2K(1 + Delta cos alpha)) and b = x / sigma, as
+    x / sigma^2 I0(a b) exp(-(a - b)^2 / 2). Far in the tail, rounding in
+    that exponent alone differs by ~1e-13 relative between algebraically
+    equal forms (by ln pdf ~ -400), so the reference keeps this form and
+    tests the quadrature rather than that rounding."""
+    cos_alpha, w = fixed_trapezoid(n_nodes)
+    s2 = 1.0 / (2.0 * (1.0 + k))  # omega = 1
+    a = np.sqrt(2.0 * k * (1.0 + delta * cos_alpha))
+    out = []
+    for x in np.ravel(r):
+        b = x / math.sqrt(s2)
+        out.append(math.fsum(w * special.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)) * x / s2)
+    return np.array(out).reshape(np.shape(r))
 
 
 def mc_envelopes(k, delta, omega, n, seed):
@@ -115,11 +149,13 @@ class TestMarcumQ:
         assert marcum_q1(a, b) == pytest.approx(series_oracle_q1(a, b), abs=1e-10)
 
     def test_against_ncx2_sweep(self):
+        # the implementation is the ncx2 identity; the reference is the
+        # quadratured Rician tail, which shares no code with it
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 60, 300)
         b = rng.uniform(0, 60, 300)
         got = marcum_q1(a, b)
-        want = ncx2_oracle_q1(a, b)
+        want = np.array([quad_oracle_q1(ai, bi) for ai, bi in zip(a, b)])
         assert np.max(np.abs(got - want)) < 1e-10
 
     def test_large_arguments_no_overflow(self):
@@ -128,7 +164,7 @@ class TestMarcumQ:
                      (63.0, 63.0), (140.0, 141.0)]:
             q = marcum_q1(a, b)
             assert 0.0 <= q <= 1.0
-            assert q == pytest.approx(ncx2_oracle_q1(a, b), abs=1e-10)
+            assert q == pytest.approx(quad_oracle_q1(a, b), abs=1e-10)
             if abs(a - b) <= 1.0:
                 assert q == pytest.approx(scaled_series_oracle_q1(a, b), abs=1e-10)
 
@@ -213,6 +249,18 @@ class TestRiceCdf:
         with pytest.raises(DomainError):
             rice_cdf(-0.1, 1.0)
 
+    @pytest.mark.parametrize("k", [10.0, 100.0])
+    def test_lower_tail_keeps_its_digits(self, k):
+        # 1 - Q1 rounded every value below ~1e-16 to 0; rice_cdf(0.3, 100)
+        # is 1.405e-23, the same as the TWDP CDF at Delta = 0
+        r = np.linspace(0.05, 0.6, 12)
+        want = twdp_cdf(r, FadingParams(k, 0.0, 1.0))
+        got = rice_cdf(r, k, 1.0)
+        keep = want > 0.0
+        assert keep.sum() >= 8
+        assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep])
+        assert rice_cdf(0.3, 100.0) == pytest.approx(1.405e-23, rel=1e-3)
+
 
 class TestTwdpCdf:
     def test_reduces_to_rice(self):
@@ -285,24 +333,68 @@ class TestTwdpPdf:
         p = FadingParams(5.0, 0.5, 1.0)
         upper = 6.0 * math.sqrt(p.omega) * (1.0 + math.sqrt(p.k))
         val, _ = integrate.quad(lambda r: twdp_pdf(r, p), 0, upper, limit=200)
-        assert val == pytest.approx(1.0, abs=1e-4)
+        assert val == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_analytic_rice(self):
         r = np.linspace(0.01, 3, 50)
         for k in (0.5, 8.0):
             got = twdp_pdf(r, FadingParams(k, 0.0, 1.0))
             want = rice_pdf(r, k, 1.0)
-            assert np.max(np.abs(got - want)) < 1e-6
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_matches_rayleigh(self):
         r = np.linspace(0.01, 3, 50)
         got = twdp_pdf(r, FadingParams(0.0, 0.0, 1.0))
         want = 2 * r * np.exp(-r ** 2)  # omega = 1
-        assert np.max(np.abs(got - want)) < 1e-6
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
 
     def test_nonnegative(self):
         r = np.linspace(0, 4, 100)
         assert np.all(twdp_pdf(r, FadingParams(30.0, 0.9, 1.0)) >= 0)
+
+    @pytest.mark.parametrize("k", [0.0, 0.05, 4.0, 10.0, 30.0, 100.0, 1000.0, 1e4])
+    def test_converged_against_fixed_8192_node_rule(self, k):
+        # bulk, both tails, and spikes beyond the table's r_max = 4
+        r = np.concatenate([np.linspace(0.0, 3.0, 41), np.linspace(4.1, 8.0, 14)])
+        r = r.reshape(1, 55, 1)
+        for delta in (0.0, 0.3, 0.9, 1.0):
+            p = FadingParams(k, delta, 1.0)
+            want = twdp_pdf_reference(r, k, delta)
+            got = twdp_pdf(r, p)
+            assert got.shape == r.shape
+            keep = want > 1e-280
+            assert np.all(np.abs(got[keep] - want[keep]) <= 1e-13 * want[keep])
+            # a lone point may stop at fewer nodes than the whole array
+            # (each sum stops at its own 1e-13), so it is compared with the
+            # same point evaluated as an array
+            for i in (0, 13, 20, 33, 50):
+                x = float(r.ravel()[i])
+                got_scalar = twdp_pdf(x, p)
+                assert isinstance(got_scalar, float)
+                assert got_scalar == twdp_pdf(np.array([x]), p)[0]
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        monkeypatch.setattr(fading, "_CDF_TOL", -1.0)
+        with pytest.raises(NumericalError, match="32768 nodes"):
+            twdp_pdf(1.0, FadingParams(10.0, 0.9, 1.0))
+
+    def test_empty_input(self):
+        out = twdp_pdf(np.array([]), FadingParams(10.0, 0.9, 1.0))
+        assert out.shape == (0,)
+
+
+@given(
+    k=st.floats(0, 100),
+    delta=st.floats(0, 1),
+    r1=st.floats(0, 4),
+    r2=st.floats(0, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_pdf_integrates_to_cdf_property(k, delta, r1, r2):
+    lo, hi = min(r1, r2), max(r1, r2)
+    p = FadingParams(k, delta, 1.0)
+    mass, _ = integrate.quad(lambda r: twdp_pdf(r, p), lo, hi, epsabs=1e-14, limit=200)
+    assert mass == pytest.approx(twdp_cdf(hi, p) - twdp_cdf(lo, p), abs=1e-12)
 
 
 @given(

@@ -124,6 +124,17 @@ class TestGrid:
         with pytest.raises(ParseError, match="row count"):
             fileio.read_grid(path)
 
+    def test_duplicate_index_rejected(self, tmp_path):
+        # the right row count, but one cell twice and another never
+        grid = self.make_grid()
+        path = tmp_path / "grid.csv"
+        fileio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        lines[2] = lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="duplicate index"):
+            fileio.read_grid(path)
+
 
 class TestScan:
     def test_round_trip(self, tmp_path):
@@ -141,6 +152,18 @@ class TestScan:
         assert np.array_equal(back.samples, scan.samples)
         assert np.array_equal(back.azimuth, scan.azimuth)
         assert np.array_equal(back.noise_power, scan.noise_power)
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        # a (3, 1) scan whose rows (0,0)=1, (0,0)=2, (1,0)=3 used to read
+        # as [2, 3, 0]: the repeat overwrote and the missing cell read 0
+        scan = DirectionalScan(
+            azimuth=np.zeros(3), elevation=np.full(3, 90.0),
+            samples=np.ones((3, 1), dtype=complex), noise_power=np.full(3, 1e-6))
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, scan)
+        path.write_text("idir,ifreq,re,im\n0,0,1.0,0.0\n0,0,2.0,0.0\n1,0,3.0,0.0\n")
+        with pytest.raises(ParseError, match="duplicate index"):
+            fileio.read_scan(path)
 
 
 class TestReport:

@@ -20,6 +20,7 @@ from twdpfit import (
     EstimationError,
     FadingParams,
     GridConfig,
+    ModelFit,
     aicc,
     chi2_quantile,
     estimate_omega,
@@ -274,8 +275,10 @@ class TestTableAccuracy:
 
     def test_out_of_range_sample_matches_density(self):
         # A sample beyond r_max = 4 is scored on the row density at its exact
-        # value. The CDF-differenced oracle loses its digits to cancellation
-        # below ln pdf ~ -20; K = 0 has the closed Rayleigh form everywhere.
+        # value. Below ln pdf ~ -20 the row's own far-tail fold error
+        # dominates (0.024 in ln at -35 and 0.047 at -66 against the exact
+        # density), so the check stops there; K = 0 has the closed Rayleigh
+        # form everywhere.
         grid = SMALL_GRID
         table = get_table(grid.k_values, grid.delta_values, TableSpec())
         x = np.concatenate([np.linspace(4.02, 4.6, 8), np.linspace(5.0, 8.0, 4)])
@@ -468,6 +471,19 @@ class TestGTest:
         rice, _ = ml_fit(es, om, TINY_GRID)
         res = g_test(es, rice, om)
         assert res.n_cells == 41
+
+    def test_rice_lower_tail_cell_has_mass(self):
+        # eleven deep fades at 0.3 root powers put a cell edge at 0.3, where
+        # the K = 100 Rician CDF is 1.4e-23; a CDF that rounds it to 0 gives
+        # the first cell an expected count of zero and no verdict
+        es = make_set(100.0, 0.0, 10 ** 4, 43)
+        om = estimate_omega(es)
+        values = es.values.copy()
+        values[np.flatnonzero(es.fit_mask)[:11]] = 0.3 * math.sqrt(om)
+        es = EnvelopeSet(values, es.fit_mask)
+        res = g_test(es, ModelFit("rice", 100.0, 0.0, 0.0), om)
+        assert res.verdict == "rejected"
+        assert np.isfinite(res.statistic)
 
 
 class TestPipeline:
