@@ -162,8 +162,8 @@ def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarra
     if data.shape[0] != np.prod(shape):
         raise ParseError(f"{path}: row count does not match the header shape")
     idx = data[:, :-2].astype(int)
-    if (idx < 0).any() or (idx >= shape).any():
-        raise ParseError(f"{path}: index outside the header shape")
+    if (idx != data[:, :-2]).any() or (idx < 0).any() or (idx >= shape).any():
+        raise ParseError(f"{path}: index not an integer inside the header shape")
     flat = np.ravel_multi_index(tuple(idx.T), shape)
     if np.any(np.bincount(flat) > 1):   # given the row count, also a missing cell
         raise ParseError(f"{path}: duplicate index rows")

@@ -135,6 +135,17 @@ class TestGrid:
         with pytest.raises(ParseError, match="duplicate index"):
             fileio.read_grid(path)
 
+    def test_non_integer_index_rejected(self, tmp_path):
+        grid = self.make_grid()
+        path = tmp_path / "grid.csv"
+        fileio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        ix, rest = lines[1].split(",", 1)
+        lines[1] = f"{int(ix) + 0.5},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="not an integer"):
+            fileio.read_grid(path)
+
 
 class TestScan:
     def test_round_trip(self, tmp_path):
@@ -163,6 +174,17 @@ class TestScan:
         fileio.write_scan(path, scan)
         path.write_text("idir,ifreq,re,im\n0,0,1.0,0.0\n0,0,2.0,0.0\n1,0,3.0,0.0\n")
         with pytest.raises(ParseError, match="duplicate index"):
+            fileio.read_scan(path)
+
+    def test_non_integer_index_rejected(self, tmp_path):
+        # rows 0.9, 1.9, 2.9 used to truncate silently to directions 0, 1, 2
+        scan = DirectionalScan(
+            azimuth=np.zeros(3), elevation=np.full(3, 90.0),
+            samples=np.ones((3, 1), dtype=complex), noise_power=np.full(3, 1e-6))
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, scan)
+        path.write_text("idir,ifreq,re,im\n0.9,0,1.0,0.0\n1.9,0,2.0,0.0\n2.9,0,3.0,0.0\n")
+        with pytest.raises(ParseError, match="not an integer"):
             fileio.read_scan(path)
 
 

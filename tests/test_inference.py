@@ -1,6 +1,7 @@
 """Partitioning, moment estimation, grid ML, information criterion and
 g-test. Heavy default-grid recovery runs live in the acceptance suite; here
-the grids are kept small so the whole module runs in well under a minute.
+the grids are kept small, apart from the default-grid table (~4 s to build)
+behind the high-K accuracy checks, so the module runs in well under a minute.
 """
 
 import json
@@ -12,6 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import special
 
 from twdpfit import (
@@ -39,6 +41,11 @@ from twdpfit.likelihood import PdfTable, TableSpec, get_table
 
 SMALL_GRID = GridConfig(k_max=30.0)
 TINY_GRID = GridConfig(k_max=2.0)
+# truths above every other decision corpus (criterion 3/4 and the benchmark
+# sweeps stay at K <= ~30), where tabulated rows are 0.02 K apart
+HIGH_K_CORPUS = [(k, d, 73000 + 3 * i + j)
+                 for i, k in enumerate((50.0, 200.0, 800.0))
+                 for j, d in enumerate((0.0, 0.5, 1.0))]
 
 
 @pytest.fixture(scope="module")
@@ -355,6 +362,62 @@ class TestTableAccuracy:
             w, const = table.sample_weights(x)
             want = table.log_rows @ w + const
             assert np.allclose(table.loglik_surface(x), want, rtol=0, atol=1e-9)
+
+
+def fixed_step_rows(k_values):
+    """The K-row placement with fixed 0.4 steps above K = 20, which the
+    relative placement must reproduce below K = 20."""
+    n = len(k_values)
+    if n <= 4:
+        return np.arange(n)
+    step = k_values[1] - k_values[0]
+    idx, i = [], 0
+    while i < n:
+        k = k_values[i]
+        target = step if k < 2.0 else (0.2 if k < 20.0 else 0.4)
+        idx.append(i)
+        i += max(1, int(target / step + 1e-9))
+    if idx[-1] != n - 1:
+        idx.append(n - 1)
+    return np.asarray(idx if len(idx) >= 4 else range(n))
+
+
+class TestRowPlacement:
+    @given(k_min=st.floats(0.0, 60.0), k_step=st.floats(0.01, 2.0),
+           n=st.integers(2, 20000))
+    @settings(max_examples=200, deadline=None)
+    def test_placement_property(self, k_min, k_step, n):
+        k_max = k_min + (n - 1) * k_step
+        assume(k_max <= 1e4)
+        k = GridConfig(k_min=k_min, k_max=k_max, k_step=k_step).k_values
+        idx = likelihood._coarse_k_indices(k)
+        assert idx[0] == 0 and idx[-1] == len(k) - 1
+        assert np.all(np.diff(idx) > 0)
+        assert len(idx) >= 4 or np.array_equal(idx, np.arange(len(k)))
+        lo = k[idx[:-1]]
+        target = np.where(lo < 2.0, k_step, np.where(lo < 20.0, 0.2, np.maximum(0.4, 0.02 * lo)))
+        assert np.all(np.diff(k[idx]) <= np.maximum(k_step, target) + 1e-9)
+        old = fixed_step_rows(k)
+        assert np.array_equal(idx[k[idx] < 20.0], old[k[old] < 20.0])
+
+    def test_default_grid_row_budget(self):
+        # 2581 rows (444 MB, ~55 s to build) at fixed 0.4 steps above K = 20
+        assert len(likelihood._coarse_k_indices(GridConfig().k_values)) <= 340
+
+    @pytest.mark.parametrize("k, delta, seed", HIGH_K_CORPUS)
+    def test_high_k_truth_cell_matches_density(self, k, delta, seed):
+        # With fixed 0.4 steps every truth here is a tabulated row and the
+        # worst per-sample gap is 2.04e-3 (K = 800, Delta = 0): the linear
+        # readout of the narrow high-K density on the x grid sets it, and
+        # interpolating between rows 0.02 K apart moves it by < 1e-7.
+        grid = GridConfig()
+        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        x = make_set(k, delta, 10 ** 5, seed).fit_values
+        ki = int(np.searchsorted(grid.k_values, k))
+        di = int(np.searchsorted(grid.delta_values, delta))
+        got = table.loglik_surface(x)[ki, di]
+        want = np.sum(np.log(twdp_pdf(x, FadingParams(k, delta, 1.0))))
+        assert abs(got - want) / len(x) <= 2.5e-3
 
 
 class TestTablePool:
