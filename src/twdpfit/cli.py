@@ -5,7 +5,8 @@ given identical inputs and seeds, and all files are written atomically.
 
 Exit codes: 0 success, 2 input/parse error, 3 domain/estimation error,
 4 internal numerical error. The only environment variable honoured is
-TWDPFIT_LOG (debug|info|warning) for log verbosity.
+TWDPFIT_LOG (debug|info|warning) for log verbosity; any value that is not a
+logging level name means warning.
 """
 
 from __future__ import annotations
@@ -142,7 +143,10 @@ def _cmd_spatial(args) -> int:
 
 def _cmd_ber(args) -> int:
     params = FadingParams(args.k, args.delta, args.omega)
-    snr = np.array([float(s) for s in args.snr_db.split(",")])
+    try:
+        snr = np.array([float(s) for s in args.snr_db.split(",")])
+    except ValueError:
+        raise ParseError(f"bad --snr-db {args.snr_db!r}; expected comma-separated numbers")
     curve = simulate_ber(params, snr, args.n_symbols, args.seed)
     fileio.write_ber_curve(args.output, curve)
     for s, b in zip(curve.snr_db, curve.ber):
@@ -179,9 +183,11 @@ def _cmd_synth(args) -> int:
     if not args.wave:
         raise DomainError("synth grid requires at least one --wave")
     waves = [_parse_wave(w) for w in args.wave]
-    shape = tuple(int(v) for v in args.shape.split(","))
-    if len(shape) != 3:
+    try:
+        nx, ny, nz = map(int, args.shape.split(","))
+    except ValueError:
         raise ParseError("--shape must be nx,ny,nz")
+    shape = (nx, ny, nz)
     freq_axis = None
     if args.freqs:
         try:
@@ -266,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("TWDPFIT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    level = logging.getLevelName(os.environ.get("TWDPFIT_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -13,6 +13,9 @@ The TWDP CDF and density are phase-balance averages of the Rician ones
 (``_phase_average``); the density table shares their Rician kernel and
 trapezoid rule.
 
+scipy.special (~0.3 s to import) is imported by the functions that call it, so
+synth, spatial and ber never load it; a fit first loads it in the row pool.
+
 All functions are pure and thread-safe; array inputs broadcast in the usual
 numpy fashion. K is capped at ``K_MAX_SUPPORTED`` = 1e4, above which the
 numerics of the distribution kernels are not guaranteed.
@@ -24,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, NumericalError
 
@@ -146,6 +148,7 @@ def marcum_q1(a, b):
         raise DomainError("marcum_q1 arguments must be finite")
     if np.any(a_arr < 0) or np.any(b_arr < 0):
         raise DomainError("marcum_q1 arguments must be nonnegative")
+    from scipy import special
     q = 1.0 - special.chndtr(b_arr * b_arr, 2.0, a_arr * a_arr)
     return float(q) if q.ndim == 0 else q
 
@@ -173,6 +176,7 @@ def _rice_kernel(a, b, prec):
     """Rician envelope density over the envelope, prec I0(ab) exp(-(a^2 + b^2)/2),
     for specular amplitude a and envelope b in units of sigma, prec = 1/sigma^2.
     Exactly 0 where the exponential underflows."""
+    from scipy import special
     return prec * special.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)
 
 
@@ -200,6 +204,7 @@ def rice_cdf(r, k: float, omega: float = 1.0):
     _validate_k_delta_omega(k, 0.0, omega, enforce_cap=True)
     a = math.sqrt(2.0 * k)
     b = arr / math.sqrt(sigma2_from_k(k, omega))
+    from scipy import special
     return _shaped_like(r, np.clip(special.chndtr(b * b, 2.0, a * a), 0.0, 1.0))
 
 
@@ -248,6 +253,7 @@ def twdp_cdf(r, params: FadingParams):
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
     b = arr.ravel() / math.sqrt(sigma2_from_k(params.k, params.omega))
+    from scipy import special
     out = _phase_average(lambda a: special.chndtr((b * b)[:, None], 2.0, (a * a)[None, :]),
                          params.k, params.delta)
     return _shaped_like(r, np.clip(out, 0.0, 1.0))

@@ -9,7 +9,8 @@ Formats (all plain text, byte-order independent):
 * directional scan: CSV with columns idir,ifreq,re,im plus a JSON header
   listing per-direction azimuth/elevation/noise power and the frequency
   axis;
-* fit report: versioned JSON validated against REPORT_SCHEMA;
+* fit report: versioned JSON validated against REPORT_SCHEMA (jsonschema
+  is imported only by the report functions, so other formats never load it);
 * correlation map: CSV value matrix plus a JSON header with lag axes and
   axis cuts;
 * BER curve: CSV (snr_db, ber) plus a JSON metadata sidecar.
@@ -26,7 +27,6 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from .errors import ParseError
 from .inference import FitReport, GridConfig, GTestResult, ModelFit
@@ -317,11 +317,13 @@ def report_to_dict(report: FitReport) -> dict:
         "gtest": asdict(report.gtest) if report.gtest is not None else None,
         "grid": asdict(report.grid),
     }
+    import jsonschema
     jsonschema.validate(doc, REPORT_SCHEMA)
     return doc
 
 
 def report_from_dict(doc: dict) -> FitReport:
+    import jsonschema
     jsonschema.validate(doc, REPORT_SCHEMA)
     return FitReport(
         omega_hat=doc["omega_hat"],
@@ -343,6 +345,7 @@ def write_report(path: str | Path, report: FitReport) -> None:
 
 def read_report(path: str | Path) -> FitReport:
     doc = _load_json(Path(path))
+    import jsonschema
     try:
         return report_from_dict(doc)
     except jsonschema.ValidationError as exc:
@@ -356,11 +359,8 @@ def read_report(path: str | Path) -> FitReport:
 def write_overlay(path: str | Path, table: dict[str, np.ndarray]) -> None:
     """CDF overlay table: column name -> column values, equal lengths."""
     names = list(table)
-    columns = [np.asarray(table[name], dtype=float) for name in names]
-    n = len(columns[0])
-    rows = [",".join(names)]
-    for i in range(n):
-        rows.append(",".join(repr(float(col[i])) for col in columns))
+    data = np.column_stack([np.asarray(table[name], dtype=float) for name in names])
+    rows = [",".join(names)] + [",".join(map(repr, row)) for row in data.tolist()]
     write_text_atomic(path, "\n".join(rows) + "\n")
 
 
@@ -374,7 +374,7 @@ def write_correlation_map(path: str | Path, cmap: CorrelationMap) -> None:
         "cut_y": list(map(float, cmap.cut_y)),
     }
     write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
-    rows = [",".join(repr(float(v)) for v in row) for row in cmap.values]
+    rows = [",".join(map(repr, row)) for row in cmap.values.tolist()]
     write_text_atomic(path, "\n".join(rows) + "\n")
 
 

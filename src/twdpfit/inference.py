@@ -11,7 +11,8 @@ grid, the lower corrected information criterion picks the model, and a
 log-likelihood-ratio goodness-of-fit test validates the winner.
 
 Reported log-likelihoods refer to the normalized envelopes (scale-free);
-they are directly comparable across the two models.
+they are directly comparable across the two models. No scipy loads at import:
+``chi2_quantile`` imports scipy.special when called, as ``fading`` does.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, EstimationError, NumericalError
 from .fading import (
@@ -282,6 +282,7 @@ def chi2_quantile(p: float, dof: int) -> float:
         raise DomainError("quantile level must lie in (0, 1)")
     if dof < 1:
         raise DomainError("dof must be >= 1")
+    from scipy import special
     return float(2.0 * special.gammaincinv(0.5 * dof, p))
 
 

@@ -47,6 +47,8 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
     snr_db = np.atleast_1d(np.asarray(snr_db, dtype=float))
     if snr_db.ndim != 1 or len(snr_db) == 0:
         raise DomainError("snr_db must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(snr_db)):
+        raise DomainError("snr_db must be finite")
     ber = np.empty(len(snr_db))
     amp = 1.0 / np.sqrt(2.0)
     for i, snr in enumerate(snr_db):

@@ -214,12 +214,16 @@ def autocorr2d(field: np.ndarray) -> np.ndarray:
 
 
 def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
-    """Band-limited (zero-padded spectrum) upsampling on the circular grid."""
-    # imported here: scipy.signal loads scipy.stats, which no other command needs
-    from scipy.signal import resample
-
-    out = resample(arr, arr.shape[0] * q, axis=0)
-    return resample(out, arr.shape[1] * q, axis=1)
+    """Band-limited (zero-padded spectrum) upsampling on the circular grid:
+    scipy.signal.resample's real-input path along axis 0, then 1, to the bit
+    (it divides by n / (n q) rather than multiplying by q), without scipy."""
+    for axis in (0, 1):
+        n = arr.shape[axis]
+        spec = np.fft.rfft(arr, axis=axis)
+        if n % 2 == 0 and q > 1:    # split the unpaired Nyquist bin between +-n/2
+            spec[(slice(None),) * axis + (n // 2,)] *= 0.5
+        arr = np.fft.irfft(spec / (n / (n * q)), n * q, axis=axis)
+    return arr
 
 
 def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:

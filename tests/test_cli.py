@@ -159,6 +159,10 @@ class TestSpatialAndSynth:
     def test_synth_grid_requires_wave(self, tmp_path):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv")]) == 3
 
+    def test_synth_grid_bad_shape_exits_2(self, tmp_path):
+        assert run(["synth", "grid", "-o", str(tmp_path / "g.csv"),
+                    "--wave", "1.0:1,0,0", "--shape", "9,9,x"]) == 2
+
 
 class TestBer:
     def test_ber_files_written(self, tmp_path):
@@ -170,13 +174,106 @@ class TestBer:
         assert data.shape == (2, 2)
         assert data[1, 1] <= data[0, 1]
 
+    @pytest.mark.parametrize("snr_db", ["0,x", "0,,10"])
+    def test_bad_snr_list_exits_2(self, tmp_path, snr_db):
+        out = tmp_path / "ber.csv"
+        assert run(["ber", "--k", "1", "--snr-db", snr_db, "-o", str(out)]) == 2
+        assert not out.exists()
 
-def test_cli_import_skips_scipy_stats():
+    def test_non_finite_snr_exits_3(self, tmp_path):
+        out = tmp_path / "ber.csv"
+        assert run(["ber", "--k", "1", "--snr-db", "nan", "--n-symbols", "10000",
+                    "-o", str(out)]) == 3
+        assert not out.exists()
+
+
+def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:
+    """Run `probe` in a new interpreter with this checkout's src on the path."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    probe = "import sys, twdpfit.cli; print('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", probe], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done
+
+
+def test_table_free_commands_skip_scipy_and_jsonschema(tmp_path):
+    probe = f"""
+import sys
+from twdpfit.cli import main
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema"))
+
+print(heavy())
+codes = [
+    main(["synth", "envelopes", "-o", "env.csv", "--n", "2000"]),
+    main(["synth", "grid", "-o", "grid.csv", "--wave", "1.0:1,0,0:0.0:37",
+          "--shape", "4,4,1", "--freqs", "{SPEED_OF_LIGHT / 0.005!r},1e6,8"]),
+    main(["spatial", "grid.csv", "-o", "corr.csv", "--interp-factor", "4"]),
+    main(["ber", "--k", "2", "--snr-db", "0,10", "--n-symbols", "10000", "-o", "ber.csv"]),
+]
+print(codes)
+print(heavy())
+"""
+    lines = fresh_python(probe, tmp_path).stdout.splitlines()
+    assert lines[0] == "[]"          # after import twdpfit.cli
+    assert lines[-2] == "[0, 0, 0, 0]"
+    assert lines[-1] == "[]"         # after the four commands
+
+
+def test_fresh_fit_loads_scipy_in_the_row_pool(tmp_path):
+    # records the thread of the first scipy import, then lets it proceed
+    probe = """
+import sys, threading
+from twdpfit import FadingParams, fileio, sample_twdp
+from twdpfit.cli import main
+
+first = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" and not first:
+            first.append(threading.current_thread().name)
+        return None
+
+sys.meta_path.insert(0, Spy())
+fileio.write_envelopes("env.csv", sample_twdp(FadingParams(5.0, 0.8, 1.0), 5000, 2).envelopes)
+print(main(["fit", "env.csv", "-o", "report.json", "--k-max", "3"]))
+print(first)
+"""
+    lines = fresh_python(probe, tmp_path).stdout.splitlines()
+    assert lines[-2] == "0"
+    assert lines[-1].startswith("['ThreadPoolExecutor")
+    report = fileio.read_report(tmp_path / "report.json")     # validates the schema
+    assert report.chosen in ("rice", "twdp")
+
+
+def test_fresh_read_report_rejects_schema_break(tmp_path, monkeypatch):
+    env = sample_twdp(FadingParams(1.0, 0.0, 1.0), 2000, 4).envelopes
+    monkeypatch.chdir(tmp_path)
+    fileio.write_envelopes("env.csv", env)
+    assert run(["fit", "env.csv", "-o", "report.json", "--k-max", "2"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    doc["chosen"] = "nakagami"
+    (tmp_path / "report.json").write_text(json.dumps(doc))
+    # read_report is the first user of jsonschema in this process
+    probe = """
+import sys
+from twdpfit import ParseError, fileio
+try:
+    fileio.read_report("report.json")
+except ParseError as exc:
+    print("ParseError", "jsonschema" in sys.modules, exc)
+"""
+    out = fresh_python(probe, tmp_path).stdout
+    assert out.startswith("ParseError True") and "schema" in out
+
+
+def test_unknown_log_level_falls_back_to_warning(tmp_path):
+    probe = 'from twdpfit.cli import main; print(main(["ber", "--k", "1", "--snr-db", "0", ' \
+            '"--n-symbols", "10000", "-o", "ber.csv"]))'
+    done = fresh_python(probe, tmp_path, TWDPFIT_LOG="basic_format")
+    assert done.stdout.splitlines()[-1] == "0"
+    assert (tmp_path / "ber.csv").exists()

@@ -27,7 +27,7 @@ from twdpfit import (
     synth_field,
     tap_envelopes,
 )
-from twdpfit.measurement import SPEED_OF_LIGHT
+from twdpfit.measurement import SPEED_OF_LIGHT, _spectral_upsample, _window_footprint
 
 
 def direct_corr_oracle(field: np.ndarray) -> np.ndarray:
@@ -205,6 +205,19 @@ class TestAverageCorr:
         assert abs(cmap.values[cx, cy] - 1.0) < 1e-9
         assert np.max(np.abs(cmap.values - cmap.values[::-1, ::-1])) < 1e-9
         assert cmap.lag_x[1] - cmap.lag_x[0] == pytest.approx(0.35 / 20)
+
+
+class TestSpectralUpsample:
+    @pytest.mark.parametrize("q", [1, 2, 3, 20])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 5), (8, 7), (9, 9), (18, 18), (17, 30)])
+    def test_bit_identical_to_scipy_resample(self, shape, q):
+        from scipy.signal import resample
+
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        # a random field and the all-ones window footprint on the doubled grid
+        for arr in (rng.normal(size=shape), _window_footprint(*shape)):
+            want = resample(resample(arr, arr.shape[0] * q, axis=0), arr.shape[1] * q, axis=1)
+            assert np.array_equal(_spectral_upsample(arr, q), want)
 
 
 class TestCir:
