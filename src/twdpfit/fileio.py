@@ -226,7 +226,7 @@ def _raise_first_bad_line(path: Path, texts: list[str]) -> None:
 
 
 def write_envelopes(path: str | Path, values: np.ndarray) -> None:
-    body = "envelope\n" + "\n".join(repr(float(v)) for v in values) + "\n"
+    body = "envelope\n" + "\n".join(map(repr, np.asarray(values, dtype=float).tolist())) + "\n"
     write_text_atomic(path, body)
 
 

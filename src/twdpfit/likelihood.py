@@ -16,7 +16,8 @@ product against a per-dataset weight vector:
   like ``twdp_pdf``'s: on a piecewise-linear a-grid it does not converge
   spectrally, so the a-grid sets the accuracy.
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
-  the build runs them on a thread pool with one worker per usable CPU.
+  the build runs them on the package's one thread pool (``pool``), with
+  one worker per usable CPU, as the BER Monte Carlo runs its SNR points.
   The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
   threads busy-wait after each GEMM and would take the cores the pool runs
   on. Its summation order differs from OpenBLAS's by <= 1.2e-13 in ln;
@@ -49,15 +50,14 @@ smoothly across neighbouring cells and is far below the grid resolution.
 from __future__ import annotations
 
 import logging
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
+from .pool import run_in_order, worker_count
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
 
@@ -66,14 +66,6 @@ log = logging.getLogger(__name__)
 # exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; blocks of _BLOCK a-nodes
 # evaluate the kernel only on the union of their bands |a - b| <= _BAND
 _BAND, _BLOCK = 38.61, 64
-
-
-def _worker_count() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:          # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -159,15 +151,13 @@ class PdfTable:
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
         nc, nd, nr = len(self.coarse_idx), len(self.deltas), spec.n_r
         self.log_rows = np.empty((nc, nd, nr))
-        self.workers = _worker_count()
+        self.workers = worker_count()
 
         def tabulate(i):
             self.log_rows[i] = self._build_row(self.coarse_k[i], self.x_grid)
 
-        # i0e and exp release the GIL, so rows build in parallel; map reads
-        # every result in order and cancels the rest once one raises
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            list(pool.map(tabulate, range(nc)))
+        # i0e and exp release the GIL, so rows build in parallel
+        run_in_order(tabulate, nc, self.workers)
 
     # -- construction ------------------------------------------------------
 

@@ -32,10 +32,9 @@ def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
 
 def _gaussian_pairs(rng: np.random.Generator, n: int, sigma: float) -> tuple[np.ndarray, np.ndarray]:
     """Two independent N(0, sigma^2) arrays via Box-Muller."""
-    u1 = 1.0 - rng.random(n)          # (0, 1]
-    u2 = rng.random(n)
-    radius = sigma * np.sqrt(-2.0 * np.log(u1))
-    return radius * np.cos(2.0 * np.pi * u2), radius * np.sin(2.0 * np.pi * u2)
+    radius = sigma * np.sqrt(-2.0 * np.log(1.0 - rng.random(n)))    # 1 - U in (0, 1]
+    angle = 2.0 * np.pi * rng.random(n)
+    return radius * np.cos(angle), radius * np.sin(angle)
 
 
 @dataclass
@@ -59,6 +58,12 @@ def sample_twdp(params: FadingParams, n: int,
     (0, 2pi) and the diffuse part is circular Gaussian with per-component
     variance sigma^2 = omega / (2 (1 + k)). Identical seeds give
     bit-identical sample sets.
+
+    The real and imaginary parts, v1 cos phi1 + v2 cos phi2 + x and
+    v1 sin phi1 + v2 sin phi2 + y, are summed in place in the two halves of
+    the output, with no complex temporaries. They are the same bits as
+    v1 exp(j phi1) + v2 exp(j phi2) + x + j y in complex arithmetic; tests
+    pin golden hashes of the samples.
     """
     if n < 1:
         raise DomainError("need at least one sample")
@@ -68,7 +73,12 @@ def sample_twdp(params: FadingParams, n: int,
     phi1 = 2.0 * np.pi * rng.random(n)
     phi2 = 2.0 * np.pi * rng.random(n)
     x, y = _gaussian_pairs(rng, n, sigma)
-    samples = v1 * np.exp(1j * phi1) + v2 * np.exp(1j * phi2) + x + 1j * y
+    samples = np.empty(n, dtype=complex)
+    term = np.empty(n)
+    for part, trig, diffuse in ((samples.real, np.cos, x), (samples.imag, np.sin, y)):
+        np.multiply(v1, trig(phi1, out=term), out=part)
+        part += np.multiply(v2, trig(phi2, out=term), out=term)
+        part += diffuse
     return ComplexSampleSet(samples, seed, params)
 
 

@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twdpfit import DirectionalScan, FadingParams, sample_twdp
-from twdpfit import fileio
+from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
+from twdpfit import fileio, linksim
 from twdpfit.cli import main
 from twdpfit.measurement import SPEED_OF_LIGHT
 
@@ -185,6 +185,20 @@ class TestBer:
         assert run(["ber", "--k", "1", "--snr-db", "nan", "--n-symbols", "10000",
                     "-o", str(out)]) == 3
         assert not out.exists()
+
+    def test_failed_point_exits_4_without_output(self, tmp_path, monkeypatch, capsys):
+        def failing(params, n, seed):
+            if seed.spawn_key[0] == 2:
+                raise NumericalError("channel draw failed")
+            return sample_twdp(params, n, seed)
+
+        monkeypatch.setattr(linksim, "sample_twdp", failing)
+        out = tmp_path / "ber.csv"
+        assert run(["ber", "--k", "1", "--snr-db", "0,10,20,30", "--n-symbols", "10000",
+                    "-o", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "channel draw failed" in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:

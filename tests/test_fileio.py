@@ -38,6 +38,16 @@ class TestEnvelopes:
         fileio.write_envelopes(path, values)
         assert np.array_equal(fileio.read_envelopes(path), values)
 
+    @pytest.mark.parametrize("values", [
+        np.array([0.0, 5e-324, 2.5e-310, 1e300, 1.5, 0.1, 1 / 3, 123456789.0]),
+        [0.0, 5e-324, 1e300, 2.25, 7],
+    ])
+    def test_bytes_match_per_value_repr(self, tmp_path, values):
+        path = tmp_path / "env.csv"
+        fileio.write_envelopes(path, values)
+        want = "envelope\n" + "\n".join(repr(float(v)) for v in values) + "\n"
+        assert path.read_bytes() == want.encode()
+
     def test_headerless_accepted(self, tmp_path):
         path = tmp_path / "env.csv"
         path.write_text("1.0\n2.0\n")

@@ -35,7 +35,7 @@ from twdpfit import (
     select_model,
     twdp_pdf,
 )
-from twdpfit import likelihood
+from twdpfit import likelihood, pool
 from twdpfit.inference import _g_statistic
 from twdpfit.likelihood import PdfTable, TableSpec, get_table
 
@@ -426,13 +426,13 @@ class TestTablePool:
 
     def test_pooled_rows_equal_main_thread_rows(self):
         table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
-        assert table.workers == likelihood._worker_count()
+        assert table.workers == pool.worker_count()
         assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
 
     def test_oversubscribed_pool_loses_no_row(self, monkeypatch):
         # more threads than cores, switching every microsecond: a row lost
         # or written twice would leave np.empty garbage or a wrong K
-        monkeypatch.setattr(likelihood, "_worker_count", lambda: 8)
+        monkeypatch.setattr(likelihood, "worker_count", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -501,7 +501,7 @@ class TestTableCache:
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
         assert "built: 41 K rows x 21 Delta x 1024 r, 7.1 MB" in miss.getMessage()
-        assert miss.getMessage().endswith(f" s on {likelihood._worker_count()} threads")
+        assert miss.getMessage().endswith(f" s on {pool.worker_count()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
 
 

@@ -1,13 +1,22 @@
 """BER simulation against closed-form oracles, and the capacity-loss bound."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 from scipy import special
 
-from twdpfit import BerCurve, DomainError, FadingParams, capacity_loss, sample_twdp, simulate_ber
-from twdpfit import linksim
+from twdpfit import (
+    BerCurve,
+    DomainError,
+    FadingParams,
+    NumericalError,
+    capacity_loss,
+    sample_twdp,
+    simulate_ber,
+)
+from twdpfit import linksim, pool
 from twdpfit.linksim import _point_streams
 
 
@@ -93,6 +102,43 @@ class TestSimulateBer:
         assert len(seeds) == 4 and np.isfinite(curve.ber[0])
         states = [tuple(s.generate_state(4)) for s in seeds]
         assert len(set(states)) == 4
+
+    def test_pinned_curve(self):
+        # exact values pinned across versions; five points are more than
+        # the cores, so the pool's read-back order is covered too
+        curve = simulate_ber(FadingParams(10.0, 1.0, 1.0), [0.0, 5.0, 10.0, 20.0, 30.0],
+                             100_000, seed=3)
+        assert curve.ber.tolist() == [0.204245, 0.10227, 0.0451, 0.00633, 0.00075]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_curve_independent_of_thread_count(self, monkeypatch, workers):
+        params, snr = FadingParams(2.0, 0.7, 1.0), [0.0, 10.0, 20.0]
+        want = simulate_ber(params, snr, 20_000, seed=11).ber
+        monkeypatch.setattr(linksim, "worker_count", lambda: workers)
+        assert np.array_equal(simulate_ber(params, snr, 20_000, seed=11).ber, want)
+
+    def test_point_error_reaches_caller(self, monkeypatch):
+        calls = []
+
+        def failing(params, n, seed):
+            calls.append(seed.spawn_key)
+            if seed.spawn_key[0] == 2:
+                raise NumericalError("channel draw failed")
+            return sample_twdp(params, n, seed)
+
+        monkeypatch.setattr(linksim, "sample_twdp", failing)
+        with pytest.raises(NumericalError, match="channel draw failed"):
+            simulate_ber(FadingParams(1.0), [0.0, 10.0, 20.0, 30.0], 10_000, seed=1)
+        assert (2, 0) in calls
+
+    def test_run_is_logged(self, caplog):
+        caplog.set_level(logging.INFO, logger="twdpfit.linksim")
+        simulate_ber(FadingParams(1.0), [0.0, 10.0, 20.0], 10_000, seed=1)
+        (record,) = [r for r in caplog.records if r.name == "twdpfit.linksim"]
+        assert record.levelno == logging.INFO
+        message = record.getMessage()
+        assert message.startswith("BER curve simulated: 3 SNR points x 10000 symbols, ")
+        assert message.endswith(f" s on {min(pool.worker_count(), 3)} threads")
 
     def test_too_few_symbols(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,7 @@
 """Sampler and plane-wave field generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,38 @@ class TestSampleTwdp:
     def test_rejects_zero_count(self):
         with pytest.raises(DomainError):
             sample_twdp(FadingParams(1.0), 0, 1)
+
+
+def bits_digest(values: np.ndarray) -> str:
+    """sha256 of the raw float64 words, so -0.0 and every last bit count."""
+    return hashlib.sha256(np.ascontiguousarray(values).view(np.uint64).tobytes()).hexdigest()
+
+
+class TestGoldenBits:
+    """Sample bits pinned across versions of the code, not only between two
+    runs of one version: the criterion 3 fixtures and the BER channels are
+    drawn by these generators. The digests depend on the platform's cos,
+    sin, log and sqrt; they were taken with numpy 2.4 on x86-64 Linux."""
+
+    @pytest.mark.parametrize("k, delta, n, seed, digest", [
+        (10.0, 0.9, 100_000, 7,
+         "db4a8994ab61835e917d75df7644b67a2fbbb9aab0963c5e3feb8d459aaeb77b"),
+        (0.0, 0.0, 1000, 3,
+         "d5a2d1f2176608800112e3f8bbf5bee0998ac2066aecc744a46db2ca0185b067"),
+        (4.0, 0.5, 12345, np.random.SeedSequence(5),
+         "11f704b42d1af111cc0e66383b1c22e554e5abbb9036ef64828e1023d0a5bdf3"),
+    ])
+    def test_sample_twdp(self, k, delta, n, seed, digest):
+        samples = sample_twdp(FadingParams(k, delta, 1.0), n, seed).samples
+        assert bits_digest(samples) == digest
+
+    def test_synth_field_diffuse(self):
+        scene = PlaneWaveScene(
+            waves=[PlaneWave(1.0, (1.0, 0.0, 0.0), 0.3)], wavelength=0.01,
+            shape=(5, 4, 3), freq_axis=np.array([30e9, 30.1e9]),
+            diffuse_sigma2=0.25, seed=11)
+        assert bits_digest(synth_field(scene).h) == (
+            "82567deb149f1256a6ebc0a84187ab72e9c511da732977a5a852067ca3700c57")
 
 
 class TestSynthField:
