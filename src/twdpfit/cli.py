@@ -12,7 +12,6 @@ logging level name means warning.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -106,26 +105,20 @@ def _cmd_scan(args) -> int:
     rows = ["azimuth,elevation,power_norm,marker"]
     for i in range(scan.n_directions):
         az, el = float(scan.azimuth[i]), float(scan.elevation[i])
-        if not mask[i]:
-            records.append({"azimuth": az, "elevation": el,
-                            "marker": "not_evaluated", "report": None})
-            rows.append(f"{az!r},{el!r},nan,not_evaluated")
-            continue
-        env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
-        report = fit_envelopes(env_set, grid=grid,
-                               alpha=args.alpha, per_cell=args.per_cell)
-        marker = ("rejected" if report.gtest.verdict == "rejected"
-                  else report.chosen)
-        records.append({"azimuth": az, "elevation": el, "marker": marker,
-                        "report": fileio.report_to_dict(report)})
-        rows.append(f"{az!r},{el!r},{float(power[i])!r},{marker}")
-        log.info("direction (%.1f, %.1f): %s", az, el, marker)
+        marker, doc = "not_evaluated", None
+        if mask[i]:
+            env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
+            report = fit_envelopes(env_set, grid=grid,
+                                   alpha=args.alpha, per_cell=args.per_cell)
+            marker = "rejected" if report.gtest.verdict == "rejected" else report.chosen
+            doc = fileio.report_to_dict(report)
+            log.info("direction (%.1f, %.1f): %s", az, el, marker)
+        records.append({"azimuth": az, "elevation": el, "marker": marker, "report": doc})
+        rows.append(f"{az!r},{el!r},{float(power[i])!r},{marker}")   # NaN when masked
     prefix = Path(args.out_prefix)
     fileio.write_text_atomic(prefix.with_suffix(".power.csv"), "\n".join(rows) + "\n")
-    fileio.write_text_atomic(
-        prefix.with_suffix(".fits.json"),
-        json.dumps({"kind": "scan_fits", "directions": records},
-                   sort_keys=True, indent=2) + "\n")
+    fileio.write_json(prefix.with_suffix(".fits.json"),
+                      {"kind": "scan_fits", "directions": records})
     evaluated = int(mask.sum())
     print(f"{evaluated}/{scan.n_directions} directions evaluated; "
           f"outputs at {prefix.with_suffix('.power.csv')} and {prefix.with_suffix('.fits.json')}")

@@ -15,7 +15,8 @@ Formats (all plain text, byte-order independent):
   axis cuts;
 * BER curve: CSV (snr_db, ber) plus a JSON metadata sidecar.
 
-All writes are atomic (temp file + rename in the target directory).
+All writes are atomic (temp file + rename in the target directory), and
+every JSON file has one layout (``write_json``).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .measurement import CorrelationMap, DirectionalScan, SpatialGrid
 __all__ = [
     "REPORT_SCHEMA",
     "write_text_atomic",
+    "write_json",
     "read_envelopes",
     "write_envelopes",
     "read_grid",
@@ -137,13 +139,26 @@ def write_text_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def write_json(path: str | Path, doc: dict) -> None:
+    """JSON with sorted keys, a two-space indent and a final newline."""
+    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+
+
+def _write_csv(path: str | Path, matrix, header: str | None = None) -> None:
+    """One CSV row per matrix row, each value as the repr of its float,
+    under an optional header line."""
+    rows = [] if header is None else [header]
+    rows += [",".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist()]
+    write_text_atomic(path, "\n".join(rows) + "\n")
+
+
 def _sidecar(path: str | Path) -> Path:
     return Path(path).with_suffix(".json")
 
 
 def _write_indexed(path: str | Path, header: dict, arr: np.ndarray, columns: str) -> None:
     """JSON header sidecar, then one CSV row of indices, re and im per entry."""
-    write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
+    write_json(_sidecar(path), header)
     fmt = ",".join(["%d"] * arr.ndim) + ",%r,%r"
     flat = arr.ravel()
     rows = [columns] + [fmt % (*idx, re, im) for idx, re, im in
@@ -167,9 +182,10 @@ def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarra
     flat = np.ravel_multi_index(tuple(idx.T), shape)
     if np.any(np.bincount(flat) > 1):   # given the row count, also a missing cell
         raise ParseError(f"{path}: duplicate index rows")
-    out = np.zeros(shape, dtype=complex)
-    out.flat[flat] = data[:, -2] + 1j * data[:, -1]
-    return out
+    out = np.empty(len(flat), dtype=complex)       # every cell is filled once
+    out.real[flat] = data[:, -2]
+    out.imag[flat] = data[:, -1]
+    return out.reshape(shape)
 
 
 def _load_json(path: Path) -> dict:
@@ -306,17 +322,8 @@ def read_scan(path: str | Path) -> DirectionalScan:
 # ---------------------------------------------------------------------------
 
 def report_to_dict(report: FitReport) -> dict:
-    doc = {
-        "schema_version": report.schema_version,
-        "omega_hat": report.omega_hat,
-        "n_fit": report.n_fit,
-        "n_moment": report.n_moment,
-        "rice": asdict(report.rice),
-        "twdp": asdict(report.twdp),
-        "chosen": report.chosen,
-        "gtest": asdict(report.gtest) if report.gtest is not None else None,
-        "grid": asdict(report.grid),
-    }
+    """The report's fields, nested objects as dicts, checked against the schema."""
+    doc = asdict(report)
     import jsonschema
     jsonschema.validate(doc, REPORT_SCHEMA)
     return doc
@@ -325,22 +332,14 @@ def report_to_dict(report: FitReport) -> dict:
 def report_from_dict(doc: dict) -> FitReport:
     import jsonschema
     jsonschema.validate(doc, REPORT_SCHEMA)
-    return FitReport(
-        omega_hat=doc["omega_hat"],
-        n_fit=doc["n_fit"],
-        n_moment=doc["n_moment"],
-        rice=ModelFit(**doc["rice"]),
-        twdp=ModelFit(**doc["twdp"]),
-        chosen=doc["chosen"],
-        gtest=GTestResult(**doc["gtest"]) if doc["gtest"] is not None else None,
-        grid=GridConfig(**doc["grid"]),
-        schema_version=doc["schema_version"],
-    )
+    gtest = doc["gtest"]
+    return FitReport(**{**doc, "rice": ModelFit(**doc["rice"]), "twdp": ModelFit(**doc["twdp"]),
+                        "gtest": GTestResult(**gtest) if gtest is not None else None,
+                        "grid": GridConfig(**doc["grid"])})
 
 
 def write_report(path: str | Path, report: FitReport) -> None:
-    doc = report_to_dict(report)
-    write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, report_to_dict(report))
 
 
 def read_report(path: str | Path) -> FitReport:
@@ -358,37 +357,28 @@ def read_report(path: str | Path) -> FitReport:
 
 def write_overlay(path: str | Path, table: dict[str, np.ndarray]) -> None:
     """CDF overlay table: column name -> column values, equal lengths."""
-    names = list(table)
-    data = np.column_stack([np.asarray(table[name], dtype=float) for name in names])
-    rows = [",".join(names)] + [",".join(map(repr, row)) for row in data.tolist()]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    _write_csv(path, np.column_stack(list(table.values())), ",".join(table))
 
 
 def write_correlation_map(path: str | Path, cmap: CorrelationMap) -> None:
-    header = {
+    write_json(_sidecar(path), {
         "kind": "correlation_map",
         "lag_unit": "wavelengths",
         "lag_x": list(map(float, cmap.lag_x)),
         "lag_y": list(map(float, cmap.lag_y)),
         "cut_x": list(map(float, cmap.cut_x)),
         "cut_y": list(map(float, cmap.cut_y)),
-    }
-    write_text_atomic(_sidecar(path), json.dumps(header, sort_keys=True, indent=2) + "\n")
-    rows = [",".join(map(repr, row)) for row in cmap.values.tolist()]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    })
+    _write_csv(path, cmap.values)
 
 
 def write_ber_curve(path: str | Path, curve: BerCurve) -> None:
-    meta = {
+    write_json(_sidecar(path), {
         "kind": "ber_curve",
         "k": curve.params.k,
         "delta": curve.params.delta,
         "omega": curve.params.omega,
         "n_symbols": curve.n_symbols,
         "seed": curve.seed,
-    }
-    write_text_atomic(_sidecar(path), json.dumps(meta, sort_keys=True, indent=2) + "\n")
-    rows = ["snr_db,ber"]
-    for s, b in zip(curve.snr_db, curve.ber):
-        rows.append(f"{float(s)!r},{float(b)!r}")
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    })
+    _write_csv(path, np.column_stack([curve.snr_db, curve.ber]), "snr_db,ber")

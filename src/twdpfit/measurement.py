@@ -92,6 +92,8 @@ class DirectionalScan:
         nd = len(self.azimuth)
         if self.samples.ndim != 2 or self.samples.shape[0] != nd:
             raise DomainError("samples must be (n_directions, n_freq)")
+        if not np.all(np.isfinite(self.samples)):
+            raise DomainError("scan samples must be finite")
         if self.elevation.shape != (nd,) or self.noise_power.shape != (nd,):
             raise DomainError("per-direction arrays must have equal length")
         if np.any((self.azimuth < 0) | (self.azimuth >= 360)):
@@ -172,11 +174,6 @@ def _windowed_corr(field: np.ndarray) -> np.ndarray:
     return np.real(np.fft.ifft2(np.abs(np.fft.fft2(padded)) ** 2))
 
 
-def _window_footprint(nx: int, ny: int) -> np.ndarray:
-    """Autocorrelation of the all-ones window, computed identically."""
-    return _windowed_corr(np.ones((nx, ny)))
-
-
 def _center_crop(arr: np.ndarray, nx: int, ny: int) -> np.ndarray:
     """Reorder circular lags so zero lag is centered; crop to |lag| <= n-1."""
     rolled = np.roll(np.roll(arr, nx - 1, axis=0), ny - 1, axis=1)
@@ -203,14 +200,7 @@ def autocorr2d(field: np.ndarray) -> np.ndarray:
     constant field correlate to exactly 1 everywhere.
     """
     arr = _check_slice(field)
-    nx, ny = arr.shape
-    c_w = _windowed_corr(arr)
-    s_w = _window_footprint(nx, ny)
-    valid = s_w > 1e-12 * s_w[0, 0]
-    comp = np.zeros_like(c_w)
-    comp[valid] = c_w[valid] / s_w[valid]
-    comp = _center_crop(comp, nx, ny)
-    return comp / comp[nx - 1, ny - 1]
+    return _compensated(_windowed_corr(arr), *arr.shape, 1)
 
 
 def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
@@ -224,6 +214,22 @@ def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
             spec[(slice(None),) * axis + (n // 2,)] *= 0.5
         arr = np.fft.irfft(spec / (n / (n * q)), n * q, axis=axis)
     return arr
+
+
+def _compensated(c_w: np.ndarray, nx: int, ny: int, q: int) -> np.ndarray:
+    """Windowed correlation `c_w` of an nx x ny window, refined q-fold,
+    divided by the all-ones window's (computed and refined identically),
+    centered, cropped, symmetrized and normalized to 1 at zero lag."""
+    s_w = _windowed_corr(np.ones((nx, ny)))
+    if q > 1:       # skipped at q = 1: an upsampling round trip is not bit-exact
+        c_w, s_w = _spectral_upsample(c_w, q), _spectral_upsample(s_w, q)
+    valid = s_w > 1e-9 * s_w[0, 0]
+    fine = np.zeros_like(c_w)
+    fine[valid] = c_w[valid] / s_w[valid]
+    fine = _center_crop(fine, (nx - 1) * q + 1, (ny - 1) * q + 1)
+    # numerical symmetrization (inputs are symmetric to rounding)
+    fine = 0.5 * (fine + fine[::-1, ::-1])
+    return fine / fine[(nx - 1) * q, (ny - 1) * q]
 
 
 def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
@@ -240,33 +246,15 @@ def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
     if interp_factor < 1:
         raise DomainError("interp_factor must be >= 1")
     nx, ny, nz, nf = grid.shape
-    if nx < 2 or ny < 2:
-        raise DomainError("need at least 2 samples along x and y")
-    s_w = _window_footprint(nx, ny)
     acc = None
     for iz in range(nz):
         for jf in range(nf):
-            sl = np.real(grid.h[:, :, iz, jf])
-            if np.all(sl == 0):
-                raise DomainError("all-zero slice; correlation normalization undefined")
-            c_w = _windowed_corr(sl)
+            c_w = _windowed_corr(_check_slice(np.real(grid.h[:, :, iz, jf])))
             acc = c_w if acc is None else acc + c_w
     acc /= nz * nf
-
     q = int(interp_factor)
-    if q == 1:
-        up_c, up_s = acc, s_w
-    else:
-        up_c = _spectral_upsample(acc, q)
-        up_s = _spectral_upsample(s_w, q)
-    valid = up_s > 1e-9 * up_s[0, 0]
-    fine = np.zeros_like(up_c)
-    fine[valid] = up_c[valid] / up_s[valid]
-    fine = _center_crop(fine, (nx - 1) * q + 1, (ny - 1) * q + 1)
-    # numerical symmetrization (inputs are symmetric to rounding)
-    fine = 0.5 * (fine + fine[::-1, ::-1])
+    fine = _compensated(acc, nx, ny, q)
     cx, cy = (nx - 1) * q, (ny - 1) * q
-    fine /= fine[cx, cy]
     lag_x = np.arange(-cx, cx + 1) * (grid.spacing / q)
     lag_y = np.arange(-cy, cy + 1) * (grid.spacing / q)
     return CorrelationMap(lag_x, lag_y, fine, fine[:, cy].copy(), fine[cx, :].copy())

@@ -12,6 +12,7 @@ import pytest
 from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
 from twdpfit import fileio, linksim
 from twdpfit.cli import main
+from twdpfit.inference import FitReport, GTestResult, ModelFit
 from twdpfit.measurement import SPEED_OF_LIGHT
 
 GRID_ARGS = ["--k-max", "20"]
@@ -127,6 +128,56 @@ class TestScan:
         rows = (tmp_path / "out.power.csv").read_text().splitlines()
         assert rows[0] == "azimuth,elevation,power_norm,marker"
         assert "not_evaluated" in rows[2]
+
+    def test_nan_sample_exits_3_without_output(self, tmp_path, capsys):
+        # a NaN in a strong direction used to mark it not_evaluated and exit 0
+        path = self.make_scan_file(tmp_path)
+        lines = path.read_text().splitlines()
+        idir, ifreq, _, im = lines[6].split(",")
+        assert idir == "0"
+        lines[6] = f"{idir},{ifreq},nan,{im}"
+        path.write_text("\n".join(lines) + "\n")
+        prefix = tmp_path / "out"
+        assert run(["scan", str(path), "-o", str(prefix), *GRID_ARGS]) == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "out.power.csv").exists()
+        assert not (tmp_path / "out.fits.json").exists()
+
+    def test_output_bytes(self, tmp_path, monkeypatch):
+        # constant-envelope directions and hand-built reports: no fit runs
+        samples = np.stack([np.ones(20), np.full(20, 1e-4), np.full(20, 0.5j)])
+        scan = DirectionalScan([10.0, 200.0, 300.5], [90.0, 90.0, 45.0], samples,
+                               np.full(3, 1e-6))
+        fileio.write_scan(tmp_path / "scan.csv", scan)
+        gtests = iter(["accepted", "rejected"])
+
+        def fake_fit(env_set, grid, alpha, per_cell):
+            return FitReport(
+                omega_hat=1.5, n_fit=2, n_moment=18,
+                rice=ModelFit("rice", 2.5, 0.0, -12.25, 28.5, False),
+                twdp=ModelFit("twdp", 10.0, 0.9, -11.5, 29.0, False), chosen="rice",
+                gtest=GTestResult(3.5, 1, 6.635, next(gtests), 2, alpha, per_cell),
+                grid=grid)
+
+        monkeypatch.setattr("twdpfit.cli.fit_envelopes", fake_fit)
+        prefix = tmp_path / "out"
+        assert run(["scan", str(tmp_path / "scan.csv"), "-o", str(prefix), "--k-max", "3"]) == 0
+        assert (tmp_path / "out.power.csv").read_text() == (
+            "azimuth,elevation,power_norm,marker\n10.0,90.0,1.0,rice\n"
+            "200.0,90.0,nan,not_evaluated\n300.5,45.0,0.25,rejected\n")
+        text = (tmp_path / "out.fits.json").read_text()
+        assert text.startswith('{\n  "directions": [\n    {\n      "azimuth": 10.0,\n'
+                               '      "elevation": 90.0,\n      "marker": "rice",\n'
+                               '      "report": {\n        "chosen": "rice",\n')
+        assert ('    {\n      "azimuth": 200.0,\n      "elevation": 90.0,\n'
+                '      "marker": "not_evaluated",\n      "report": null\n    },\n') in text
+        assert text.endswith('        }\n      }\n    }\n  ],\n  "kind": "scan_fits"\n}\n')
+        doc = json.loads(text)
+        assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert [d["marker"] for d in doc["directions"]] == ["rice", "not_evaluated", "rejected"]
+        assert doc["directions"][2]["report"]["gtest"]["verdict"] == "rejected"
+        assert doc["directions"][0]["report"]["grid"] == {
+            "delta_step": 0.05, "k_max": 3.0, "k_min": 0.0, "k_step": 0.05}
 
 
 class TestSpatialAndSynth:

@@ -9,6 +9,7 @@ import pytest
 
 from twdpfit import (
     DirectionalScan,
+    DomainError,
     FadingParams,
     GridConfig,
     ParseError,
@@ -22,7 +23,9 @@ from twdpfit import (
     average_corr,
 )
 from twdpfit import fileio
-from twdpfit.measurement import SPEED_OF_LIGHT
+from twdpfit.inference import FitReport, GTestResult, ModelFit
+from twdpfit.linksim import BerCurve
+from twdpfit.measurement import SPEED_OF_LIGHT, CorrelationMap, SpatialGrid
 
 
 @pytest.fixture
@@ -197,6 +200,17 @@ class TestScan:
         with pytest.raises(ParseError, match="not an integer"):
             fileio.read_scan(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, cell):
+        scan = DirectionalScan(
+            azimuth=np.zeros(2), elevation=np.full(2, 90.0),
+            samples=np.ones((2, 1), dtype=complex), noise_power=np.full(2, 1e-6))
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, scan)
+        path.write_text(f"idir,ifreq,re,im\n0,0,1.0,0.0\n1,0,1.0,{cell}\n")
+        with pytest.raises(DomainError, match="finite"):
+            fileio.read_scan(path)
+
 
 class TestReport:
     def test_round_trip_and_schema(self, tmp_path, report):
@@ -223,6 +237,142 @@ class TestReport:
         fileio.write_report(p1, report)
         fileio.write_report(p2, report)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def hand_report(gtest=True) -> FitReport:
+    """A report built field by field, so its bytes involve no fit or BLAS."""
+    return FitReport(
+        omega_hat=1.5, n_fit=100, n_moment=900,
+        rice=ModelFit("rice", 2.5, 0.0, -120.25, 244.5, False),
+        twdp=ModelFit("twdp", 10.0, 0.9, -110.5, 227.125, True),
+        chosen="twdp",
+        gtest=GTestResult(12.5, 7, 18.475, "accepted", 10, 0.01, 10) if gtest else None,
+        grid=GridConfig(k_max=30.0))
+
+
+def json_bytes(doc) -> bytes:
+    """The one JSON layout every file uses: sorted keys, indent 2, newline."""
+    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+
+
+class TestWriterBytes:
+    """Exact bytes of every writer on tiny hand-built inputs."""
+
+    def test_report(self, tmp_path):
+        path = tmp_path / "report.json"
+        fileio.write_report(path, hand_report())
+        assert path.read_text() == """{
+  "chosen": "twdp",
+  "grid": {
+    "delta_step": 0.05,
+    "k_max": 30.0,
+    "k_min": 0.0,
+    "k_step": 0.05
+  },
+  "gtest": {
+    "alpha": 0.01,
+    "dof": 7,
+    "n_cells": 10,
+    "per_cell": 10,
+    "statistic": 12.5,
+    "threshold": 18.475,
+    "verdict": "accepted"
+  },
+  "n_fit": 100,
+  "n_moment": 900,
+  "omega_hat": 1.5,
+  "rice": {
+    "aicc": 244.5,
+    "boundary_hit": false,
+    "delta_hat": 0.0,
+    "k_hat": 2.5,
+    "loglik": -120.25,
+    "model": "rice"
+  },
+  "schema_version": 1,
+  "twdp": {
+    "aicc": 227.125,
+    "boundary_hit": true,
+    "delta_hat": 0.9,
+    "k_hat": 10.0,
+    "loglik": -110.5,
+    "model": "twdp"
+  }
+}
+"""
+
+    def test_report_without_gtest(self, tmp_path):
+        path = tmp_path / "report.json"
+        fileio.write_report(path, hand_report(gtest=False))
+        doc = json.loads(path.read_text())
+        assert doc["gtest"] is None
+        assert path.read_bytes() == json_bytes(doc)
+
+    @pytest.mark.parametrize("gtest", [True, False])
+    def test_report_dict_round_trip(self, gtest):
+        report = hand_report(gtest)
+        assert fileio.report_from_dict(fileio.report_to_dict(report)) == report
+
+    def test_overlay(self, tmp_path):
+        path = tmp_path / "overlay.csv"
+        fileio.write_overlay(path, {"envelope": np.array([0.5, 2.0]),
+                                    "empirical": np.array([0.5, 1.0]),
+                                    "rice": [0.1, 1 / 3]})
+        assert path.read_text() == ("envelope,empirical,rice\n"
+                                    "0.5,0.5,0.1\n2.0,1.0,0.3333333333333333\n")
+
+    def test_ber_curve(self, tmp_path):
+        path = tmp_path / "ber.csv"
+        fileio.write_ber_curve(path, BerCurve(np.array([0.0, 10.0]), np.array([0.125, 1e-5]),
+                                              FadingParams(10.0, 0.5, 1.0), 1000, 7))
+        assert path.read_text() == "snr_db,ber\n0.0,0.125\n10.0,1e-05\n"
+        assert (tmp_path / "ber.json").read_bytes() == json_bytes(
+            {"delta": 0.5, "k": 10.0, "kind": "ber_curve", "n_symbols": 1000,
+             "omega": 1.0, "seed": 7})
+
+    def test_correlation_map(self, tmp_path):
+        path = tmp_path / "corr.csv"
+        v = np.array([[0.25, 0.5, 0.125], [0.5, 1.0, 0.5], [0.125, 0.5, 0.25]])
+        lags = np.array([-0.35, 0.0, 0.35])
+        fileio.write_correlation_map(path, CorrelationMap(lags, lags, v, v[:, 1], v[1, :]))
+        assert path.read_text() == "0.25,0.5,0.125\n0.5,1.0,0.5\n0.125,0.5,0.25\n"
+        assert (tmp_path / "corr.json").read_bytes() == json_bytes(
+            {"cut_x": [0.5, 1.0, 0.5], "cut_y": [0.5, 1.0, 0.5], "kind": "correlation_map",
+             "lag_unit": "wavelengths", "lag_x": [-0.35, 0.0, 0.35],
+             "lag_y": [-0.35, 0.0, 0.35]})
+
+    @pytest.mark.parametrize("meta", [True, False])
+    def test_grid(self, tmp_path, meta):
+        path = tmp_path / "grid.csv"
+        h = np.array([1 + 2j, -0.5 + 0j, 0.25 - 1j, 3e-5 + 1j / 3]).reshape(2, 1, 1, 2)
+        grid = (SpatialGrid(h, 0.35, np.array([6e10, 6.1e10]), (160.0, 110.0)) if meta
+                else SpatialGrid(h, 0.5))
+        fileio.write_grid(path, grid)
+        assert path.read_text() == ("ix,iy,iz,ifreq,re,im\n0,0,0,0,1.0,2.0\n"
+                                    "0,0,0,1,-0.5,0.0\n1,0,0,0,0.25,-1.0\n"
+                                    "1,0,0,1,3e-05,0.3333333333333333\n")
+        assert (tmp_path / "grid.json").read_bytes() == json_bytes(
+            {"direction": [160.0, 110.0] if meta else None,
+             "freq_axis": [60000000000.0, 61000000000.0] if meta else None,
+             "kind": "spatial_grid", "shape": [2, 1, 1, 2], "spacing": 0.35 if meta else 0.5})
+
+    def test_scan(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, DirectionalScan(
+            [0.0, 90.5], [90.0, 45.0], np.array([[1 + 1j, -2.0], [0.5j, 0.1 + 0.2j]]),
+            [1e-6, 2e-6], freq_axis=[6e10, 6.1e10]))
+        assert path.read_text() == ("idir,ifreq,re,im\n0,0,1.0,1.0\n0,1,-2.0,0.0\n"
+                                    "1,0,0.0,0.5\n1,1,0.1,0.2\n")
+        assert (tmp_path / "scan.json").read_bytes() == json_bytes(
+            {"directions": [{"azimuth": 0.0, "elevation": 90.0, "noise_power": 1e-06},
+                            {"azimuth": 90.5, "elevation": 45.0, "noise_power": 2e-06}],
+             "freq_axis": [60000000000.0, 61000000000.0], "kind": "directional_scan",
+             "n_freq": 2})
+
+    def test_envelopes(self, tmp_path):
+        path = tmp_path / "env.csv"
+        fileio.write_envelopes(path, [0.0, 1.5, 0.1, 1 / 3, 1e300])
+        assert path.read_text() == "envelope\n0.0\n1.5\n0.1\n0.3333333333333333\n1e+300\n"
 
 
 class TestPlotTables:

@@ -27,7 +27,7 @@ from twdpfit import (
     synth_field,
     tap_envelopes,
 )
-from twdpfit.measurement import SPEED_OF_LIGHT, _spectral_upsample, _window_footprint
+from twdpfit.measurement import SPEED_OF_LIGHT, _spectral_upsample, _windowed_corr
 
 
 def direct_corr_oracle(field: np.ndarray) -> np.ndarray:
@@ -215,7 +215,7 @@ class TestSpectralUpsample:
 
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         # a random field and the all-ones window footprint on the doubled grid
-        for arr in (rng.normal(size=shape), _window_footprint(*shape)):
+        for arr in (rng.normal(size=shape), _windowed_corr(np.ones(shape))):
             want = resample(resample(arr, arr.shape[0] * q, axis=0), arr.shape[1] * q, axis=1)
             assert np.array_equal(_spectral_upsample(arr, q), want)
 
