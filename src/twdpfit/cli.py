@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, EstimationError, NumericalError, ParseError, TwdpfitError
+from .errors import DomainError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
 from .inference import GridConfig, fit_envelopes, partition_stride
 from .linksim import simulate_ber
@@ -73,10 +73,9 @@ def _overlay_table(report, values: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "envelope": fit,
         "empirical": empirical,
-        "rice": np.atleast_1d(rice_cdf(x, report.rice.k_hat, 1.0)),
-        "twdp": np.atleast_1d(twdp_cdf(x, FadingParams(
-            report.twdp.k_hat, report.twdp.delta_hat, 1.0))),
-        "rayleigh": np.atleast_1d(rayleigh_cdf(x, 1.0)),
+        "rice": rice_cdf(x, report.rice.k_hat, 1.0),
+        "twdp": twdp_cdf(x, FadingParams(report.twdp.k_hat, report.twdp.delta_hat, 1.0)),
+        "rayleigh": rayleigh_cdf(x, 1.0),
     }
 
 
@@ -272,15 +271,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except TwdpfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, EstimationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, TwdpfitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -60,7 +60,7 @@ _MODEL_FIT_SCHEMA = {
         "k_hat": {"type": "number", "minimum": 0},
         "delta_hat": {"type": "number", "minimum": 0, "maximum": 1},
         "loglik": {"type": "number"},
-        "aicc": {"type": ["number", "null"]},
+        "aicc": {"type": "number"},
         "boundary_hit": {"type": "boolean"},
     },
     "required": ["model", "k_hat", "delta_hat", "loglik", "aicc", "boundary_hit"],
@@ -79,7 +79,7 @@ REPORT_SCHEMA = {
         "twdp": _MODEL_FIT_SCHEMA,
         "chosen": {"type": "string", "enum": ["rice", "twdp"]},
         "gtest": {
-            "type": ["object", "null"],
+            "type": "object",
             "properties": {
                 "statistic": {"type": "number"},
                 "dof": {"type": "integer", "minimum": 1},
@@ -188,6 +188,17 @@ def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarra
     return out.reshape(shape)
 
 
+def _count(value) -> int:
+    """A JSON integer >= 0; a bool, float or string is an error."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {value!r}")
+    return value
+
+
+def _freq_axis(header: dict) -> np.ndarray | None:
+    return None if header.get("freq_axis") is None else np.asarray(header["freq_axis"], float)
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:
@@ -251,10 +262,9 @@ def write_envelopes(path: str | Path, values: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 def write_grid(path: str | Path, grid: SpatialGrid) -> None:
-    nx, ny, nz, nf = grid.shape
     header = {
         "kind": "spatial_grid",
-        "shape": [nx, ny, nz, nf],
+        "shape": list(grid.shape),
         "spacing": grid.spacing,
         "freq_axis": (list(map(float, grid.freq_axis))
                       if grid.freq_axis is not None else None),
@@ -267,18 +277,14 @@ def read_grid(path: str | Path) -> SpatialGrid:
     path = Path(path)
     header = _load_json(_sidecar(path))
     try:
-        nx, ny, nz, nf = header["shape"]
+        nx, ny, nz, nf = map(_count, header["shape"])
         spacing = float(header["spacing"])
-        freq_axis = header.get("freq_axis")
-        direction = header.get("direction")
+        freq_axis = _freq_axis(header)
+        direction = None if header.get("direction") is None else tuple(header["direction"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{_sidecar(path)}: bad grid header ({exc})")
     h = _read_indexed(path, (nx, ny, nz, nf), "ix,iy,iz,ifreq,re,im")
-    return SpatialGrid(
-        h, spacing=spacing,
-        freq_axis=np.asarray(freq_axis, dtype=float) if freq_axis is not None else None,
-        direction=tuple(direction) if direction is not None else None,
-    )
+    return SpatialGrid(h, spacing=spacing, freq_axis=freq_axis, direction=direction)
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +310,42 @@ def read_scan(path: str | Path) -> DirectionalScan:
     header = _load_json(_sidecar(path))
     try:
         dirs = header["directions"]
-        n_freq = int(header["n_freq"])
+        n_freq = _count(header["n_freq"])
         azimuth = np.array([d["azimuth"] for d in dirs], dtype=float)
         elevation = np.array([d["elevation"] for d in dirs], dtype=float)
         noise = np.array([d["noise_power"] for d in dirs], dtype=float)
-        freq_axis = header.get("freq_axis")
+        freq_axis = _freq_axis(header)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{_sidecar(path)}: bad scan header ({exc})")
     samples = _read_indexed(path, (len(dirs), n_freq), "idir,ifreq,re,im")
-    return DirectionalScan(azimuth, elevation, samples, noise,
-                           freq_axis=(np.asarray(freq_axis, dtype=float)
-                                      if freq_axis is not None else None))
+    return DirectionalScan(azimuth, elevation, samples, noise, freq_axis=freq_axis)
 
 
 # ---------------------------------------------------------------------------
 # fit reports
 # ---------------------------------------------------------------------------
 
-def report_to_dict(report: FitReport) -> dict:
-    """The report's fields, nested objects as dicts, checked against the schema."""
-    doc = asdict(report)
+def _checked(doc: dict) -> dict:
+    """doc, or the error jsonschema.validate would raise for it (the best
+    match), without validate's check of REPORT_SCHEMA itself on every call:
+    that check costs ten times the validation."""
     import jsonschema
-    jsonschema.validate(doc, REPORT_SCHEMA)
+    error = jsonschema.exceptions.best_match(
+        jsonschema.Draft7Validator(REPORT_SCHEMA).iter_errors(doc))
+    if error is not None:
+        raise error
     return doc
 
 
+def report_to_dict(report: FitReport) -> dict:
+    """The report's fields, nested objects as dicts, checked against the schema."""
+    return _checked(asdict(report))
+
+
 def report_from_dict(doc: dict) -> FitReport:
-    import jsonschema
-    jsonschema.validate(doc, REPORT_SCHEMA)
-    gtest = doc["gtest"]
+    _checked(doc)
     return FitReport(**{**doc, "rice": ModelFit(**doc["rice"]), "twdp": ModelFit(**doc["twdp"]),
-                        "gtest": GTestResult(**gtest) if gtest is not None else None,
-                        "grid": GridConfig(**doc["grid"])})
+                        "gtest": GTestResult(**doc["gtest"]), "grid": GridConfig(**doc["grid"])})
 
 
 def write_report(path: str | Path, report: FitReport) -> None:

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError, NumericalError
-from .fading import (
-    FadingParams,
-    K_MAX_SUPPORTED,
-    rice_cdf,
-    twdp_cdf,
-)
+from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, rice_cdf, twdp_cdf
 from .likelihood import TableSpec, get_table
 
 __all__ = [
@@ -65,10 +60,7 @@ class EnvelopeSet:
         self.fit_mask = np.asarray(self.fit_mask, dtype=bool)
         if self.values.ndim != 1 or self.values.shape != self.fit_mask.shape:
             raise DomainError("values and fit_mask must be 1-D arrays of equal length")
-        if not np.all(np.isfinite(self.values)):
-            raise DomainError("envelope values must be finite")
-        if np.any(self.values < 0):
-            raise DomainError("envelope values must be nonnegative")
+        _check_r(self.values)
 
     @property
     def fit_values(self) -> np.ndarray:
@@ -150,7 +142,7 @@ class FitReport:
     rice: ModelFit
     twdp: ModelFit
     chosen: str
-    gtest: GTestResult | None
+    gtest: GTestResult
     grid: GridConfig = field(default_factory=GridConfig)
     schema_version: int = 1
 
@@ -233,13 +225,13 @@ def ml_fit(
             "some fit sample has zero density across the whole grid")
 
     kv, dv = grid.k_values, grid.delta_values
-    n_k = len(kv)
-    rice = ModelFit("rice", float(kv[i_rice]), 0.0, float(surface[i_rice, 0]),
-                    boundary_hit=bool(i_rice in (0, n_k - 1) and kv[i_rice] != 0.0))
-    twdp = ModelFit("twdp", float(kv[i_twdp]), float(dv[j_twdp]),
-                    float(surface[i_twdp, j_twdp]),
-                    boundary_hit=bool(i_twdp in (0, n_k - 1) and kv[i_twdp] != 0.0))
-    return rice, twdp
+
+    def fit_at(model: str, i: int, j: int) -> ModelFit:
+        # an argmax on a K grid edge other than K = 0 is a boundary hit
+        return ModelFit(model, float(kv[i]), float(dv[j]), float(surface[i, j]),
+                        boundary_hit=bool(i in (0, len(kv) - 1) and kv[i] != 0.0))
+
+    return fit_at("rice", i_rice, 0), fit_at("twdp", i_twdp, j_twdp)
 
 
 def aicc(loglik: float, model_order: int, n: int) -> float:
@@ -321,7 +313,7 @@ def g_test(
         cdf_at_edges = rice_cdf(edges, model_fit.k_hat, 1.0)
     else:
         cdf_at_edges = twdp_cdf(edges, FadingParams(model_fit.k_hat, model_fit.delta_hat, 1.0))
-    cum = np.concatenate([[0.0], np.atleast_1d(cdf_at_edges), [1.0]])
+    cum = np.concatenate([[0.0], cdf_at_edges, [1.0]])
     expected = np.diff(cum) * n
     if np.any(expected <= 0.0):
         raise NumericalError("expected cell count of zero; model CDF degenerate "

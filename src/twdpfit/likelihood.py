@@ -32,12 +32,12 @@ product against a per-dataset weight vector:
   data weights, so it applies to per-cell log-likelihoods as to rows.
 * For a dataset, sum_n L(x_n) of the piecewise-linear interpolant of the
   tabulated L equals a weighted histogram of the samples dotted with the
-  table row, so the whole grid evaluates as one GEMV (or one GEMM for a
-  batch of datasets). Samples above r_max (spikes) add their exact row
-  density at every tabulated K row instead, so the table never grows.
+  table row, so the whole grid evaluates as one GEMV. Samples above r_max
+  (spikes) add their exact row density at every tabulated K row instead,
+  so the table never grows.
 
 There is one table per grid configuration, cached in module scope; the
-default one (332 K rows, 57 MB) takes ~2.3 s to build on 2 cores, after
+default one (332 K rows, 57 MB) takes about 4 s to build on 2 cores, after
 which each fit takes well under a second. Builds are logged at info level
 with their thread count, cache hits at debug.
 
@@ -124,8 +124,9 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
     """4-point Lagrange interpolation stencil of `fine` points on `coarse` nodes
     (all nodes when there are fewer than 4).
 
-    Returns (idx, w) with shapes (n_fine, m), m = min(4, n_coarse); exact
-    passthrough where a fine point coincides with a coarse node.
+    Returns (idx, w) with shapes (n_fine, m), m = min(4, n_coarse). Where a
+    fine point equals a coarse node, the product gives that node weight 1
+    and the others +-0, an exact passthrough.
     """
     nf, nc = len(fine), len(coarse)
     m = min(4, nc)
@@ -139,11 +140,6 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
             if a == b:
                 continue
             w[:, a] *= (fine - xk[:, b]) / (xk[:, a] - xk[:, b])
-    # snap exact node hits to avoid rounding residue
-    for a in range(m):
-        hit = np.isclose(fine, xk[:, a], rtol=0, atol=1e-12)
-        w[hit] = 0.0
-        w[hit, a] = 1.0
     return idx, w
 
 
@@ -190,15 +186,15 @@ class PdfTable:
         row K, shape (len(deltas), len(x))."""
         s2 = 2.0 * (1.0 + k)
         b = x * np.sqrt(s2)
-        if k == 0.0:
-            row = np.log(np.maximum(self._kernel(np.zeros(1), b, s2), 1e-300))
-            return np.repeat(row, len(self.deltas), axis=0)
-        ag, w_fold = self._fold_weights(k)
-        # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after each
-        # GEMM and would take the cores the row pool runs on
-        pdf_over_x = np.einsum("da,ab->db", w_fold, self._kernel(ag, b, s2))
-        # the Delta = 0 column collapses to a single kernel; keep it exact
-        pdf_over_x[0] = self._kernel(np.full(1, np.sqrt(2.0 * k)), b, s2)[0]
+        # the Delta = 0 column collapses to a single kernel, exact for every
+        # column at K = 0
+        single = self._kernel(np.full(1, np.sqrt(2.0 * k)), b, s2)
+        pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
+        if k > 0.0:
+            ag, w_fold = self._fold_weights(k)
+            # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
+            # each GEMM and would take the cores the row pool runs on
+            pdf_over_x[1:] = np.einsum("da,ab->db", w_fold[1:], self._kernel(ag, b, s2))
         return np.log(np.maximum(pdf_over_x, 1e-300))
 
     def _fold_weights(self, k: float) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .fading import FadingParams
 from .pool import run_in_order, worker_count
-from .synth import sample_twdp
+from .synth import _rng, sample_twdp
 
 __all__ = ["BerCurve", "simulate_ber", "capacity_loss"]
 
@@ -49,7 +49,7 @@ def _ber_point(params: FadingParams, snr: float, n_symbols: int, seed: int,
                point: int) -> float:
     """Bit error ratio of one SNR point, drawn from that point's streams."""
     channel, bits, resample = _point_streams(seed, point)
-    rng = np.random.Generator(np.random.Philox(bits))
+    rng = _rng(bits)
     h = sample_twdp(params, n_symbols, channel).samples
     # |h| = 0 is a probability-zero event; resample defensively so the
     # zero-forcing division stays defined.

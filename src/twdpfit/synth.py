@@ -146,8 +146,6 @@ def synth_field(scene: PlaneWaveScene) -> SpatialGrid:
     freqs = (np.asarray(scene.freq_axis, dtype=float)
              if scene.freq_axis is not None
              else np.array([SPEED_OF_LIGHT / scene.wavelength]))
-    if np.any(freqs <= 0):
-        raise DomainError("frequencies must be positive")
     rng = _rng(scene.seed)
 
     step = scene.spacing * scene.wavelength

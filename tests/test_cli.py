@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
-from twdpfit import fileio, linksim
+from twdpfit import cli, fileio, linksim
 from twdpfit.cli import main
+from twdpfit.errors import DomainError, EstimationError, ParseError, TwdpfitError
 from twdpfit.inference import FitReport, GTestResult, ModelFit
-from twdpfit.measurement import SPEED_OF_LIGHT
+from twdpfit.measurement import SPEED_OF_LIGHT, SpatialGrid
 
 GRID_ARGS = ["--k-max", "20"]
 
@@ -250,6 +251,54 @@ class TestBer:
         err = capsys.readouterr().err
         assert "channel draw failed" in err and "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("error, code", [
+    (ParseError, 2), (DomainError, 3), (EstimationError, 3), (NumericalError, 4),
+    (TwdpfitError, 4)])
+def test_error_class_sets_exit_code(tmp_path, monkeypatch, capsys, error, code):
+    def failing(args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "_cmd_fit", failing)
+    assert error.exit_code == code
+    assert run(["fit", str(tmp_path / "env.csv"), "-o", str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr().err == "error: injected\n"
+
+
+def test_other_errors_are_not_caught(tmp_path, monkeypatch):
+    def failing(args):
+        raise ValueError("not a package error")
+
+    monkeypatch.setattr(cli, "_cmd_fit", failing)
+    with pytest.raises(ValueError, match="not a package error"):
+        run(["fit", str(tmp_path / "env.csv"), "-o", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("spatial", {"freq_axis": ["x"]}), ("spatial", {"shape": [3, "3", 1, 1]}),
+    ("spatial", {"shape": [3, 3.0, 1, 1]}), ("spatial", {"direction": 5}),
+    ("scan", {"freq_axis": ["x"]}), ("scan", {"n_freq": 39.7}), ("scan", {"n_freq": "40"}),
+])
+def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
+    rng = np.random.default_rng(4)
+    if command == "spatial":
+        path = tmp_path / "grid.csv"
+        h = rng.normal(size=(3, 3, 1, 1)) + 1j * rng.normal(size=(3, 3, 1, 1))
+        fileio.write_grid(path, SpatialGrid(h, freq_axis=[6e10], direction=(10.0, 90.0)))
+    else:
+        path = tmp_path / "scan.csv"
+        samples = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+        fileio.write_scan(path, DirectionalScan([0.0, 90.0], [90.0, 90.0], samples,
+                                                [1e-6, 1e-6], 6e10 + 1e6 * np.arange(40)))
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+    out = tmp_path / "out.csv"
+    assert run([command, str(path), "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    kind = "grid" if command == "spatial" else "scan"
+    assert len(err) == 1 and err[0].startswith("error: ") and f"bad {kind} header" in err[0]
+    assert not out.exists()
 
 
 def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate, special
 
 from twdpfit import (
@@ -383,6 +383,19 @@ class TestTwdpPdf:
         assert out.shape == (0,)
 
 
+@pytest.mark.parametrize("a2", [5e-324, 1e-320, 1e-315, 4.4e-313])
+def test_subnormal_noncentrality_equals_zero(a2):
+    # scipy's chndtr errs at a subnormal noncentrality (by 3.6e-4 at 1e-320);
+    # to double precision the CDFs there are their K = 0 values
+    r = np.linspace(0.0, 4.0, 41)
+    assert np.array_equal(rice_cdf(r, a2 / 2), rice_cdf(r, 0.0))
+    for delta in (0.0, 0.5, 1.0):
+        assert np.array_equal(twdp_cdf(r, FadingParams(a2 / 2, delta)),
+                              twdp_cdf(r, FadingParams(0.0, delta)))
+    assert np.array_equal(marcum_q1(math.sqrt(a2), r), marcum_q1(0.0, r))
+    assert rice_cdf(1.5, a2 / 2) == pytest.approx(rayleigh_cdf(1.5), rel=1e-15, abs=0)
+
+
 @given(
     k=st.floats(0, 100),
     delta=st.floats(0, 1),
@@ -390,6 +403,7 @@ class TestTwdpPdf:
     r2=st.floats(0, 4),
 )
 @settings(max_examples=60, deadline=None)
+@example(k=2.2250738585e-313, delta=0.0, r1=0.0, r2=1.5)   # a subnormal K once failed
 def test_pdf_integrates_to_cdf_property(k, delta, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)
     p = FadingParams(k, delta, 1.0)

@@ -212,6 +212,90 @@ class TestScan:
             fileio.read_scan(path)
 
 
+def small_grid_file(tmp_path):
+    rng = np.random.default_rng(4)
+    h = rng.normal(size=(3, 3, 1, 1)) + 1j * rng.normal(size=(3, 3, 1, 1))
+    path = tmp_path / "grid.csv"
+    fileio.write_grid(path, SpatialGrid(h, freq_axis=[6e10], direction=(10.0, 90.0)))
+    return path
+
+
+def small_scan_file(tmp_path):
+    scan = DirectionalScan(azimuth=[0.0, 90.0], elevation=[90.0, 90.0],
+                           samples=np.ones((2, 40), dtype=complex), noise_power=[1e-6, 1e-6],
+                           freq_axis=6e10 + 1e6 * np.arange(40))
+    path = tmp_path / "scan.csv"
+    fileio.write_scan(path, scan)
+    return path
+
+
+def patch_sidecar(path, **fields):
+    sidecar = path.with_suffix(".json")
+    sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+
+
+BAD_GRID_HEADERS = [
+    {"freq_axis": ["x"]}, {"shape": [3, "3", 1, 1]}, {"shape": [3, 3.0, 1, 1]},
+    {"shape": [3, True, 1, 1]}, {"shape": [3, -3, 1, 1]}, {"shape": [3, 3, 1]},
+    {"shape": 9}, {"direction": 5}, {"spacing": "near"},
+]
+BAD_SCAN_HEADERS = [
+    {"freq_axis": ["x"]}, {"n_freq": "40"}, {"n_freq": 39.7}, {"n_freq": -1},
+    {"directions": [{"azimuth": 0.0}]}, {"directions": 2},
+]
+
+
+class TestMalformedHeaders:
+    """Every sidecar value is converted inside the header's ParseError guard."""
+
+    @pytest.mark.parametrize("fields", BAD_GRID_HEADERS)
+    def test_grid(self, tmp_path, fields):
+        path = small_grid_file(tmp_path)
+        patch_sidecar(path, **fields)
+        with pytest.raises(ParseError, match="bad grid header"):
+            fileio.read_grid(path)
+
+    @pytest.mark.parametrize("fields", BAD_SCAN_HEADERS)
+    def test_scan(self, tmp_path, fields):
+        path = small_scan_file(tmp_path)
+        patch_sidecar(path, **fields)
+        with pytest.raises(ParseError, match="bad scan header"):
+            fileio.read_scan(path)
+
+    @pytest.mark.parametrize("make, read, key", [
+        (small_grid_file, fileio.read_grid, "spacing"),
+        (small_scan_file, fileio.read_scan, "directions"),
+    ])
+    def test_missing_key(self, tmp_path, make, read, key):
+        path = make(tmp_path)
+        sidecar = path.with_suffix(".json")
+        header = json.loads(sidecar.read_text())
+        del header[key]
+        sidecar.write_text(json.dumps(header))
+        with pytest.raises(ParseError, match=f"bad .* header .*{key}"):
+            read(path)
+
+
+class TestReaderGuards:
+    @pytest.mark.parametrize("make, read", [
+        (small_grid_file, fileio.read_grid), (small_scan_file, fileio.read_scan)])
+    @pytest.mark.parametrize("fault, match", [
+        ("cell", "could not convert"), ("columns", "expected [46] columns"),
+        ("json", "invalid JSON")])
+    def test_fault(self, tmp_path, make, read, fault, match):
+        path = make(tmp_path)
+        lines = path.read_text().splitlines()
+        if fault == "cell":
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",abc"
+        elif fault == "columns":
+            lines[1:] = [row.rsplit(",", 1)[0] for row in lines[1:]]
+        else:
+            path.with_suffix(".json").write_text("{\"shape\": [3, 3,")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=match):
+            read(path)
+
+
 class TestReport:
     def test_round_trip_and_schema(self, tmp_path, report):
         path = tmp_path / "report.json"
@@ -228,6 +312,32 @@ class TestReport:
         with pytest.raises(ParseError, match="schema"):
             fileio.read_report(path)
 
+    def test_schema_is_valid_draft_7(self):
+        # the report check skips jsonschema.validate's own schema check
+        import jsonschema
+        jsonschema.Draft7Validator.check_schema(fileio.REPORT_SCHEMA)
+
+    @pytest.mark.parametrize("field", ["gtest", "aicc"])
+    def test_schema_rejects_null(self, tmp_path, field):
+        # every report the pipeline writes has its g-test and both AICc values
+        doc = fileio.report_to_dict(hand_report())
+        (doc["rice"] if field == "aicc" else doc)[field] = None
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match="schema"):
+            fileio.read_report(path)
+
+    def test_check_raises_the_error_validate_picks(self):
+        import jsonschema
+        doc = fileio.report_to_dict(hand_report())
+        doc["chosen"], doc["rice"]["k_hat"], doc["extra"] = "nakagami", -1.0, 0
+        del doc["gtest"]["dof"]
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(doc, fileio.REPORT_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as got:
+            fileio.report_from_dict(doc)
+        assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
+
     def test_dict_is_json_clean(self, report):
         doc = fileio.report_to_dict(report)
         json.dumps(doc)  # no numpy scalars leaking through
@@ -239,14 +349,14 @@ class TestReport:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def hand_report(gtest=True) -> FitReport:
+def hand_report() -> FitReport:
     """A report built field by field, so its bytes involve no fit or BLAS."""
     return FitReport(
         omega_hat=1.5, n_fit=100, n_moment=900,
         rice=ModelFit("rice", 2.5, 0.0, -120.25, 244.5, False),
         twdp=ModelFit("twdp", 10.0, 0.9, -110.5, 227.125, True),
         chosen="twdp",
-        gtest=GTestResult(12.5, 7, 18.475, "accepted", 10, 0.01, 10) if gtest else None,
+        gtest=GTestResult(12.5, 7, 18.475, "accepted", 10, 0.01, 10),
         grid=GridConfig(k_max=30.0))
 
 
@@ -301,16 +411,8 @@ class TestWriterBytes:
 }
 """
 
-    def test_report_without_gtest(self, tmp_path):
-        path = tmp_path / "report.json"
-        fileio.write_report(path, hand_report(gtest=False))
-        doc = json.loads(path.read_text())
-        assert doc["gtest"] is None
-        assert path.read_bytes() == json_bytes(doc)
-
-    @pytest.mark.parametrize("gtest", [True, False])
-    def test_report_dict_round_trip(self, gtest):
-        report = hand_report(gtest)
+    def test_report_dict_round_trip(self):
+        report = hand_report()
         assert fileio.report_from_dict(fileio.report_to_dict(report)) == report
 
     def test_overlay(self, tmp_path):

@@ -400,6 +400,18 @@ class TestRowPlacement:
         old = fixed_step_rows(k)
         assert np.array_equal(idx[k[idx] < 20.0], old[k[old] < 20.0])
 
+    @pytest.mark.parametrize("k_max", [30.0, 100.0, 1000.0])
+    def test_stencil_passes_tabulated_rows_through(self, k_max):
+        # at a tabulated K the product formula gives weight 1 to that row
+        # and +-0 to the other three, so its cells are the row's own
+        k = GridConfig(k_max=k_max).k_values
+        coarse = k[likelihood._coarse_k_indices(k)]
+        idx, w = likelihood._lagrange_weights(k, coarse)
+        hit = np.isin(k, coarse)
+        assert np.array_equal(coarse[idx][w == 1.0], k[hit])
+        assert np.count_nonzero(w[hit]) == hit.sum()
+        assert np.allclose(w[~hit].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_default_grid_row_budget(self):
         # 2581 rows (444 MB, ~55 s to build) at fixed 0.4 steps above K = 20
         assert len(likelihood._coarse_k_indices(GridConfig().k_values)) <= 340

@@ -122,6 +122,12 @@ class TestSynthField:
         with pytest.raises(DomainError):
             synth_field(PlaneWaveScene(waves=[], wavelength=0.005))
 
+    def test_non_positive_frequency_rejected(self):
+        scene = PlaneWaveScene(waves=[PlaneWave(1.0, (1.0, 0.0, 0.0))], wavelength=0.005,
+                               shape=(2, 2, 1), freq_axis=np.array([6e10, 0.0]))
+        with pytest.raises(DomainError, match="frequencies must be positive"):
+            synth_field(scene)
+
     def test_direction_must_be_unit(self):
         with pytest.raises(DomainError):
             PlaneWave(1.0, (1.0, 1.0, 0.0))
