@@ -27,7 +27,7 @@ import numpy as np
 from twdpfit import cli, fileio
 from twdpfit.fading import FadingParams
 from twdpfit.inference import GridConfig
-from twdpfit.likelihood import TableSpec, get_table
+from twdpfit.likelihood import get_table
 from twdpfit.measurement import DirectionalScan
 from twdpfit.synth import sample_twdp
 
@@ -89,7 +89,7 @@ def main():
     lines += [f"{sha(p.read_bytes())}  {p.name}" for p in sorted(Path().iterdir())]
     for k_max in (30, 100):
         grid = GridConfig(k_max=k_max)
-        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        table = get_table(grid.k_values, grid.delta_values)
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
     print("\n".join(lines))
 

@@ -3,10 +3,10 @@
 Subcommands: fit, scan, spatial, ber, synth. All outputs are deterministic
 given identical inputs and seeds, and all files are written atomically.
 
-Exit codes: 0 success, 2 input/parse error, 3 domain/estimation error,
-4 internal numerical error. The only environment variable honoured is
-TWDPFIT_LOG (debug|info|warning) for log verbosity; any value that is not a
-logging level name means warning.
+Exit codes: 0 success, 2 input/parse error or a file that cannot be read or
+written, 3 domain/estimation error, 4 internal numerical error. The only
+environment variable honoured is TWDPFIT_LOG (debug|info|warning) for log
+verbosity; any value that is not a logging level name means warning.
 """
 
 from __future__ import annotations
@@ -274,6 +274,9 @@ def main(argv: list[str] | None = None) -> int:
     except TwdpfitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except OSError as exc:      # readers raise ParseError: an output cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ Formats (all plain text, byte-order independent):
 
 * envelope file: CSV, one nonnegative real per line, optional header line;
 * spatial grid: CSV with columns ix,iy,iz,ifreq,re,im plus a JSON header
-  sidecar (same stem, .json) carrying spacing, frequency axis and optional
-  direction metadata;
+  sidecar (same stem, .json) carrying spacing, frequency axis and an
+  optional [azimuth, elevation] direction in degrees;
 * directional scan: CSV with columns idir,ifreq,re,im plus a JSON header
   listing per-direction azimuth/elevation/noise power and the frequency
   axis;
@@ -127,15 +127,19 @@ def _create_temp(path: Path) -> tuple[int, Path]:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    fd, tmp = _create_temp(path)
+    """Write through a temp file beside path and a rename; an OSError names
+    path, not the temp file, and leaves no temp file behind."""
+    path, tmp = Path(path), None
     try:
+        fd, tmp = _create_temp(path)
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -199,12 +203,23 @@ def _freq_axis(header: dict) -> np.ndarray | None:
     return None if header.get("freq_axis") is None else np.asarray(header["freq_axis"], float)
 
 
+def _direction(header: dict) -> tuple[float, float] | None:
+    """The optional [azimuth, elevation] pair; anything but null or a
+    two-element list is an error."""
+    value = header.get("direction")
+    if value is not None and (type(value) is not list or len(value) != 2):
+        raise ValueError(f"expected null or [azimuth, elevation], got {value!r}")
+    return None if value is None else (float(value[0]), float(value[1]))
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:
             return json.load(handle)
     except FileNotFoundError:
         raise ParseError(f"{path}: missing header file")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read ({exc})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})")
 
@@ -219,7 +234,7 @@ def read_envelopes(path: str | Path) -> np.ndarray:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}")
     texts = [raw.strip() for raw in lines]
     if texts:
@@ -280,7 +295,7 @@ def read_grid(path: str | Path) -> SpatialGrid:
         nx, ny, nz, nf = map(_count, header["shape"])
         spacing = float(header["spacing"])
         freq_axis = _freq_axis(header)
-        direction = None if header.get("direction") is None else tuple(header["direction"])
+        direction = _direction(header)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{_sidecar(path)}: bad grid header ({exc})")
     h = _read_indexed(path, (nx, ny, nz, nf), "ix,iy,iz,ifreq,re,im")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, NumericalError
 from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, rice_cdf, twdp_cdf
-from .likelihood import TableSpec, get_table
+from .likelihood import get_table
 
 __all__ = [
     "EnvelopeSet",
@@ -214,7 +214,7 @@ def ml_fit(
         raise EstimationError(
             "fit sample with zero envelope has zero density at every grid cell")
     x = fit / math.sqrt(omega_hat)
-    table = get_table(grid.k_values, grid.delta_values, TableSpec())
+    table = get_table(grid.k_values, grid.delta_values)
     surface = table.loglik_surface(x)
 
     i_rice = int(np.argmax(surface[:, 0]))
@@ -224,7 +224,7 @@ def ml_fit(
         raise EstimationError(
             "some fit sample has zero density across the whole grid")
 
-    kv, dv = grid.k_values, grid.delta_values
+    kv, dv = table.k_values, table.deltas
 
     def fit_at(model: str, i: int, j: int) -> ModelFit:
         # an argmax on a K grid edge other than K = 0 is a boundary hit

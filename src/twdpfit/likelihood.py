@@ -36,10 +36,10 @@ product against a per-dataset weight vector:
   (spikes) add their exact row density at every tabulated K row instead,
   so the table never grows.
 
-There is one table per grid configuration, cached in module scope; the
-default one (332 K rows, 57 MB) takes about 4 s to build on 2 cores, after
-which each fit takes well under a second. Builds are logged at info level
-with their thread count, cache hits at debug.
+There is one table per (K, Delta) grid, keyed by its values and cached in
+module scope, at one fixed resolution (``TableSpec``); the default one (332 K
+rows, 57 MB) builds in 2-4 s on 2 cores, after which each fit takes well
+under a second. Builds are logged at info level, cache hits at debug.
 
 Accuracy of the tabulated log-density against the directly quadratured
 density is ~2e-3 absolute in ln where the density is non-negligible
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,20 +67,15 @@ log = logging.getLogger(__name__)
 _BAND, _BLOCK = 38.61, 64
 
 
-@dataclass(frozen=True)
 class TableSpec:
-    """Tuning knobs of the density table (defaults validated by tests)."""
+    """The fixed resolution of every density table (validated by tests). It
+    stays only because the benchmark's warm worker passes ``TableSpec()`` to
+    ``get_table``; once that call goes, the class can go too."""
 
-    r_max: float = 4.0          # envelope grid upper edge, in sqrt(omega) units
-    n_r: int = 1024             # envelope grid points
-    n_alpha: int = 2048         # trapezoid nodes of the phase-balance quadrature
-    a_step: float = 0.0625      # noncentrality-amplitude grid step per K row
-
-    def __post_init__(self):
-        if self.r_max <= 0 or self.n_r < 16 or self.a_step <= 0:
-            raise DomainError("invalid table spec")
-        if self.n_alpha < 4 or self.n_alpha % 2:
-            raise DomainError("n_alpha must be an even integer >= 4")
+    r_max = 4.0         # envelope grid upper edge, in sqrt(omega) units
+    n_r = 1024          # envelope grid points
+    n_alpha = 2048      # trapezoid nodes of the phase-balance quadrature
+    a_step = 0.0625     # noncentrality-amplitude grid step per K row
 
 
 def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
@@ -144,21 +138,20 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
 
 
 class PdfTable:
-    """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid."""
+    """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid; `spec` is unused."""
 
-    def __init__(self, k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec):
+    def __init__(self, k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None):
         if np.any(k_values < 0) or k_values[0] != k_values.min():
             raise DomainError("invalid K grid")
         self.k_values = np.asarray(k_values, dtype=float)
         self.deltas = np.asarray(deltas, dtype=float)
-        self.spec = spec
-        self.x_grid = np.linspace(0.0, spec.r_max, spec.n_r)
+        self.x_grid = np.linspace(0.0, TableSpec.r_max, TableSpec.n_r)
         self._dx = self.x_grid[1] - self.x_grid[0]
-        self._cos_nodes, self._quad_w = _trapezoid_nodes(spec.n_alpha)
+        self._cos_nodes, self._quad_w = _trapezoid_nodes(TableSpec.n_alpha)
         self.coarse_idx = _coarse_k_indices(self.k_values)
         self.coarse_k = self.k_values[self.coarse_idx]
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
-        nc, nd, nr = len(self.coarse_idx), len(self.deltas), spec.n_r
+        nc, nd, nr = len(self.coarse_idx), len(self.deltas), TableSpec.n_r
         self.log_rows = np.empty((nc, nd, nr))
         self.workers = worker_count()
 
@@ -194,17 +187,17 @@ class PdfTable:
             ag, w_fold = self._fold_weights(k)
             # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
             # each GEMM and would take the cores the row pool runs on
-            pdf_over_x[1:] = np.einsum("da,ab->db", w_fold[1:], self._kernel(ag, b, s2))
+            pdf_over_x[1:] = np.einsum("da,ab->db", w_fold, self._kernel(ag, b, s2))
         return np.log(np.maximum(pdf_over_x, 1e-300))
 
     def _fold_weights(self, k: float) -> tuple[np.ndarray, np.ndarray]:
         """Noncentrality-amplitude grid of row K > 0 and the phase-balance
-        quadrature of every Delta column folded into linear interpolation
-        weights on it, shape (len(deltas), len(grid))."""
+        quadrature of every Delta > 0 column folded into linear interpolation
+        weights on it, shape (len(deltas) - 1, len(grid))."""
         a_max = np.sqrt(2.0 * k * (1.0 + self.deltas[-1]))
-        na = max(33, int(np.ceil(a_max / self.spec.a_step)) + 1)
+        na = max(33, int(np.ceil(a_max / TableSpec.a_step)) + 1)
         ag = np.linspace(0.0, a_max, na)
-        pos = np.sqrt(2.0 * k * (1.0 + self.deltas[:, None] * self._cos_nodes)) / (ag[1] - ag[0])
+        pos = np.sqrt(2.0 * k * (1.0 + self.deltas[1:, None] * self._cos_nodes)) / (ag[1] - ag[0])
         return ag, _interp_histogram(pos, self._quad_w, na)
 
     # -- evaluation --------------------------------------------------------
@@ -212,9 +205,9 @@ class PdfTable:
     def sample_weights(self, x: np.ndarray) -> tuple[np.ndarray, float]:
         """Linear-interpolation histogram of normalized envelopes on the
         x grid, plus the cell-independent sum of ln(x_n)."""
-        if np.any(x > self.spec.r_max):
+        if np.any(x > TableSpec.r_max):
             raise DomainError("sample exceeds the table envelope range")
-        w = _interp_histogram(x[None, :] / self._dx, 1.0, self.spec.n_r)[0]
+        w = _interp_histogram(x[None, :] / self._dx, 1.0, TableSpec.n_r)[0]
         with np.errstate(divide="ignore"):
             const = float(np.sum(np.log(x)))
         return w, const
@@ -224,9 +217,9 @@ class PdfTable:
 
         Returns an array of shape (len(k_values), len(deltas)); values are
         the exact sums for the piecewise-linear tabulated density, with
-        samples above ``spec.r_max`` scored on the exact row density.
+        samples above ``TableSpec.r_max`` scored on the exact row density.
         """
-        beyond = x > self.spec.r_max
+        beyond = x > TableSpec.r_max
         x_out = np.sort(x[beyond])
         w, const = self.sample_weights(x[~beyond])
         nc, nd, nr = self.log_rows.shape
@@ -238,19 +231,19 @@ class PdfTable:
         return full + const
 
 
-_TABLE_CACHE: dict[tuple, PdfTable] = {}
+_TABLE_CACHE: dict[tuple[bytes, bytes], PdfTable] = {}
 
 
-def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec) -> PdfTable:
-    """Build-or-fetch the density table for a grid configuration."""
-    key = (round(float(k_values[0]), 12), round(float(k_values[-1]), 12),
-           len(k_values), len(deltas), spec)
+def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None) -> PdfTable:
+    """Build-or-fetch the density table of a (K, Delta) grid, keyed by the
+    bytes of its K and Delta values; `spec` is unused."""
+    key = (np.asarray(k_values, dtype=float).tobytes(), np.asarray(deltas, dtype=float).tobytes())
     if key in _TABLE_CACHE:
         log.debug("density table cache hit: %d K rows x %d Delta x %d r",
                   *_TABLE_CACHE[key].log_rows.shape)
         return _TABLE_CACHE[key]
     start = time.perf_counter()
-    tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas, spec)
+    tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas)
     log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, %.2f s on %d threads",
              *tab.log_rows.shape, tab.log_rows.nbytes / 1e6, time.perf_counter() - start,
              tab.workers)

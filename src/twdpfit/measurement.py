@@ -39,6 +39,11 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 
+def _on_sphere(azimuth, elevation):
+    """Azimuth in [0, 360) and elevation in [0, 180] degrees; False for NaN."""
+    return (0 <= azimuth) & (azimuth < 360) & (0 <= elevation) & (elevation <= 180)
+
+
 @dataclass
 class SpatialGrid:
     """Complex channel samples on a uniform spatial lattice.
@@ -60,14 +65,19 @@ class SpatialGrid:
             raise DomainError("grid must be a 4-D array (ix, iy, iz, ifreq) with dims >= 1")
         if not np.all(np.isfinite(self.h)):
             raise DomainError("grid samples must be finite")
-        if self.spacing <= 0:
-            raise DomainError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise DomainError("spacing must be positive and finite")
         if self.freq_axis is not None:
             self.freq_axis = np.asarray(self.freq_axis, dtype=float)
             if self.freq_axis.shape != (self.h.shape[3],):
                 raise DomainError("freq_axis length must match the frequency dimension")
-            if np.any(self.freq_axis <= 0):
-                raise DomainError("frequencies must be positive")
+            if not np.all((self.freq_axis > 0) & (self.freq_axis < np.inf)):
+                raise DomainError("frequencies must be positive and finite")
+        if self.direction is not None:
+            self.direction = tuple(map(float, self.direction))
+            if len(self.direction) != 2 or not _on_sphere(*self.direction):
+                raise DomainError("direction must be (azimuth in [0, 360), "
+                                  "elevation in [0, 180]) degrees")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -96,10 +106,8 @@ class DirectionalScan:
             raise DomainError("scan samples must be finite")
         if self.elevation.shape != (nd,) or self.noise_power.shape != (nd,):
             raise DomainError("per-direction arrays must have equal length")
-        if np.any((self.azimuth < 0) | (self.azimuth >= 360)):
-            raise DomainError("azimuth must lie in [0, 360)")
-        if np.any((self.elevation < 0) | (self.elevation > 180)):
-            raise DomainError("elevation must lie in [0, 180]")
+        if not np.all(_on_sphere(self.azimuth, self.elevation)):
+            raise DomainError("azimuth must lie in [0, 360) and elevation in [0, 180]")
 
     @property
     def n_directions(self) -> int:

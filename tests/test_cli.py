@@ -275,12 +275,9 @@ def test_other_errors_are_not_caught(tmp_path, monkeypatch):
         run(["fit", str(tmp_path / "env.csv"), "-o", str(tmp_path / "r.json")])
 
 
-@pytest.mark.parametrize("command, fields", [
-    ("spatial", {"freq_axis": ["x"]}), ("spatial", {"shape": [3, "3", 1, 1]}),
-    ("spatial", {"shape": [3, 3.0, 1, 1]}), ("spatial", {"direction": 5}),
-    ("scan", {"freq_axis": ["x"]}), ("scan", {"n_freq": 39.7}), ("scan", {"n_freq": "40"}),
-])
-def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
+def sidecar_input(tmp_path, command, fields, n_freq=40):
+    """A spatial grid or a directional scan file (of `n_freq` tones) whose
+    JSON sidecar has `fields` patched in."""
     rng = np.random.default_rng(4)
     if command == "spatial":
         path = tmp_path / "grid.csv"
@@ -288,17 +285,95 @@ def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
         fileio.write_grid(path, SpatialGrid(h, freq_axis=[6e10], direction=(10.0, 90.0)))
     else:
         path = tmp_path / "scan.csv"
-        samples = rng.normal(size=(2, 40)) + 1j * rng.normal(size=(2, 40))
+        samples = rng.normal(size=(2, n_freq)) + 1j * rng.normal(size=(2, n_freq))
         fileio.write_scan(path, DirectionalScan([0.0, 90.0], [90.0, 90.0], samples,
-                                                [1e-6, 1e-6], 6e10 + 1e6 * np.arange(40)))
+                                                [1e-6, 1e-6], 6e10 + 1e6 * np.arange(n_freq)))
     sidecar = path.with_suffix(".json")
     sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), **fields}))
+    return path
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("spatial", {"freq_axis": ["x"]}), ("spatial", {"shape": [3, "3", 1, 1]}),
+    ("spatial", {"shape": [3, 3.0, 1, 1]}), ("spatial", {"direction": 5}),
+    ("scan", {"freq_axis": ["x"]}), ("scan", {"n_freq": 39.7}), ("scan", {"n_freq": "40"}),
+])
+def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
+    path = sidecar_input(tmp_path, command, fields)
     out = tmp_path / "out.csv"
     assert run([command, str(path), "-o", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
     kind = "grid" if command == "spatial" else "scan"
-    assert len(err) == 1 and err[0].startswith("error: ") and f"bad {kind} header" in err[0]
+    assert f"bad {kind} header" in one_error_line(capsys)
     assert not out.exists()
+
+
+def nan_azimuth_directions():
+    return [{"azimuth": float("nan"), "elevation": 90.0, "noise_power": 1e-6},
+            {"azimuth": 90.0, "elevation": 90.0, "noise_power": 1e-6}]
+
+
+@pytest.mark.parametrize("command, fields, code", [
+    ("spatial", {"spacing": "nan"}, 3), ("spatial", {"spacing": "inf"}, 3),
+    ("spatial", {"spacing": float("nan")}, 3), ("spatial", {"freq_axis": [float("nan")]}, 3),
+    ("spatial", {"direction": [float("nan"), 90.0]}, 3), ("spatial", {"direction": [360, 90]}, 3),
+    ("spatial", {"direction": [10, 181]}, 3), ("spatial", {"direction": "abc"}, 2),
+    ("spatial", {"direction": "12"}, 2), ("spatial", {"direction": [1, 2, 3, 4]}, 2),
+    ("spatial", {"direction": ["x", 90]}, 2), ("scan", {"directions": nan_azimuth_directions()}, 3),
+])
+def test_non_finite_or_out_of_range_sidecar(tmp_path, capsys, command, fields, code):
+    # range checks that NaN passes would let spatial print "lag step nan"
+    # and scan write a nan azimuth; a scan long enough to fit otherwise
+    path = sidecar_input(tmp_path, command, fields, n_freq=1000)
+    grid = ["--k-max", "2"] if command == "scan" else []
+    assert run([command, str(path), "-o", str(tmp_path / "out.csv"), *grid]) == code
+    one_error_line(capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, path.with_suffix(".json").name]
+
+
+class TestUnreadableOrUnwritableFiles:
+    """A file that cannot be read or written ends in exit 2 with one error
+    line naming it, and leaves no temp file."""
+
+    def test_undecodable_envelope_file(self, tmp_path, capsys):
+        src = tmp_path / "env.csv"
+        src.write_bytes(b"envelope\n1.0\n\xff\xfe2.0\n")
+        assert run(["fit", str(src), "-o", str(tmp_path / "r.json")]) == 2
+        assert str(src) in one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == [src]
+
+    @pytest.mark.parametrize("fault", ["undecodable", "directory"])
+    def test_unreadable_grid_sidecar(self, tmp_path, capsys, fault):
+        path = sidecar_input(tmp_path, "spatial", {})
+        sidecar = path.with_suffix(".json")
+        if fault == "undecodable":
+            text = sidecar.read_bytes()
+            sidecar.write_bytes(text[:20] + b"\xff" + text[20:])
+        else:
+            sidecar.unlink()
+            sidecar.mkdir()
+        out = tmp_path / "corr.csv"
+        assert run(["spatial", str(path), "-o", str(out)]) == 2
+        assert str(sidecar) in one_error_line(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["missing_dir/out.csv", "existing_dir"])
+    @pytest.mark.parametrize("command", ["fit", "ber"])
+    def test_unwritable_output(self, tmp_path, capsys, command, target):
+        src = tmp_path / "env.csv"
+        fileio.write_envelopes(src, sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 5).envelopes)
+        (tmp_path / "existing_dir").mkdir()
+        out = tmp_path / target
+        argv = (["fit", str(src), "--k-max", "2"] if command == "fit" else
+                ["ber", "--k", "3", "--snr-db", "0", "--n-symbols", "10000"])
+        assert run([*argv, "-o", str(out)]) == 2
+        assert str(tmp_path / target.split("/")[0]) in one_error_line(capsys)
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:

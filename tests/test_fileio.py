@@ -6,6 +6,7 @@ import stat
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from twdpfit import (
     DirectionalScan,
@@ -524,3 +525,105 @@ class TestAtomicity:
         finally:
             os.umask(old)
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+AZIMUTH = st.floats(0.0, 360.0, exclude_max=True)
+ELEVATION = st.floats(0.0, 180.0)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def complex_array(draw, shape) -> np.ndarray:
+    """Complex array whose real and imaginary parts are drawn bit for bit."""
+    n = int(np.prod(shape))
+    out = np.empty(n, dtype=complex)
+    out.real = draw(st.lists(FINITE, min_size=n, max_size=n))
+    out.imag = draw(st.lists(FINITE, min_size=n, max_size=n))
+    return out.reshape(shape)
+
+
+def optional_axis(draw, n):
+    return draw(st.none() | st.lists(POSITIVE, min_size=n, max_size=n).map(np.array))
+
+
+@st.composite
+def spatial_grids(draw):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    return SpatialGrid(complex_array(draw, shape), spacing=draw(POSITIVE),
+                       freq_axis=optional_axis(draw, shape[3]),
+                       direction=draw(st.none() | st.tuples(AZIMUTH, ELEVATION)))
+
+
+@st.composite
+def directional_scans(draw):
+    n_dir, n_freq = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def per_dir(values):
+        return draw(st.lists(values, min_size=n_dir, max_size=n_dir))
+
+    return DirectionalScan(per_dir(AZIMUTH), per_dir(ELEVATION),
+                           complex_array(draw, (n_dir, n_freq)),
+                           per_dir(st.floats(0.0, 1e300)), optional_axis(draw, n_freq))
+
+
+@st.composite
+def fit_reports(draw):
+    def model_fit(model):
+        return ModelFit(model, draw(st.floats(0.0, 1e4)), draw(st.floats(0.0, 1.0)),
+                        draw(FINITE), draw(FINITE), draw(st.booleans()))
+
+    counts = st.integers(1, 10 ** 9)
+    k_min = draw(st.floats(0.0, 100.0))
+    grid = GridConfig(k_min=k_min, k_max=k_min + draw(st.floats(1e-3, 100.0)),
+                      k_step=draw(st.floats(1e-6, 10.0)), delta_step=draw(st.floats(1e-3, 1.0)))
+    gtest = GTestResult(draw(FINITE), draw(counts), draw(FINITE),
+                        draw(st.sampled_from(["accepted", "rejected"])), draw(counts),
+                        draw(FINITE), draw(counts))
+    return FitReport(draw(POSITIVE), draw(counts), draw(counts), model_fit("rice"),
+                     model_fit("twdp"), draw(st.sampled_from(["rice", "twdp"])), gtest, grid)
+
+
+class TestRoundTripProperties:
+    """Each file format reads back exactly what was written."""
+
+    @given(values=st.lists(st.floats(0.0, 1e300), min_size=1, max_size=40))
+    @example(values=[0.0, 5e-324, 2.2250738585072014e-308, 1e300])
+    @settings(max_examples=25, deadline=None)
+    def test_envelopes(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("envelopes") / "env.csv"
+        fileio.write_envelopes(path, values)
+        assert same_bits(fileio.read_envelopes(path), np.array(values, dtype=float))
+
+    @given(grid=spatial_grids())
+    @settings(max_examples=25, deadline=None)
+    def test_grid(self, tmp_path_factory, grid):
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        fileio.write_grid(path, grid)
+        back = fileio.read_grid(path)
+        assert same_bits(back.h, grid.h) and same_bits(back.spacing, grid.spacing)
+        assert (back.freq_axis is None) == (grid.freq_axis is None)
+        assert grid.freq_axis is None or same_bits(back.freq_axis, grid.freq_axis)
+        assert back.direction == grid.direction
+
+    @given(scan=directional_scans())
+    @settings(max_examples=25, deadline=None)
+    def test_scan(self, tmp_path_factory, scan):
+        path = tmp_path_factory.mktemp("scan") / "scan.csv"
+        fileio.write_scan(path, scan)
+        back = fileio.read_scan(path)
+        for name in ("azimuth", "elevation", "samples", "noise_power"):
+            assert same_bits(getattr(back, name), getattr(scan, name)), name
+        assert (back.freq_axis is None) == (scan.freq_axis is None)
+        assert scan.freq_axis is None or same_bits(back.freq_axis, scan.freq_axis)
+
+    @given(report=fit_reports())
+    @settings(max_examples=25, deadline=None)
+    def test_report(self, tmp_path_factory, report):
+        path = tmp_path_factory.mktemp("report") / "report.json"
+        fileio.write_report(path, report)
+        assert fileio.read_report(path) == report

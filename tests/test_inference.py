@@ -52,7 +52,7 @@ HIGH_K_CORPUS = [(k, d, 73000 + 3 * i + j)
 def high_k_table():
     """Four exactly tabulated rows whose kernel bands do not cover the
     envelope axis."""
-    return PdfTable(np.array([50.0, 200.0, 500.0, 1000.0]), SMALL_GRID.delta_values, TableSpec())
+    return PdfTable(np.array([50.0, 200.0, 500.0, 1000.0]), SMALL_GRID.delta_values)
 
 
 def make_set(k, delta, n_total, seed, omega=1.0, stride=10):
@@ -262,7 +262,7 @@ class TestMlFit:
 class TestTableAccuracy:
     def test_log_density_matches_quadrature(self):
         grid = SMALL_GRID
-        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        table = get_table(grid.k_values, grid.delta_values)
         rng = np.random.default_rng(3)
         x = np.linspace(0.05, 2.5, 40)
         worst = 0.0
@@ -287,7 +287,7 @@ class TestTableAccuracy:
         # density), so the check stops there; K = 0 has the closed Rayleigh
         # form everywhere.
         grid = SMALL_GRID
-        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        table = get_table(grid.k_values, grid.delta_values)
         x = np.concatenate([np.linspace(4.02, 4.6, 8), np.linspace(5.0, 8.0, 4)])
         worst, checked = 0.0, 0
         for k in (0.0, 0.05, 0.3, 1.0, 1.55):
@@ -305,7 +305,7 @@ class TestTableAccuracy:
         assert worst < 1.5e-2
 
     def test_row_on_grid_nodes_matches_stored_rows(self, high_k_table):
-        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         nodes = np.array([0, 1, 257, 700, 1023])
         for table in (small, high_k_table):
             for i in range(0, len(table.coarse_k), 7):
@@ -321,7 +321,7 @@ class TestTableAccuracy:
         def full_kernel(self, a, b, s2):
             return s2 * special.i0e(a[:, None] * b) * np.exp(-0.5 * (a[:, None] - b) ** 2)
 
-        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         monkeypatch.setattr(PdfTable, "_kernel", full_kernel)
         for table in (small, high_k_table):
             for i in range(0, len(table.coarse_k), 3):
@@ -332,7 +332,7 @@ class TestTableAccuracy:
         # at 30 root powers the density of every row underflows to 0; the
         # K = 0 row must floor like the others, or the Lagrange step turns
         # its -inf into NaN next to it and the fit fails
-        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         assert np.all(np.isfinite(table.loglik_surface(np.array([1.0, 30.0]))))
         values = np.concatenate([np.full(40, 1.0), [1.0, 30.0]])
         mask = np.zeros(42, bool)
@@ -342,7 +342,7 @@ class TestTableAccuracy:
 
     def test_in_range_surface_is_the_histogram_product(self):
         grid = SMALL_GRID
-        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        table = get_table(grid.k_values, grid.delta_values)
         x = make_set(10.0, 0.9, 10 ** 4, 5).fit_values
         x = 3.99 * x / x.max()
         w, const = table.sample_weights(x)
@@ -351,13 +351,21 @@ class TestTableAccuracy:
         want = np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
         assert np.array_equal(table.loglik_surface(x), want)
 
+    def test_zero_sample_scores_minus_infinity_without_warning(self):
+        # ln(0) is the exact score of a zero envelope; the pytest
+        # configuration turns a divide-by-zero warning into a failure
+        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
+        w, const = table.sample_weights(np.array([0.0, 1.0]))
+        assert const == -np.inf
+        assert w.sum() == pytest.approx(2.0)
+
     def test_short_grid_tabulates_every_row(self):
         # a 3- or 5-point grid above K = 20 spans less than one 0.4 coarse
         # step: too few rows for the 4-point stencil, so every K is exact
         x = make_set(20.0, 0.0, 10 ** 4, 11).fit_values
         for k_max in (20.1, 20.2):
             grid = GridConfig(k_min=20.0, k_max=k_max, k_step=0.05)
-            table = get_table(grid.k_values, grid.delta_values, TableSpec())
+            table = get_table(grid.k_values, grid.delta_values)
             assert np.array_equal(table.coarse_k, grid.k_values)
             w, const = table.sample_weights(x)
             want = table.log_rows @ w + const
@@ -423,7 +431,7 @@ class TestRowPlacement:
         # readout of the narrow high-K density on the x grid sets it, and
         # interpolating between rows 0.02 K apart moves it by < 1e-7.
         grid = GridConfig()
-        table = get_table(grid.k_values, grid.delta_values, TableSpec())
+        table = get_table(grid.k_values, grid.delta_values)
         x = make_set(k, delta, 10 ** 5, seed).fit_values
         ki = int(np.searchsorted(grid.k_values, k))
         di = int(np.searchsorted(grid.delta_values, delta))
@@ -437,7 +445,7 @@ class TestTablePool:
         return np.array([table._build_row(k, table.x_grid) for k in table.coarse_k])
 
     def test_pooled_rows_equal_main_thread_rows(self):
-        table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+        table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values)
         assert table.workers == pool.worker_count()
         assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
 
@@ -449,7 +457,7 @@ class TestTablePool:
         sys.setswitchinterval(1e-6)
         try:
             start = time.perf_counter()
-            table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+            table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values)
             elapsed = time.perf_counter() - start
         finally:
             sys.setswitchinterval(interval)
@@ -460,7 +468,7 @@ class TestTablePool:
     def test_fold_matches_blas_reference(self, high_k_table):
         # the fold sums in numpy's loop order, not OpenBLAS's; the parent
         # form (per-Delta np.add.at weights, GEMM) stays the reference
-        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values, TableSpec())
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         for table in (small, high_k_table):
             for k in table.coarse_k[1::4]:
                 ag, w_fold = table._fold_weights(k)
@@ -472,7 +480,8 @@ class TestTablePool:
                     frac = pos - i0
                     np.add.at(ref_w[di], i0, table._quad_w * (1.0 - frac))
                     np.add.at(ref_w[di], i0 + 1, table._quad_w * frac)
-                assert np.array_equal(w_fold, ref_w)
+                # Delta = 0 is the single kernel, so only Delta > 0 is folded
+                assert np.array_equal(w_fold, ref_w[1:])
                 s2 = 2.0 * (1.0 + k)
                 kern = table._kernel(ag, table.x_grid * np.sqrt(s2), s2)
                 ref = np.log(np.maximum(ref_w @ kern, 1e-300))
@@ -490,7 +499,7 @@ class TestTablePool:
 
         monkeypatch.setattr(PdfTable, "_build_row", failing_row)
         with pytest.raises(FloatingPointError, match="row failed"):
-            get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+            get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         assert likelihood._TABLE_CACHE == {}
 
 
@@ -505,11 +514,33 @@ class TestTableCache:
             assert np.isfinite(twdp.loglik)
         assert len(likelihood._TABLE_CACHE) == 1
 
+    def test_grids_with_equal_sizes_get_their_own_tables(self, monkeypatch):
+        # 21 Delta columns either way, 0.048 or 0.05 apart: a key without
+        # the Delta values gives the second 0.048 fit the 0.05 table
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        es = make_set(10.0, 0.9, 10 ** 4, 3)
+        grid, other = GridConfig(k_max=30.0, delta_step=0.048), GridConfig(k_max=30.0)
+        assert len(grid.delta_values) == len(other.delta_values)
+        fresh = fit_envelopes(es, grid)
+        likelihood.clear_table_cache()
+        fit_envelopes(es, other)
+        assert fit_envelopes(es, grid) == fresh
+        assert len(likelihood._TABLE_CACHE) == 2
+
+    def test_spec_argument_changes_nothing(self, monkeypatch):
+        # the benchmark's warm worker still passes TableSpec() positionally
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
+        assert get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec()) is table
+        assert table.log_rows.shape[2] == TableSpec.n_r
+        with pytest.raises(TypeError):
+            TableSpec(n_r=512)
+
     def test_misses_and_hits_are_logged(self, monkeypatch, caplog):
         monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
         caplog.set_level(logging.DEBUG, logger="twdpfit.likelihood")
         for _ in range(2):
-            get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec())
+            get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
         assert "built: 41 K rows x 21 Delta x 1024 r, 7.1 MB" in miss.getMessage()

@@ -27,7 +27,7 @@ from twdpfit import (
     synth_field,
     tap_envelopes,
 )
-from twdpfit.measurement import SPEED_OF_LIGHT, _spectral_upsample, _windowed_corr
+from twdpfit.measurement import SPEED_OF_LIGHT, SpatialGrid, _spectral_upsample, _windowed_corr
 
 
 def direct_corr_oracle(field: np.ndarray) -> np.ndarray:
@@ -114,6 +114,30 @@ class TestNoiseMaskAndPower:
         out = power_map(scan)
         assert np.nanargmax(out) == 5  # 150 degrees
         assert out[5] == 1.0
+
+
+class TestNonFiniteMetadata:
+    """Range checks written so that NaN fails them too."""
+
+    @pytest.mark.parametrize("fields", [
+        {"spacing": np.nan}, {"spacing": np.inf}, {"freq_axis": [np.nan]},
+        {"freq_axis": [np.inf]}, {"direction": (np.nan, 90.0)}, {"direction": (10.0, np.inf)},
+        {"direction": (360.0, 90.0)}, {"direction": (10.0, 180.5)}, {"direction": (-1.0, 0.0)},
+        {"direction": (1.0, 2.0, 3.0)}])
+    def test_grid_rejects(self, fields):
+        with pytest.raises(DomainError):
+            SpatialGrid(np.ones((2, 2, 1, 1)), **fields)
+
+    def test_grid_direction_becomes_a_float_pair(self):
+        grid = SpatialGrid(np.ones((2, 2, 1, 1)), direction=[0, 180])
+        assert grid.direction == (0.0, 180.0)
+        assert all(type(v) is float for v in grid.direction)
+
+    @pytest.mark.parametrize("azimuth, elevation", [
+        (np.nan, 90.0), (10.0, np.nan), (np.inf, 90.0), (10.0, -np.inf)])
+    def test_scan_rejects(self, azimuth, elevation):
+        with pytest.raises(DomainError, match="azimuth must lie"):
+            DirectionalScan([0.0, azimuth], [90.0, elevation], np.ones((2, 4)), [1e-6, 1e-6])
 
 
 class TestAutocorr2d:
