@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: fit, scan, spatial, ber, synth. All outputs are deterministic
-given identical inputs and seeds, and all files are written atomically.
+given identical inputs and seeds, and all files are written atomically. A
+command that fails leaves none of its output files.
 
 Exit codes: 0 success, 2 input/parse error or a file that cannot be read or
 written, 3 domain/estimation error, 4 internal numerical error. The only
@@ -88,9 +89,11 @@ def _cmd_fit(args) -> int:
     env_set = partition_stride(values, args.stride)
     report = fit_envelopes(env_set, grid=_grid_from_args(args),
                            alpha=args.alpha, per_cell=args.per_cell)
-    fileio.write_report(args.output, report)
+    writes = [(fileio.write_report, args.output, report)]
     if args.overlay:
-        fileio.write_overlay(args.overlay, _overlay_table(report, env_set.fit_values))
+        writes.append((fileio.write_overlay, args.overlay,
+                       _overlay_table(report, env_set.fit_values)))
+    fileio.write_together(*writes)
     _print_report(report)
     return 0
 
@@ -115,9 +118,10 @@ def _cmd_scan(args) -> int:
         records.append({"azimuth": az, "elevation": el, "marker": marker, "report": doc})
         rows.append(f"{az!r},{el!r},{float(power[i])!r},{marker}")   # NaN when masked
     prefix = Path(args.out_prefix)
-    fileio.write_text_atomic(prefix.with_suffix(".power.csv"), "\n".join(rows) + "\n")
-    fileio.write_json(prefix.with_suffix(".fits.json"),
-                      {"kind": "scan_fits", "directions": records})
+    fileio.write_together(
+        (fileio.write_text_atomic, prefix.with_suffix(".power.csv"), "\n".join(rows) + "\n"),
+        (fileio.write_json, prefix.with_suffix(".fits.json"),
+         {"kind": "scan_fits", "directions": records}))
     evaluated = int(mask.sum())
     print(f"{evaluated}/{scan.n_directions} directions evaluated; "
           f"outputs at {prefix.with_suffix('.power.csv')} and {prefix.with_suffix('.fits.json')}")

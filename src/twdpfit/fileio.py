@@ -16,7 +16,9 @@ Formats (all plain text, byte-order independent):
 * BER curve: CSV (snr_db, ber) plus a JSON metadata sidecar.
 
 All writes are atomic (temp file + rename in the target directory), and
-every JSON file has one layout (``write_json``).
+every JSON file has one layout (``write_json``). A writer of two files, or a
+command that writes several, renders them all first and writes them with
+``write_together``: a failed write removes the files written before it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "write_text_atomic",
     "write_json",
+    "write_together",
     "read_envelopes",
     "write_envelopes",
     "read_grid",
@@ -148,12 +151,27 @@ def write_json(path: str | Path, doc: dict) -> None:
     write_text_atomic(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_csv(path: str | Path, matrix, header: str | None = None) -> None:
+def write_together(*writes) -> None:
+    """Call writer(path, value) for each (writer, path, value) in order. If
+    one raises, remove the files that the ones before it wrote and re-raise,
+    so the set is written whole or not at all."""
+    done = []
+    try:
+        for writer, path, value in writes:
+            writer(path, value)
+            done.append(path)
+    except BaseException:
+        for path in done:
+            Path(path).unlink(missing_ok=True)
+        raise
+
+
+def _csv_text(matrix, header: str | None = None) -> str:
     """One CSV row per matrix row, each value as the repr of its float,
     under an optional header line."""
     rows = [] if header is None else [header]
     rows += [",".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist()]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    return "\n".join(rows) + "\n"
 
 
 def _sidecar(path: str | Path) -> Path:
@@ -162,12 +180,12 @@ def _sidecar(path: str | Path) -> Path:
 
 def _write_indexed(path: str | Path, header: dict, arr: np.ndarray, columns: str) -> None:
     """JSON header sidecar, then one CSV row of indices, re and im per entry."""
-    write_json(_sidecar(path), header)
     fmt = ",".join(["%d"] * arr.ndim) + ",%r,%r"
     flat = arr.ravel()
     rows = [columns] + [fmt % (*idx, re, im) for idx, re, im in
                         zip(np.ndindex(arr.shape), flat.real.tolist(), flat.imag.tolist())]
-    write_text_atomic(path, "\n".join(rows) + "\n")
+    write_together((write_json, _sidecar(path), header),
+                   (write_text_atomic, path, "\n".join(rows) + "\n"))
 
 
 def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarray:
@@ -382,28 +400,27 @@ def read_report(path: str | Path) -> FitReport:
 
 def write_overlay(path: str | Path, table: dict[str, np.ndarray]) -> None:
     """CDF overlay table: column name -> column values, equal lengths."""
-    _write_csv(path, np.column_stack(list(table.values())), ",".join(table))
+    write_text_atomic(path, _csv_text(np.column_stack(list(table.values())), ",".join(table)))
 
 
 def write_correlation_map(path: str | Path, cmap: CorrelationMap) -> None:
-    write_json(_sidecar(path), {
+    write_together((write_json, _sidecar(path), {
         "kind": "correlation_map",
         "lag_unit": "wavelengths",
         "lag_x": list(map(float, cmap.lag_x)),
         "lag_y": list(map(float, cmap.lag_y)),
         "cut_x": list(map(float, cmap.cut_x)),
         "cut_y": list(map(float, cmap.cut_y)),
-    })
-    _write_csv(path, cmap.values)
+    }), (write_text_atomic, path, _csv_text(cmap.values)))
 
 
 def write_ber_curve(path: str | Path, curve: BerCurve) -> None:
-    write_json(_sidecar(path), {
+    write_together((write_json, _sidecar(path), {
         "kind": "ber_curve",
         "k": curve.params.k,
         "delta": curve.params.delta,
         "omega": curve.params.omega,
         "n_symbols": curve.n_symbols,
         "seed": curve.seed,
-    })
-    _write_csv(path, np.column_stack([curve.snr_db, curve.ber]), "snr_db,ber")
+    }), (write_text_atomic, path, _csv_text(np.column_stack([curve.snr_db, curve.ber]),
+                                            "snr_db,ber")))

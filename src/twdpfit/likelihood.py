@@ -9,42 +9,53 @@ product against a per-dataset weight vector:
   dataset.
 * The TWDP density is a mixture over the specular phase balance of Rician
   kernels (``fading._rice_kernel``). Per tabulated K row, the kernel is
-  evaluated on a uniform grid of noncentrality amplitudes (skipping entries
-  that underflow to exactly 0) and the fixed n_alpha-node trapezoid rule is
-  folded into linear interpolation weights on that grid, giving the density
-  of every Delta column from one kernel matrix. The rule does not double
-  like ``twdp_pdf``'s: on a piecewise-linear a-grid it does not converge
-  spectrally, so the a-grid sets the accuracy.
+  evaluated on a uniform grid of noncentrality amplitudes, at most 0.125
+  apart (skipping entries that underflow to exactly 0), and the fixed
+  n_alpha-node trapezoid rule is folded into cubic-convolution weights on
+  that grid (Keys 1981, a = -0.5), giving the density of every Delta column
+  from one kernel matrix. The kernel is even in the amplitude, so the tap
+  below 0 reflects onto node 1, and 2 guard nodes lie above the top.
+* A node of the fold sits at (na - 1) sqrt((1 + Delta cos alpha) /
+  (1 + max Delta)) on a grid of na nodes, whatever K, so the fold weights
+  are built once per node count before the rows (57 counts for the 153
+  rows up to K = 30, 0.57 MB; 235 for the default grid's 332 rows,
+  7.5 MB) and every row with that count reads the same array.
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
   the build runs them on the package's one thread pool (``pool``), with
   one worker per usable CPU, as the BER Monte Carlo runs its SNR points.
   The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
   threads busy-wait after each GEMM and would take the cores the pool runs
-  on. Its summation order differs from OpenBLAS's by <= 1.2e-13 in ln;
-  the table is the same on every build.
-* ln(pdf(x)/x) is stored on a uniform envelope grid (the division by x
-  removes the r -> 0 log singularity, so interpolation stays accurate down
-  to x = 0).
+  on. Its summation order differs from OpenBLAS's by <= 1e-12 in ln where
+  the density is above e^-150 (the signed cubic taps cancel below); the
+  table is the same on every build.
+* ln(pdf(x)/x) is stored on a uniform envelope grid of 512 nodes up to
+  r_max = 4 and 2 guard nodes above it (the division by x removes the
+  r -> 0 log singularity and makes the function even in x, so the readout
+  reflects at 0 as the fold does).
 * Rows are tabulated exactly on a K subgrid: every grid step below K = 2,
   0.2 apart up to K = 20 and 2 % of K apart above, which holds the
   density-weighted interpolation error at its K = 20 level. 4-point Lagrange
   interpolation between rows commutes with the inner product against the
   data weights, so it applies to per-cell log-likelihoods as to rows.
-* For a dataset, sum_n L(x_n) of the piecewise-linear interpolant of the
+* For a dataset, sum_n L(x_n) of the cubic-convolution interpolant of the
   tabulated L equals a weighted histogram of the samples dotted with the
   table row, so the whole grid evaluates as one GEMV. Samples above r_max
   (spikes) add their exact row density at every tabulated K row instead,
-  so the table never grows.
+  so the table never grows: the phase-balance quadrature of the exact
+  kernel, converged per row, since so far out the kernel is too steep in
+  the amplitude for the fold. A spike costs no fold weights.
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
-rows, 57 MB) builds in 2-4 s on 2 cores, after which each fit takes well
-under a second. Builds are logged at info level, cache hits at debug.
+rows, 28.7 MB) builds in about 1 s on 2 cores, after which each fit takes
+well under a second. Builds are logged at info level with the table's and
+the fold weights' bytes, cache hits at debug.
 
-Accuracy of the tabulated log-density against the directly quadratured
-density is ~2e-3 absolute in ln where the density is non-negligible
-(pinned by tests); the induced distortion of the likelihood surface varies
-smoothly across neighbouring cells and is far below the grid resolution.
+Accuracy of the tabulated log-density against the exact ``twdp_pdf``, read
+back through the cubic readout and the K stencil (pinned by tests): within
+6e-3 in ln wherever ln pdf > -20 for K 1-100 and every Delta, and 5e-7 per
+sample at the truth cell for K 50-800. Spikes match ``twdp_pdf`` to ~1e-12
+down to the 1e-300 floor.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ import time
 import numpy as np
 
 from .errors import DomainError
-from .fading import _rice_kernel, _trapezoid_nodes
+from .fading import _log_rice_kernel, _phase_average, _rice_kernel, _trapezoid_nodes
 from .pool import run_in_order, worker_count
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
@@ -65,6 +76,8 @@ log = logging.getLogger(__name__)
 # exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; blocks of _BLOCK a-nodes
 # evaluate the kernel only on the union of their bands |a - b| <= _BAND
 _BAND, _BLOCK = 38.61, 64
+# every stored or scored ln(pdf/x) is at least ln(1e-300)
+_LOG_FLOOR = np.log(1e-300)
 
 
 class TableSpec:
@@ -73,9 +86,9 @@ class TableSpec:
     ``get_table``; once that call goes, the class can go too."""
 
     r_max = 4.0         # envelope grid upper edge, in sqrt(omega) units
-    n_r = 1024          # envelope grid points
+    n_r = 512           # envelope grid points up to r_max; 2 guard nodes lie above
     n_alpha = 2048      # trapezoid nodes of the phase-balance quadrature
-    a_step = 0.0625     # noncentrality-amplitude grid step per K row
+    a_step = 0.125      # largest noncentrality-amplitude grid step per K row
 
 
 def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
@@ -102,16 +115,25 @@ def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
 
 
 def _interp_histogram(pos: np.ndarray, weight, n: int) -> np.ndarray:
-    """Linear-interpolation histograms on n unit-spaced nodes, one per row of
-    `pos` (positions in node steps). Every lower share of `weight` is added
-    before every upper one, so each node sums in one fixed order."""
-    i0 = np.clip(pos.astype(np.int64), 0, n - 2)
-    frac = pos - i0
-    bins = (np.arange(len(pos))[:, None] * n + i0).ravel()
-    w = np.zeros(len(pos) * n)
-    np.add.at(w, bins, (weight * (1.0 - frac)).ravel())
-    np.add.at(w, bins + 1, (weight * frac).ravel())
-    return w.reshape(len(pos), n)
+    """Cubic-convolution histograms (Keys, a = -0.5) on n unit-spaced nodes,
+    one per row of `pos` (positions in node steps, at most n - 3): dotted
+    with node values, a row gives the sum of the cubic interpolant at its
+    positions. The function read back is even about node 0, so tap -1
+    reflects onto node 1; the last two nodes are guards above the highest
+    position. Each node adds its shares in one fixed order: every tap -1
+    share, then tap 0, 1 and 2."""
+    i = pos.astype(np.int64)
+    t = pos - i
+    t2 = t * t
+    t3 = t2 * t
+    taps = (-0.5 * t3 + t2 - 0.5 * t, 1.5 * t3 - 2.5 * t2 + 1.0,
+            -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
+    row = np.arange(len(pos))[:, None] * n
+    hist = np.zeros(len(pos) * n)
+    for j, tap in zip((-1, 0, 1, 2), taps):
+        # faster than one np.bincount over all four taps (numpy 2.4)
+        np.add.at(hist, (row + np.abs(i + j)).ravel(), (weight * tap).ravel())
+    return hist.reshape(len(pos), n)
 
 
 def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,20 +160,29 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
 
 
 class PdfTable:
-    """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid; `spec` is unused."""
+    """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid, whose Deltas
+    start at 0 and lie in [0, 1]; `spec` is unused."""
 
     def __init__(self, k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None):
         if np.any(k_values < 0) or k_values[0] != k_values.min():
             raise DomainError("invalid K grid")
         self.k_values = np.asarray(k_values, dtype=float)
         self.deltas = np.asarray(deltas, dtype=float)
-        self.x_grid = np.linspace(0.0, TableSpec.r_max, TableSpec.n_r)
-        self._dx = self.x_grid[1] - self.x_grid[0]
+        # the first column is tabulated as the single Delta = 0 kernel, and
+        # 1 + Delta cos(alpha) must not go negative
+        if self.deltas[0] != 0.0 or np.any((self.deltas < 0.0) | (self.deltas > 1.0)):
+            raise DomainError("invalid Delta grid: it must start at 0 and lie in [0, 1]")
+        self._dx = TableSpec.r_max / (TableSpec.n_r - 1)
+        self.x_grid = np.arange(TableSpec.n_r + 2) * self._dx
         self._cos_nodes, self._quad_w = _trapezoid_nodes(TableSpec.n_alpha)
         self.coarse_idx = _coarse_k_indices(self.k_values)
         self.coarse_k = self.k_values[self.coarse_idx]
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
-        nc, nd, nr = len(self.coarse_idx), len(self.deltas), TableSpec.n_r
+        # one fold matrix per amplitude node count, shared by every row (and
+        # every spiked surface) with that count; pool threads only read them
+        counts = {len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0}
+        self.folds = {n: self._fold_weights(n) for n in sorted(counts)}
+        nc, nd, nr = len(self.coarse_idx), len(self.deltas), len(self.x_grid)
         self.log_rows = np.empty((nc, nd, nr))
         self.workers = worker_count()
 
@@ -184,30 +215,61 @@ class PdfTable:
         single = self._kernel(np.full(1, np.sqrt(2.0 * k)), b, s2)
         pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
         if k > 0.0:
-            ag, w_fold = self._fold_weights(k)
+            ag = self._amplitude_grid(k)
             # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
             # each GEMM and would take the cores the row pool runs on
-            pdf_over_x[1:] = np.einsum("da,ab->db", w_fold, self._kernel(ag, b, s2))
+            pdf_over_x[1:] = np.einsum("da,ab->db", self.folds[len(ag)], self._kernel(ag, b, s2))
         return np.log(np.maximum(pdf_over_x, 1e-300))
 
-    def _fold_weights(self, k: float) -> tuple[np.ndarray, np.ndarray]:
-        """Noncentrality-amplitude grid of row K > 0 and the phase-balance
-        quadrature of every Delta > 0 column folded into linear interpolation
-        weights on it, shape (len(deltas) - 1, len(grid))."""
-        a_max = np.sqrt(2.0 * k * (1.0 + self.deltas[-1]))
+    def _amplitude_grid(self, k: float) -> np.ndarray:
+        """Noncentrality amplitudes of row K > 0: na nodes from 0 to
+        sqrt(2K(1 + max Delta)), at most a_step apart, then 2 guard nodes."""
+        a_max = np.sqrt(2.0 * k * (1.0 + self.deltas.max()))
         na = max(33, int(np.ceil(a_max / TableSpec.a_step)) + 1)
-        ag = np.linspace(0.0, a_max, na)
-        pos = np.sqrt(2.0 * k * (1.0 + self.deltas[1:, None] * self._cos_nodes)) / (ag[1] - ag[0])
-        return ag, _interp_histogram(pos, self._quad_w, na)
+        return np.arange(na + 2) * (a_max / (na - 1))
+
+    def _fold_weights(self, n: int) -> np.ndarray:
+        """The phase-balance quadrature of every Delta > 0 column folded into
+        cubic interpolation weights on an n-node amplitude grid, shape
+        (len(deltas) - 1, n). The node of sqrt(2K(1 + Delta cos alpha)) is
+        (n - 3) sqrt((1 + Delta cos alpha) / (1 + max Delta)), whatever K."""
+        pos = (n - 3) * np.sqrt((1.0 + self.deltas[1:, None] * self._cos_nodes)
+                                / (1.0 + self.deltas.max()))
+        return _interp_histogram(pos, self._quad_w, n)
+
+    def _spike_row(self, k: float, x: np.ndarray) -> np.ndarray:
+        """ln(pdf(x)/x) at envelopes `x` above r_max, for every Delta column
+        of row K, by the converged phase-balance quadrature of the exact
+        kernel. The fold cannot serve them: there the kernel grows by a
+        factor of e^((b - a) da) from one amplitude node to the next, and
+        the cubic taps' negative weights turn that into errors of tens in
+        ln. For x > r_max, b = x sqrt(2(1 + K)) lies above every amplitude,
+        so each integrand peaks at alpha = 0, a node of every rule: scaled
+        to 1 there, it converges to an absolute bound and never underflows.
+        Entries whose peak is below the 1e-300 floor stay at the floor, and
+        spikes go in blocks of _BLOCK, which bounds the memory."""
+        s2 = 2.0 * (1.0 + k)
+        d = self.deltas[:, None]
+        b = x * np.sqrt(s2)
+        peak = _log_rice_kernel(np.sqrt(2.0 * k * (1.0 + d)), b)             # (nd, m)
+        out = np.full(peak.shape, _LOG_FLOOR)
+        live = np.nonzero(np.log(s2) + peak.max(axis=0) > _LOG_FLOOR)[0]
+        for i in range(0, len(live), _BLOCK):
+            j = live[i:i + _BLOCK]
+            mean = _phase_average(
+                lambda a: np.exp(_log_rice_kernel(a[:, None, :], b[j, None]) - peak[:, j, None])
+                .reshape(-1, a.shape[-1]), k, d)
+            out[:, j] = np.log(s2) + peak[:, j] + np.log(mean.reshape(len(d), len(j)))
+        return np.maximum(out, _LOG_FLOOR)
 
     # -- evaluation --------------------------------------------------------
 
     def sample_weights(self, x: np.ndarray) -> tuple[np.ndarray, float]:
-        """Linear-interpolation histogram of normalized envelopes on the
-        x grid, plus the cell-independent sum of ln(x_n)."""
+        """Cubic-convolution histogram of normalized envelopes on the x grid,
+        plus the cell-independent sum of ln(x_n)."""
         if np.any(x > TableSpec.r_max):
             raise DomainError("sample exceeds the table envelope range")
-        w = _interp_histogram(x[None, :] / self._dx, 1.0, TableSpec.n_r)[0]
+        w = _interp_histogram(x[None, :] / self._dx, 1.0, len(self.x_grid))[0]
         with np.errstate(divide="ignore"):
             const = float(np.sum(np.log(x)))
         return w, const
@@ -216,7 +278,7 @@ class PdfTable:
         """Log-likelihood of normalized envelopes at every (K, Delta) cell.
 
         Returns an array of shape (len(k_values), len(deltas)); values are
-        the exact sums for the piecewise-linear tabulated density, with
+        the exact sums for the piecewise-cubic tabulated density, with
         samples above ``TableSpec.r_max`` scored on the exact row density.
         """
         beyond = x > TableSpec.r_max
@@ -225,7 +287,7 @@ class PdfTable:
         nc, nd, nr = self.log_rows.shape
         coarse = (self.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd)
         if len(x_out):
-            coarse += np.array([self._build_row(k, x_out).sum(axis=1) for k in self.coarse_k])
+            coarse += np.array([self._spike_row(k, x_out).sum(axis=1) for k in self.coarse_k])
             const += float(np.sum(np.log(x_out)))
         full = np.einsum("fj,fjd->fd", self._interp_w, coarse[self._interp_idx])
         return full + const
@@ -244,8 +306,9 @@ def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None =
         return _TABLE_CACHE[key]
     start = time.perf_counter()
     tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas)
-    log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, %.2f s on %d threads",
-             *tab.log_rows.shape, tab.log_rows.nbytes / 1e6, time.perf_counter() - start,
+    log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, fold weights %.2f MB, "
+             "%.2f s on %d threads", *tab.log_rows.shape, tab.log_rows.nbytes / 1e6,
+             sum(w.nbytes for w in tab.folds.values()) / 1e6, time.perf_counter() - start,
              tab.workers)
     return tab
 

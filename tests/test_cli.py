@@ -373,7 +373,29 @@ class TestUnreadableOrUnwritableFiles:
                 ["ber", "--k", "3", "--snr-db", "0", "--n-symbols", "10000"])
         assert run([*argv, "-o", str(out)]) == 2
         assert str(tmp_path / target.split("/")[0]) in one_error_line(capsys)
-        assert list(tmp_path.rglob("*.tmp")) == []
+        # ber writes its sidecar before the CSV: a failed CSV removes it
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["env.csv", "existing_dir"]
+
+    @pytest.mark.parametrize("target", ["missing_dir/o.csv", "existing_dir"])
+    def test_unwritable_overlay_leaves_no_report(self, tmp_path, capsys, target):
+        src = tmp_path / "env.csv"
+        fileio.write_envelopes(src, sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 5).envelopes)
+        (tmp_path / "existing_dir").mkdir()
+        out = tmp_path / "r.json"
+        argv = ["fit", str(src), "--k-max", "2", "-o", str(out), "--overlay", str(tmp_path / target)]
+        assert run(argv) == 2
+        assert str(tmp_path / target.split("/")[0]) in one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["env.csv", "existing_dir"]
+
+    def test_unwritable_scan_fits_leaves_no_power_map(self, tmp_path, capsys):
+        samples = sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 6).samples
+        src = tmp_path / "scan.csv"
+        fileio.write_scan(src, DirectionalScan([0.0], [90.0], samples[None, :], [1e-4]))
+        (tmp_path / "out.fits.json").mkdir()
+        assert run(["scan", str(src), "-o", str(tmp_path / "out"), "--k-max", "2"]) == 2
+        assert str(tmp_path / "out.fits.json") in one_error_line(capsys)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["out.fits.json", "scan.csv",
+                                                              "scan.json"]
 
 
 def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:

@@ -271,21 +271,20 @@ class TestTableAccuracy:
             di = int(rng.integers(0, len(grid.delta_values)))
             k, d = float(grid.k_values[ki]), float(grid.delta_values[di])
             exact = twdp_pdf(x, FadingParams(k, d, 1.0))
-            # piecewise-linear readout of the tabulated ln(pdf/x)
+            # piecewise-cubic readout of the tabulated ln(pdf/x)
             surfaces = [table.loglik_surface(np.array([xi]))[ki, di] for xi in x]
             got = np.asarray(surfaces)
             with np.errstate(divide="ignore"):
                 want = np.log(exact)
             keep = want > -8.0
             worst = max(worst, np.max(np.abs(got[keep] - want[keep])))
-        assert worst < 1.5e-2
+        assert worst < 2e-3
 
     def test_out_of_range_sample_matches_density(self):
-        # A sample beyond r_max = 4 is scored on the row density at its exact
-        # value. Below ln pdf ~ -20 the row's own far-tail fold error
-        # dominates (0.024 in ln at -35 and 0.047 at -66 against the exact
-        # density), so the check stops there; K = 0 has the closed Rayleigh
-        # form everywhere.
+        # A sample beyond r_max = 4 is scored on the exact row density, the
+        # converged phase-balance quadrature of the Rician kernel, so it
+        # matches down to the 1e-300 floor (ln pdf -690.8; the cubic fold
+        # was off by tens in ln at -250). K = 0 has the closed Rayleigh form.
         grid = SMALL_GRID
         table = get_table(grid.k_values, grid.delta_values)
         x = np.concatenate([np.linspace(4.02, 4.6, 8), np.linspace(5.0, 8.0, 4)])
@@ -296,17 +295,46 @@ class TestTableAccuracy:
                 got = np.array([table.loglik_surface(np.array([xi]))[ki, di] for xi in x])
                 with np.errstate(divide="ignore"):
                     want = np.log(twdp_pdf(x, FadingParams(k, grid.delta_values[di], 1.0)))
-                keep = want > -20.0
+                keep = want > -690.0
                 checked += keep.sum()
                 worst = max(worst, np.max(np.abs(got[keep] - want[keep]), initial=0.0))
                 if k == 0.0:
                     assert np.allclose(got, np.log(2.0 * x) - x * x, rtol=0, atol=1e-9)
-        assert checked >= 40
-        assert worst < 1.5e-2
+        assert checked >= 150
+        assert worst < 1e-9
+
+    def test_table_matches_exact_density(self):
+        # every Delta column of the tabulated density, read back through the
+        # cubic readout and the K stencil, against the exact mixture
+        grid = GridConfig(k_max=100.0)
+        table = get_table(grid.k_values, grid.delta_values)
+        x = np.linspace(0.02, 3.98, 40)
+        worst = 0.0
+        for k in (1.0, 4.0, 10.0, 30.0, 100.0):
+            ki = int(np.searchsorted(grid.k_values, k))
+            for d in (0.0, 0.5, 0.9, 1.0):
+                di = int(np.searchsorted(grid.delta_values, d))
+                got = np.array([table.loglik_surface(np.array([xi]))[ki, di] for xi in x])
+                with np.errstate(divide="ignore"):
+                    want = np.log(twdp_pdf(x, FadingParams(k, d, 1.0)))
+                keep = want > -20.0
+                worst = max(worst, np.max(np.abs(got[keep] - want[keep])))
+        assert worst < 1e-2
+
+    def test_first_delta_column_must_be_zero(self):
+        # the first column is tabulated as the single Delta = 0 kernel, so a
+        # grid starting at 0.5 would label the Delta = 0 density as 0.5
+        with pytest.raises(DomainError):
+            PdfTable(np.array([0.0, 1, 2, 3, 4]), np.array([0.5, 1.0]))
+        table = PdfTable(np.array([0.0, 1, 2, 3, 4]), np.array([0.0, 0.5, 1.0]))
+        got = table.loglik_surface(np.array([1.0]))[4, 1]
+        assert got == pytest.approx(math.log(twdp_pdf(1.0, FadingParams(4.0, 0.5, 1.0))),
+                                    abs=1e-2)
 
     def test_row_on_grid_nodes_matches_stored_rows(self, high_k_table):
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
-        nodes = np.array([0, 1, 257, 700, 1023])
+        # r_max is node 511; 512 and 513 are the guard nodes above it
+        nodes = np.array([0, 1, 257, 511, 513])
         for table in (small, high_k_table):
             for i in range(0, len(table.coarse_k), 7):
                 row = table._build_row(table.coarse_k[i], table.x_grid[nodes])
@@ -426,10 +454,9 @@ class TestRowPlacement:
 
     @pytest.mark.parametrize("k, delta, seed", HIGH_K_CORPUS)
     def test_high_k_truth_cell_matches_density(self, k, delta, seed):
-        # With fixed 0.4 steps every truth here is a tabulated row and the
-        # worst per-sample gap is 2.04e-3 (K = 800, Delta = 0): the linear
-        # readout of the narrow high-K density on the x grid sets it, and
-        # interpolating between rows 0.02 K apart moves it by < 1e-7.
+        # The cubic readout follows the narrow high-K density on the x grid:
+        # the worst per-sample gap is 5e-7 (K = 800, Delta = 1), against
+        # 2.04e-3 with a linear readout on twice the nodes.
         grid = GridConfig()
         table = get_table(grid.k_values, grid.delta_values)
         x = make_set(k, delta, 10 ** 5, seed).fit_values
@@ -437,7 +464,47 @@ class TestRowPlacement:
         di = int(np.searchsorted(grid.delta_values, delta))
         got = table.loglik_surface(x)[ki, di]
         want = np.sum(np.log(twdp_pdf(x, FadingParams(k, delta, 1.0))))
-        assert abs(got - want) / len(x) <= 2.5e-3
+        assert abs(got - want) / len(x) <= 1e-5
+
+
+class TestCubicHistogram:
+    def test_taps_sum_to_the_weight(self):
+        rng = np.random.default_rng(5)
+        pos = np.concatenate([[0.0, 0.5, 1.0, 29.0], rng.uniform(0.0, 29.0, 50)])
+        weight = rng.uniform(0.1, 2.0, len(pos))
+        for p, w in zip(pos, weight):
+            hist = likelihood._interp_histogram(np.array([[p]]), w, 32)
+            assert hist.sum() == pytest.approx(w, rel=1e-14)
+
+    def test_quadratics_come_back_exactly(self):
+        # Keys' a = -0.5 kernel reproduces quadratics; tap -1 reflects onto
+        # node 1, so away from node 0 any quadratic comes back, and across
+        # it an even one does
+        nodes = np.arange(32.0)
+        rng = np.random.default_rng(6)
+        inner = rng.uniform(1.0, 29.0, (1, 200))
+        edge = rng.uniform(0.0, 1.0, (1, 200))
+        quadratic = 0.7 - 0.3 * nodes + 0.05 * nodes ** 2
+        even = 2.0 - 0.4 * nodes ** 2
+        for pos, f, exact in ((inner, quadratic, 0.7 - 0.3 * inner + 0.05 * inner ** 2),
+                              (edge, even, 2.0 - 0.4 * edge ** 2)):
+            for p, want in zip(pos[0], exact[0]):
+                hist = likelihood._interp_histogram(np.array([[p]]), 1.0, 32)[0]
+                assert hist @ f == pytest.approx(want, rel=0, abs=1e-12)
+            assert likelihood._interp_histogram(pos, 1.0, 32)[0] @ f == \
+                pytest.approx(exact.sum(), rel=1e-13)
+
+    def test_sample_at_r_max_reaches_the_guard_nodes(self):
+        table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
+        n_r, dx = TableSpec.n_r, TableSpec.r_max / (TableSpec.n_r - 1)
+        assert len(table.x_grid) == n_r + 2
+        w, const = table.sample_weights(np.array([TableSpec.r_max]))
+        assert w.shape == (n_r + 2,) and w.sum() == pytest.approx(1.0)
+        assert w[n_r - 1] == pytest.approx(1.0, abs=1e-12)
+        w, const = table.sample_weights(np.array([TableSpec.r_max - 0.5 * dx]))
+        assert w[n_r] == pytest.approx(-0.0625) and w[n_r + 1] == 0.0
+        x = np.array([1.0, TableSpec.r_max])
+        assert np.all(np.isfinite(table.loglik_surface(x)))
 
 
 class TestTablePool:
@@ -466,27 +533,88 @@ class TestTablePool:
         assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
 
     def test_fold_matches_blas_reference(self, high_k_table):
-        # the fold sums in numpy's loop order, not OpenBLAS's; the parent
-        # form (per-Delta np.add.at weights, GEMM) stays the reference
+        # the fold sums in numpy's loop order, not OpenBLAS's; the reference
+        # builds its own 4-tap Keys weights per Delta with np.add.at, on an
+        # amplitude grid from K alone, and folds them with a GEMM
+        def keys(s):
+            s = np.abs(s)
+            return np.where(s <= 1.0, (1.5 * s - 2.5) * s * s + 1.0,
+                            ((-0.5 * s + 2.5) * s - 4.0) * s + 2.0)
+
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         for table in (small, high_k_table):
             for k in table.coarse_k[1::4]:
-                ag, w_fold = table._fold_weights(k)
-                na, h = len(ag), ag[1] - ag[0]
-                ref_w = np.zeros((len(table.deltas), na))
+                a_max = math.sqrt(2.0 * k * (1.0 + table.deltas[-1]))
+                na = max(33, math.ceil(a_max / 0.125) + 1)
+                ag = np.arange(na + 2) * (a_max / (na - 1))
+                assert np.array_equal(ag, table._amplitude_grid(k))
+                ref_w = np.zeros((len(table.deltas), na + 2))
                 for di, d in enumerate(table.deltas):
-                    pos = np.sqrt(2.0 * k * (1.0 + d * table._cos_nodes)) / h
-                    i0 = np.clip(pos.astype(np.int64), 0, na - 2)
-                    frac = pos - i0
-                    np.add.at(ref_w[di], i0, table._quad_w * (1.0 - frac))
-                    np.add.at(ref_w[di], i0 + 1, table._quad_w * frac)
-                # Delta = 0 is the single kernel, so only Delta > 0 is folded
-                assert np.array_equal(w_fold, ref_w[1:])
+                    pos = np.sqrt(2.0 * k * (1.0 + d * table._cos_nodes)) / ag[1]
+                    i0 = np.floor(pos).astype(np.int64)
+                    for j in (-1, 0, 1, 2):
+                        # the kernel is even in a: node -1 is node 1
+                        np.add.at(ref_w[di], np.abs(i0 + j), table._quad_w * keys(pos - i0 - j))
+                # Delta = 0 is the single kernel, so only Delta > 0 is folded;
+                # the positions round differently by ~1 ulp
+                assert np.allclose(table.folds[na + 2], ref_w[1:], rtol=0, atol=1e-14)
                 s2 = 2.0 * (1.0 + k)
                 kern = table._kernel(ag, table.x_grid * np.sqrt(s2), s2)
                 ref = np.log(np.maximum(ref_w @ kern, 1e-300))
                 row = table._build_row(k, table.x_grid)
-                assert np.max(np.abs(row[1:] - ref[1:])) <= 1e-12
+                err = np.abs(row[1:] - ref[1:])
+                # the signed cubic taps cancel where the density is below
+                # e^-150 (~1e-11 in ln at e^-238), far beyond any sample
+                assert np.max(err[ref[1:] > -150.0]) <= 1e-12
+                assert np.max(err) <= 1e-10
+
+    def test_rows_with_one_node_count_share_one_fold(self, monkeypatch):
+        # the fold weights depend on K only through the amplitude node
+        # count: one histogram per count at build time, one array per count
+        # in every row's fold
+        calls, operands = [], []
+        histogram, einsum = likelihood._interp_histogram, np.einsum
+
+        def counted(*args):
+            calls.append(1)
+            return histogram(*args)
+
+        def recorded(spec, w, kern):
+            operands.append(w)
+            return einsum(spec, w, kern)
+
+        monkeypatch.setattr(likelihood, "_interp_histogram", counted)
+        monkeypatch.setattr(np, "einsum", recorded)
+        table = PdfTable(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        monkeypatch.undo()
+        counts = [len(table._amplitude_grid(k)) for k in table.coarse_k[1:]]
+        assert len(calls) == len(table.folds) == len(set(counts)) < len(counts)
+        assert len(operands) == len(counts)
+        assert all(any(w is f for f in table.folds.values()) for w in operands)
+        i = counts.index(counts[0], 1)         # a later row with the same count
+        k0, k1 = table.coarse_k[1], table.coarse_k[1 + i]
+        assert table.folds[len(table._amplitude_grid(k0))] is \
+            table.folds[len(table._amplitude_grid(k1))]
+
+    def test_spiked_surface_builds_no_fold(self, monkeypatch):
+        table = PdfTable(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        x = np.array([0.5, 1.0, 1.5, 5.0, 7.5])
+        want = table.loglik_surface(x)
+        calls = []
+        histogram = likelihood._interp_histogram
+
+        def sample_readout_only(pos, weight, n):
+            # the in-range readout is the one histogram a surface may build
+            calls.append(len(pos))
+            return histogram(pos, weight, n)
+
+        def no_fold(self, n):
+            raise AssertionError("fold weights rebuilt after the table build")
+
+        monkeypatch.setattr(likelihood, "_interp_histogram", sample_readout_only)
+        monkeypatch.setattr(PdfTable, "_fold_weights", no_fold)
+        assert np.array_equal(table.loglik_surface(x), want)
+        assert calls == [1]
 
     def test_worker_error_reaches_caller_and_caches_nothing(self, monkeypatch):
         monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
@@ -532,7 +660,7 @@ class TestTableCache:
         monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
         table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         assert get_table(TINY_GRID.k_values, TINY_GRID.delta_values, TableSpec()) is table
-        assert table.log_rows.shape[2] == TableSpec.n_r
+        assert table.log_rows.shape[2] == TableSpec.n_r + 2    # 2 guard nodes above r_max
         with pytest.raises(TypeError):
             TableSpec(n_r=512)
 
@@ -543,7 +671,8 @@ class TestTableCache:
             get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
-        assert "built: 41 K rows x 21 Delta x 1024 r, 7.1 MB" in miss.getMessage()
+        assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.01 MB" \
+            in miss.getMessage()
         assert miss.getMessage().endswith(f" s on {pool.worker_count()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
 
