@@ -11,8 +11,7 @@ Conventions
 
 The TWDP CDF and density are phase-balance averages of the Rician ones
 (``_phase_average``); the density table shares their Rician kernel and
-trapezoid rule, and scores envelopes above its range with the same doubling
-rule on the kernel in logs (``_log_rice_kernel``).
+trapezoid rule.
 
 scipy.special (~0.3 s to import) is imported by the functions that call it, so
 synth, spatial and ber never load it; a fit first loads it in the row pool.
@@ -186,13 +185,6 @@ def _rice_kernel(a, b, prec):
     Exactly 0 where the exponential underflows."""
     from scipy import special
     return prec * special.i0e(a * b) * np.exp(-0.5 * (a - b) ** 2)
-
-
-def _log_rice_kernel(a, b):
-    """ln of ``_rice_kernel`` without its prec factor, finite where the
-    kernel itself underflows."""
-    from scipy import special
-    return np.log(special.i0e(a * b)) - 0.5 * (a - b) ** 2
 
 
 def _trapezoid_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,18 +15,23 @@ product against a per-dataset weight vector:
   that grid (Keys 1981, a = -0.5), giving the density of every Delta column
   from one kernel matrix. The kernel is even in the amplitude, so the tap
   below 0 reflects onto node 1, and 2 guard nodes lie above the top.
+* Beyond the amplitudes of a Delta column the kernel grows by e^((b - a) da)
+  per node, too steep for cubic taps, which then go negative. So the fold
+  comes in 7 exponential tilts, growths of 0, +-1.5, +-3 and +-4.5 per node
+  (the taps of f(s) e^(-mu s), times e^(mu s)), and each entry reads the
+  one nearest its kernel's growth at the edge of the amplitude range.
 * A node of the fold sits at (na - 1) sqrt((1 + Delta cos alpha) /
-  (1 + max Delta)) on a grid of na nodes, whatever K, so the fold weights
-  are built once per node count before the rows (57 counts for the 153
-  rows up to K = 30, 0.57 MB; 235 for the default grid's 332 rows,
-  7.5 MB) and every row with that count reads the same array.
+  (1 + max Delta)) on a grid of na nodes, whatever K, and na is one of a
+  ladder 10 % apart, so the fold weights are built once per node count,
+  before the rows, and every row with that count reads the same array: 12
+  counts for the 153 rows up to K = 30 (0.8 MB), 18 for the 215 up to
+  K = 100 (1.7 MB) and 30 for the default grid's 332 (6.2 MB).
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
   the build runs them on the package's one thread pool (``pool``), with
   one worker per usable CPU, as the BER Monte Carlo runs its SNR points.
   The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
   threads busy-wait after each GEMM and would take the cores the pool runs
-  on. Its summation order differs from OpenBLAS's by <= 1e-12 in ln where
-  the density is above e^-150 (the signed cubic taps cancel below); the
+  on. Its summation order differs from OpenBLAS's by <= 1e-12 in ln; the
   table is the same on every build.
 * ln(pdf(x)/x) is stored on a uniform envelope grid of 512 nodes up to
   r_max = 4 and 2 guard nodes above it (the division by x removes the
@@ -40,22 +45,21 @@ product against a per-dataset weight vector:
 * For a dataset, sum_n L(x_n) of the cubic-convolution interpolant of the
   tabulated L equals a weighted histogram of the samples dotted with the
   table row, so the whole grid evaluates as one GEMV. Samples above r_max
-  (spikes) add their exact row density at every tabulated K row instead,
-  so the table never grows: the phase-balance quadrature of the exact
-  kernel, converged per row, since so far out the kernel is too steep in
-  the amplitude for the fold. A spike costs no fold weights.
+  (spikes) add their row density at their exact value, through the same
+  fold weights, at every tabulated K row instead, so the table never grows
+  and a spike pays only for its kernel.
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
-rows, 28.7 MB) builds in about 1 s on 2 cores, after which each fit takes
+rows, 28.7 MB) builds in about 1.1 s on 2 cores, after which each fit takes
 well under a second. Builds are logged at info level with the table's and
 the fold weights' bytes, cache hits at debug.
 
-Accuracy of the tabulated log-density against the exact ``twdp_pdf``, read
-back through the cubic readout and the K stencil (pinned by tests): within
-6e-3 in ln wherever ln pdf > -20 for K 1-100 and every Delta, and 5e-7 per
-sample at the truth cell for K 50-800. Spikes match ``twdp_pdf`` to ~1e-12
-down to the 1e-300 floor.
+Accuracy of the tabulated log-density against the exact ``twdp_pdf`` (pinned
+by tests): read back through the cubic readout and the K stencil, within
+5.2e-3 in ln wherever ln pdf > -20 for K 1-100 and every Delta, and 5e-7
+per sample at the truth cell for K 50-800; the stored rows and spikes are
+within 8.2e-3 down to the 1e-300 floor (ln pdf/x = -690.8) up to K = 1000.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ import time
 import numpy as np
 
 from .errors import DomainError
-from .fading import _log_rice_kernel, _phase_average, _rice_kernel, _trapezoid_nodes
+from .fading import _rice_kernel, _trapezoid_nodes
 from .pool import run_in_order, worker_count
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
@@ -76,8 +80,17 @@ log = logging.getLogger(__name__)
 # exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; blocks of _BLOCK a-nodes
 # evaluate the kernel only on the union of their bands |a - b| <= _BAND
 _BAND, _BLOCK = 38.61, 64
-# every stored or scored ln(pdf/x) is at least ln(1e-300)
-_LOG_FLOOR = np.log(1e-300)
+# spikes per kernel matrix of a spiked surface
+_SPIKE_BLOCK = 4096
+# the fold's tilts, in growth of ln(kernel) per amplitude node. Growth reaches
+# 37.3 a_step = 4.66 at the 1e-300 floor; untilted cubic taps are 6e-3 off
+# in ln at 0.75 and 0.5 off at 2. Each entry takes the nearest tilt.
+_TILT_STEP, _TILT_TOP = 1.5, 3
+_TILTS = _TILT_STEP * np.arange(-_TILT_TOP, _TILT_TOP + 1)
+# amplitude node counts: 33 and then 10 % apart, so rows share fold weights
+# (strictly rising already; np.unique would import numpy.ma, ~15 ms, on every
+# import of the package)
+_NODE_COUNTS = np.ceil(33.0 * 1.1 ** np.arange(80)).astype(np.int64)
 
 
 class TableSpec:
@@ -114,14 +127,17 @@ def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
     return np.asarray(idx if len(idx) >= 4 else range(n), dtype=np.int64)
 
 
-def _interp_histogram(pos: np.ndarray, weight, n: int) -> np.ndarray:
+def _interp_histogram(pos: np.ndarray, weight, n: int, tilt: float = 0.0) -> np.ndarray:
     """Cubic-convolution histograms (Keys, a = -0.5) on n unit-spaced nodes,
     one per row of `pos` (positions in node steps, at most n - 3): dotted
     with node values, a row gives the sum of the cubic interpolant at its
     positions. The function read back is even about node 0, so tap -1
     reflects onto node 1; the last two nodes are guards above the highest
-    position. Each node adds its shares in one fixed order: every tap -1
-    share, then tap 0, 1 and 2."""
+    position. With a tilt mu, the interpolant is that of f(s) e^(-mu s),
+    times e^(mu s): e^(mu s) times a quadratic comes back exactly, so a
+    function growing by about e^mu per node is read as if it were flat.
+    Each node adds its shares in one fixed order: every tap -1 share, then
+    tap 0, 1 and 2."""
     i = pos.astype(np.int64)
     t = pos - i
     t2 = t * t
@@ -130,7 +146,10 @@ def _interp_histogram(pos: np.ndarray, weight, n: int) -> np.ndarray:
             -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
     row = np.arange(len(pos))[:, None] * n
     hist = np.zeros(len(pos) * n)
+    grow = np.exp(tilt * t) if tilt else None
     for j, tap in zip((-1, 0, 1, 2), taps):
+        if tilt:
+            tap = tap * (grow * np.exp(-tilt * j))
         # faster than one np.bincount over all four taps (numpy 2.4)
         np.add.at(hist, (row + np.abs(i + j)).ravel(), (weight * tap).ravel())
     return hist.reshape(len(pos), n)
@@ -178,13 +197,15 @@ class PdfTable:
         self.coarse_idx = _coarse_k_indices(self.k_values)
         self.coarse_k = self.k_values[self.coarse_idx]
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
-        # one fold matrix per amplitude node count, shared by every row (and
-        # every spiked surface) with that count; pool threads only read them
-        counts = {len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0}
-        self.folds = {n: self._fold_weights(n) for n in sorted(counts)}
         nc, nd, nr = len(self.coarse_idx), len(self.deltas), len(self.x_grid)
         self.log_rows = np.empty((nc, nd, nr))
         self.workers = worker_count()
+        # one set of fold matrices per amplitude node count, shared by every
+        # row and every spiked surface with that count, all built before the
+        # rows, which only read them
+        counts = sorted({len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0})
+        folds = run_in_order(lambda i: self._fold_weights(counts[i]), len(counts), self.workers)
+        self.folds = dict(zip(counts, folds))
 
         def tabulate(i):
             self.log_rows[i] = self._build_row(self.coarse_k[i], self.x_grid)
@@ -214,53 +235,47 @@ class PdfTable:
         # column at K = 0
         single = self._kernel(np.full(1, np.sqrt(2.0 * k)), b, s2)
         pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
-        if k > 0.0:
+        if k > 0.0 and len(self.deltas) > 1:
             ag = self._amplitude_grid(k)
-            # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
-            # each GEMM and would take the cores the row pool runs on
-            pdf_over_x[1:] = np.einsum("da,ab->db", self.folds[len(ag)], self._kernel(ag, b, s2))
+            kern = self._kernel(ag, b, s2)
+            # ln(kernel) grows by about (b - a) da per node beyond the amplitudes
+            # [a_lo, a_hi] of a Delta column
+            d = self.deltas[1:, None]
+            a_lo, a_hi = np.sqrt(2.0 * k * (1.0 - d)), np.sqrt(2.0 * k * (1.0 + d))
+            growth = ag[1] * (np.maximum(b - a_hi, 0.0) + np.minimum(b - a_lo, 0.0))
+            level = np.clip(np.rint(growth / _TILT_STEP), -_TILT_TOP, _TILT_TOP).astype(np.int64)
+            level += _TILT_TOP
+            # each column's levels rise with b, so a level's columns are one run
+            low, high = level.min(axis=0), level.max(axis=0)
+            folds = self.folds[len(ag)]
+            for lv in range(low[0], high[-1] + 1):
+                lo, hi = np.searchsorted(high, lv), np.searchsorted(low, lv, side="right")
+                if lo == hi:
+                    continue
+                # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
+                # each GEMM and would take the cores the row pool runs on
+                part = np.einsum("da,ab->db", folds[lv], kern[:, lo:hi])
+                np.copyto(pdf_over_x[1:, lo:hi], part, where=level[:, lo:hi] == lv)
         return np.log(np.maximum(pdf_over_x, 1e-300))
 
     def _amplitude_grid(self, k: float) -> np.ndarray:
         """Noncentrality amplitudes of row K > 0: na nodes from 0 to
-        sqrt(2K(1 + max Delta)), at most a_step apart, then 2 guard nodes."""
+        sqrt(2K(1 + max Delta)), at most a_step apart and na one of
+        _NODE_COUNTS, then 2 guard nodes."""
         a_max = np.sqrt(2.0 * k * (1.0 + self.deltas.max()))
-        na = max(33, int(np.ceil(a_max / TableSpec.a_step)) + 1)
+        need = int(np.ceil(a_max / TableSpec.a_step)) + 1
+        na = int(_NODE_COUNTS[np.searchsorted(_NODE_COUNTS, need)])
         return np.arange(na + 2) * (a_max / (na - 1))
 
     def _fold_weights(self, n: int) -> np.ndarray:
         """The phase-balance quadrature of every Delta > 0 column folded into
-        cubic interpolation weights on an n-node amplitude grid, shape
-        (len(deltas) - 1, n). The node of sqrt(2K(1 + Delta cos alpha)) is
-        (n - 3) sqrt((1 + Delta cos alpha) / (1 + max Delta)), whatever K."""
+        cubic interpolation weights on an n-node amplitude grid, one matrix
+        per tilt, shape (len(_TILTS), len(deltas) - 1, n). The node of
+        sqrt(2K(1 + Delta cos alpha)) is (n - 3) sqrt((1 + Delta cos alpha) /
+        (1 + max Delta)), whatever K."""
         pos = (n - 3) * np.sqrt((1.0 + self.deltas[1:, None] * self._cos_nodes)
                                 / (1.0 + self.deltas.max()))
-        return _interp_histogram(pos, self._quad_w, n)
-
-    def _spike_row(self, k: float, x: np.ndarray) -> np.ndarray:
-        """ln(pdf(x)/x) at envelopes `x` above r_max, for every Delta column
-        of row K, by the converged phase-balance quadrature of the exact
-        kernel. The fold cannot serve them: there the kernel grows by a
-        factor of e^((b - a) da) from one amplitude node to the next, and
-        the cubic taps' negative weights turn that into errors of tens in
-        ln. For x > r_max, b = x sqrt(2(1 + K)) lies above every amplitude,
-        so each integrand peaks at alpha = 0, a node of every rule: scaled
-        to 1 there, it converges to an absolute bound and never underflows.
-        Entries whose peak is below the 1e-300 floor stay at the floor, and
-        spikes go in blocks of _BLOCK, which bounds the memory."""
-        s2 = 2.0 * (1.0 + k)
-        d = self.deltas[:, None]
-        b = x * np.sqrt(s2)
-        peak = _log_rice_kernel(np.sqrt(2.0 * k * (1.0 + d)), b)             # (nd, m)
-        out = np.full(peak.shape, _LOG_FLOOR)
-        live = np.nonzero(np.log(s2) + peak.max(axis=0) > _LOG_FLOOR)[0]
-        for i in range(0, len(live), _BLOCK):
-            j = live[i:i + _BLOCK]
-            mean = _phase_average(
-                lambda a: np.exp(_log_rice_kernel(a[:, None, :], b[j, None]) - peak[:, j, None])
-                .reshape(-1, a.shape[-1]), k, d)
-            out[:, j] = np.log(s2) + peak[:, j] + np.log(mean.reshape(len(d), len(j)))
-        return np.maximum(out, _LOG_FLOOR)
+        return np.stack([_interp_histogram(pos, self._quad_w, n, tilt) for tilt in _TILTS])
 
     # -- evaluation --------------------------------------------------------
 
@@ -279,16 +294,19 @@ class PdfTable:
 
         Returns an array of shape (len(k_values), len(deltas)); values are
         the exact sums for the piecewise-cubic tabulated density, with
-        samples above ``TableSpec.r_max`` scored on the exact row density.
+        samples above ``TableSpec.r_max`` scored on the row density at their
+        exact value.
         """
         beyond = x > TableSpec.r_max
         x_out = np.sort(x[beyond])
         w, const = self.sample_weights(x[~beyond])
         nc, nd, nr = self.log_rows.shape
         coarse = (self.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd)
-        if len(x_out):
-            coarse += np.array([self._spike_row(k, x_out).sum(axis=1) for k in self.coarse_k])
-            const += float(np.sum(np.log(x_out)))
+        # blocks of spikes bound the kernel matrix of a row
+        for i in range(0, len(x_out), _SPIKE_BLOCK):
+            block = x_out[i:i + _SPIKE_BLOCK]
+            coarse += np.array([self._build_row(k, block).sum(axis=1) for k in self.coarse_k])
+        const += float(np.sum(np.log(x_out)))
         full = np.einsum("fj,fjd->fd", self._interp_w, coarse[self._interp_idx])
         return full + const
 

@@ -281,27 +281,48 @@ class TestTableAccuracy:
         assert worst < 2e-3
 
     def test_out_of_range_sample_matches_density(self):
-        # A sample beyond r_max = 4 is scored on the exact row density, the
-        # converged phase-balance quadrature of the Rician kernel, so it
-        # matches down to the 1e-300 floor (ln pdf -690.8; the cubic fold
-        # was off by tens in ln at -250). K = 0 has the closed Rayleigh form.
+        # A sample beyond r_max = 4 is scored on the row density at its exact
+        # value, through the tilted fold: 2.9e-4 in ln where ln pdf > -20,
+        # and under 1e-2 down to the 1e-300 floor (ln pdf -690.8). K = 0 has
+        # the closed Rayleigh form.
         grid = SMALL_GRID
         table = get_table(grid.k_values, grid.delta_values)
         x = np.concatenate([np.linspace(4.02, 4.6, 8), np.linspace(5.0, 8.0, 4)])
-        worst, checked = 0.0, 0
+        near, far, checked = 0.0, 0.0, 0
         for k in (0.0, 0.05, 0.3, 1.0, 1.55):
             ki = int(np.searchsorted(grid.k_values, k))
             for di in (0, 10, 20):
                 got = np.array([table.loglik_surface(np.array([xi]))[ki, di] for xi in x])
                 with np.errstate(divide="ignore"):
                     want = np.log(twdp_pdf(x, FadingParams(k, grid.delta_values[di], 1.0)))
+                err = np.abs(got - want)
+                near = max(near, np.max(err[want > -20.0], initial=0.0))
                 keep = want > -690.0
                 checked += keep.sum()
-                worst = max(worst, np.max(np.abs(got[keep] - want[keep]), initial=0.0))
+                far = max(far, np.max(err[keep], initial=0.0))
                 if k == 0.0:
                     assert np.allclose(got, np.log(2.0 * x) - x * x, rtol=0, atol=1e-9)
         assert checked >= 150
-        assert worst < 1e-9
+        assert near < 1e-3
+        assert far < 1e-2
+
+    def test_in_range_tail_matches_density(self):
+        # the stored rows down to the 1e-300 floor, where the kernel grows
+        # by up to e^4.66 per amplitude node: the tilted fold holds them
+        # within 7.5e-3 in ln of the exact mixture
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        x = table.x_grid[1:TableSpec.n_r]
+        worst, checked = 0.0, 0
+        for k in table.coarse_k[1::5]:
+            row = table._build_row(k, x)
+            for di, d in enumerate(table.deltas):
+                with np.errstate(divide="ignore"):
+                    want = np.log(twdp_pdf(x, FadingParams(k, d, 1.0)) / x)
+                keep = want > -690.0
+                checked += np.sum(want < -100.0)
+                worst = max(worst, np.max(np.abs(row[di][keep] - want[keep])))
+        assert checked >= 5000
+        assert worst < 1e-2
 
     def test_table_matches_exact_density(self):
         # every Delta column of the tabulated density, read back through the
@@ -455,8 +476,7 @@ class TestRowPlacement:
     @pytest.mark.parametrize("k, delta, seed", HIGH_K_CORPUS)
     def test_high_k_truth_cell_matches_density(self, k, delta, seed):
         # The cubic readout follows the narrow high-K density on the x grid:
-        # the worst per-sample gap is 5e-7 (K = 800, Delta = 1), against
-        # 2.04e-3 with a linear readout on twice the nodes.
+        # the worst per-sample gap is 5e-7 (K = 800, Delta = 1).
         grid = GridConfig()
         table = get_table(grid.k_values, grid.delta_values)
         x = make_set(k, delta, 10 ** 5, seed).fit_values
@@ -493,6 +513,16 @@ class TestCubicHistogram:
                 assert hist @ f == pytest.approx(want, rel=0, abs=1e-12)
             assert likelihood._interp_histogram(pos, 1.0, 32)[0] @ f == \
                 pytest.approx(exact.sum(), rel=1e-13)
+
+    def test_tilted_exponentials_come_back_exactly(self):
+        # with tilt mu, e^(mu s) times a quadratic is read back exactly
+        nodes = np.arange(32.0)
+        pos = np.random.default_rng(7).uniform(1.0, 29.0, (1, 50))
+        for mu in likelihood._TILTS:
+            def f(s):
+                return np.exp(mu * (s - 15.0)) * (0.7 - 0.3 * s + 0.05 * s * s)
+            hist = likelihood._interp_histogram(pos, 1.0, 32, mu)[0]
+            assert hist @ f(nodes) == pytest.approx(f(pos).sum(), rel=1e-12)
 
     def test_sample_at_r_max_reaches_the_guard_nodes(self):
         table = get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
@@ -534,44 +564,52 @@ class TestTablePool:
 
     def test_fold_matches_blas_reference(self, high_k_table):
         # the fold sums in numpy's loop order, not OpenBLAS's; the reference
-        # builds its own 4-tap Keys weights per Delta with np.add.at, on an
-        # amplitude grid from K alone, and folds them with a GEMM
-        def keys(s):
-            s = np.abs(s)
-            return np.where(s <= 1.0, (1.5 * s - 2.5) * s * s + 1.0,
-                            ((-0.5 * s + 2.5) * s - 4.0) * s + 2.0)
-
+        # builds its own tilted 4-tap Keys weights per Delta with np.add.at,
+        # on an amplitude grid from K alone, picks each entry's tilt itself
+        # and folds with a GEMM
+        tilts = 1.5 * np.arange(-3, 4)
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         for table in (small, high_k_table):
+            deltas, cos, quad_w = table.deltas, table._cos_nodes, table._quad_w
             for k in table.coarse_k[1::4]:
-                a_max = math.sqrt(2.0 * k * (1.0 + table.deltas[-1]))
-                na = max(33, math.ceil(a_max / 0.125) + 1)
+                a_max = math.sqrt(2.0 * k * (1.0 + deltas[-1]))
+                need, i = math.ceil(a_max / 0.125) + 1, 0
+                while math.ceil(33.0 * 1.1 ** i) < need:
+                    i += 1
+                na = math.ceil(33.0 * 1.1 ** i)
                 ag = np.arange(na + 2) * (a_max / (na - 1))
                 assert np.array_equal(ag, table._amplitude_grid(k))
-                ref_w = np.zeros((len(table.deltas), na + 2))
-                for di, d in enumerate(table.deltas):
-                    pos = np.sqrt(2.0 * k * (1.0 + d * table._cos_nodes)) / ag[1]
-                    i0 = np.floor(pos).astype(np.int64)
-                    for j in (-1, 0, 1, 2):
-                        # the kernel is even in a: node -1 is node 1
-                        np.add.at(ref_w[di], np.abs(i0 + j), table._quad_w * keys(pos - i0 - j))
-                # Delta = 0 is the single kernel, so only Delta > 0 is folded;
-                # the positions round differently by ~1 ulp
-                assert np.allclose(table.folds[na + 2], ref_w[1:], rtol=0, atol=1e-14)
+                ref_w = np.zeros((len(tilts), len(deltas) - 1, na + 2))
+                for di, d in enumerate(deltas[1:]):
+                    pos = (na - 1) * np.sqrt((1.0 + d * cos) / (1.0 + deltas[-1]))
+                    i0 = pos.astype(np.int64)
+                    t = pos - i0
+                    t2 = t * t
+                    t3 = t2 * t
+                    taps = (-0.5 * t3 + t2 - 0.5 * t, 1.5 * t3 - 2.5 * t2 + 1.0,
+                            -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
+                    for ti, tilt in enumerate(tilts):
+                        for j, tap in zip((-1, 0, 1, 2), taps):
+                            # the kernel is even in a: node -1 is node 1
+                            share = tap * (np.exp(tilt * t) * np.exp(-tilt * j)) if tilt else tap
+                            np.add.at(ref_w[ti, di], np.abs(i0 + j), quad_w * share)
+                assert np.array_equal(table.folds[na + 2], ref_w)
                 s2 = 2.0 * (1.0 + k)
-                kern = table._kernel(ag, table.x_grid * np.sqrt(s2), s2)
-                ref = np.log(np.maximum(ref_w @ kern, 1e-300))
+                b = table.x_grid * np.sqrt(s2)
+                kern = table._kernel(ag, b, s2)
+                folded = (ref_w.reshape(-1, na + 2) @ kern).reshape(len(tilts), len(deltas) - 1, -1)
+                d = deltas[1:, None]
+                growth = ag[1] * (np.maximum(b - np.sqrt(2.0 * k * (1.0 + d)), 0.0)
+                                  + np.minimum(b - np.sqrt(2.0 * k * (1.0 - d)), 0.0))
+                pick = np.abs(growth[None] - tilts[:, None, None]).argmin(axis=0)
+                ref = np.log(np.maximum(np.take_along_axis(folded, pick[None], 0)[0], 1e-300))
                 row = table._build_row(k, table.x_grid)
-                err = np.abs(row[1:] - ref[1:])
-                # the signed cubic taps cancel where the density is below
-                # e^-150 (~1e-11 in ln at e^-238), far beyond any sample
-                assert np.max(err[ref[1:] > -150.0]) <= 1e-12
-                assert np.max(err) <= 1e-10
+                assert np.max(np.abs(row[1:] - ref)) <= 1e-12
 
     def test_rows_with_one_node_count_share_one_fold(self, monkeypatch):
         # the fold weights depend on K only through the amplitude node
-        # count: one histogram per count at build time, one array per count
-        # in every row's fold
+        # count: one histogram per tilt and count at build time, read by
+        # every row with that count
         calls, operands = [], []
         histogram, einsum = likelihood._interp_histogram, np.einsum
 
@@ -588,9 +626,10 @@ class TestTablePool:
         table = PdfTable(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         monkeypatch.undo()
         counts = [len(table._amplitude_grid(k)) for k in table.coarse_k[1:]]
-        assert len(calls) == len(table.folds) == len(set(counts)) < len(counts)
-        assert len(operands) == len(counts)
-        assert all(any(w is f for f in table.folds.values()) for w in operands)
+        assert len(table.folds) == len(set(counts)) < len(counts)
+        assert len(calls) == len(likelihood._TILTS) * len(table.folds)
+        assert len(operands) >= len(counts)
+        assert all(any(w.base is f for f in table.folds.values()) for w in operands)
         i = counts.index(counts[0], 1)         # a later row with the same count
         k0, k1 = table.coarse_k[1], table.coarse_k[1 + i]
         assert table.folds[len(table._amplitude_grid(k0))] is \
@@ -671,7 +710,7 @@ class TestTableCache:
             get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
-        assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.01 MB" \
+        assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.04 MB" \
             in miss.getMessage()
         assert miss.getMessage().endswith(f" s on {pool.worker_count()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
