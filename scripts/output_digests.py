@@ -4,7 +4,8 @@ input set.
 
 Runs, in one process and inside OUT_DIR: `synth envelopes`, `fit` with an
 overlay on that set and on a second set with two fit-class spikes above the
-table's envelope range, `scan` on three directions (clean, spiked and below
+table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
+samples), `scan` on three directions (clean, spiked and below
 the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
 and one per density table's `log_rows` (k_max 30 and 100). Two source trees
@@ -39,10 +40,13 @@ def sha(data: bytes) -> str:
 
 
 def write_inputs() -> None:
-    """The spiked envelope file and the three-direction scan."""
+    """The spiked and the quantized envelope file and the three-direction scan."""
     values = sample_twdp(FadingParams(4.0, 0.5, 1.0), 20_000, 40).envelopes
     values[[9, 19]] = [6.0, 7.5]               # fit class at the default stride 10
     fileio.write_envelopes("spiked.csv", values)
+    values = sample_twdp(FadingParams(3.0, 0.4, 1.0), 100_000, 5).envelopes
+    q = 0.01 * np.sqrt(np.mean(values ** 2))
+    fileio.write_envelopes("quantized.csv", np.round(values / q) * q)
     n_freq = 2000
     clean = sample_twdp(FadingParams(8.0, 0.0, 1.0), n_freq, 41).samples
     spiked = sample_twdp(FadingParams(3.0, 0.7, 1.0), n_freq, 42).samples
@@ -68,6 +72,7 @@ def main():
                 "--k-max", "100"],
         "fit_spiked": ["fit", "spiked.csv", "-o", "spiked.json",
                        "--overlay", "spiked_overlay.csv", *K30],
+        "fit_quantized": ["fit", "quantized.csv", "-o", "quantized.json", *K30],
         "scan": ["scan", "scan.csv", "-o", "scan_out", *K30],
         "synth_grid": ["synth", "grid", "-o", "grid.csv", "--shape", "9,9,1",
                        "--wave", "1:1,0,0:0:37", "--wave", "0.8:-0.5,0.866,0:1:61",

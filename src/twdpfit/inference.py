@@ -287,11 +287,15 @@ def g_test(
 ) -> GTestResult:
     """Log-likelihood-ratio goodness-of-fit test of the chosen model.
 
-    Cells are built from the sorted fit-class envelopes so each holds
-    exactly ``per_cell`` observations (the last cell absorbs the
-    remainder); expected counts come from model CDF differences. The model
-    loses e = 2 (Rice) or e = 3 (TWDP) degrees of freedom for the
-    estimated (omega, K[, Delta]).
+    The sorted fit-class envelopes are cut every ``per_cell`` samples, each
+    cut moved up to the next change of value (tied, quantized samples share
+    a cell), and a cut fewer than ``per_cell`` after the previous one or
+    above ``n - per_cell`` is dropped: every edge lies midway between two
+    distinct values, every cell holds at least ``per_cell`` samples, and
+    tie-free data keep equal-count cells. Expected counts come from model
+    CDF differences. The model loses e = 2 (Rice) or e = 3 (TWDP) degrees
+    of freedom for the estimated (omega, K[, Delta]); fewer than e + 2
+    cells raise ``DomainError``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -307,8 +311,14 @@ def g_test(
         raise DomainError("omega_hat must be positive")
 
     x = np.sort(fit) / math.sqrt(omega_hat)
-    m = n // per_cell
-    edges = 0.5 * (x[per_cell * np.arange(1, m) - 1] + x[per_cell * np.arange(1, m)])
+    # the first change of value at or after each equal-count cut (n if none)
+    rises = np.append(np.flatnonzero(np.diff(x) > 0.0) + 1, n)
+    cuts = rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))]
+    cuts = cuts[(np.diff(cuts, prepend=0) >= per_cell) & (cuts <= n - per_cell)]
+    m = len(cuts) + 1
+    if m < e + 2:
+        raise DomainError(f"{m} g-test cells between distinct values; need {e + 2}")
+    edges = 0.5 * (x[cuts - 1] + x[cuts])
     if model_fit.model == "rice":
         cdf_at_edges = rice_cdf(edges, model_fit.k_hat, 1.0)
     else:
@@ -318,8 +328,7 @@ def g_test(
     if np.any(expected <= 0.0):
         raise NumericalError("expected cell count of zero; model CDF degenerate "
                              "over a data cell")
-    observed = np.full(m, float(per_cell))
-    observed[-1] = n - per_cell * (m - 1)
+    observed = np.diff(cuts, prepend=0, append=n).astype(float)
     statistic = _g_statistic(observed, expected)
     dof = m - e
     threshold = chi2_quantile(1.0 - alpha, dof)

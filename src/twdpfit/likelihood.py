@@ -23,12 +23,14 @@ product against a per-dataset weight vector:
 * A node of the fold sits at (na - 1) sqrt((1 + Delta cos alpha) /
   (1 + max Delta)) on a grid of na nodes, whatever K, and na is one of a
   ladder 10 % apart, so the fold weights are built once per node count,
-  before the rows, and every row with that count reads the same array: 12
-  counts for the 153 rows up to K = 30 (0.8 MB), 18 for the 215 up to
-  K = 100 (1.7 MB) and 30 for the default grid's 332 (6.2 MB).
+  serially before the row pool (``np.add.at`` holds the GIL), and every
+  row with that count reads them: 12 counts for the 153 rows up to K = 30
+  (0.8 MB), 18 for the 215 up to K = 100 (1.7 MB) and 30 for the default
+  grid's 332 (6.2 MB).
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
-  the build runs them on the package's one thread pool (``pool``), with
-  one worker per usable CPU, as the BER Monte Carlo runs its SNR points.
+  the build maps them over a ``ThreadPoolExecutor`` with one worker per
+  usable CPU (``pool.worker_count``), as the BER Monte Carlo maps its SNR
+  points.
   The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
   threads busy-wait after each GEMM and would take the cores the pool runs
   on. Its summation order differs from OpenBLAS's by <= 1e-12 in ln; the
@@ -66,12 +68,13 @@ from __future__ import annotations
 
 import logging
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
-from .pool import run_in_order, worker_count
+from .pool import worker_count
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
 
@@ -127,17 +130,17 @@ def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
     return np.asarray(idx if len(idx) >= 4 else range(n), dtype=np.int64)
 
 
-def _interp_histogram(pos: np.ndarray, weight, n: int, tilt: float = 0.0) -> np.ndarray:
+def _interp_histogram(pos: np.ndarray, weight, n: int, tilts=(0.0,)) -> np.ndarray:
     """Cubic-convolution histograms (Keys, a = -0.5) on n unit-spaced nodes,
-    one per row of `pos` (positions in node steps, at most n - 3): dotted
-    with node values, a row gives the sum of the cubic interpolant at its
-    positions. The function read back is even about node 0, so tap -1
-    reflects onto node 1; the last two nodes are guards above the highest
-    position. With a tilt mu, the interpolant is that of f(s) e^(-mu s),
-    times e^(mu s): e^(mu s) times a quadratic comes back exactly, so a
-    function growing by about e^mu per node is read as if it were flat.
-    Each node adds its shares in one fixed order: every tap -1 share, then
-    tap 0, 1 and 2."""
+    shape (len(tilts), len(pos), n), one per tilt and row of `pos` (positions
+    in node steps, at most n - 3): dotted with node values, a row gives the
+    sum of the cubic interpolant at its positions. The function read back is
+    even about node 0, so tap -1 reflects onto node 1; the last two nodes are
+    guards above the highest position. With a tilt mu, the interpolant is
+    that of f(s) e^(-mu s), times e^(mu s): e^(mu s) times a quadratic comes
+    back exactly, so a function growing by about e^mu per node is read as if
+    it were flat. The tilts share the taps and node indices; each node adds
+    its shares in the order of taps -1, 0, 1, 2."""
     i = pos.astype(np.int64)
     t = pos - i
     t2 = t * t
@@ -145,14 +148,14 @@ def _interp_histogram(pos: np.ndarray, weight, n: int, tilt: float = 0.0) -> np.
     taps = (-0.5 * t3 + t2 - 0.5 * t, 1.5 * t3 - 2.5 * t2 + 1.0,
             -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
     row = np.arange(len(pos))[:, None] * n
-    hist = np.zeros(len(pos) * n)
-    grow = np.exp(tilt * t) if tilt else None
+    hist = np.zeros((len(tilts), len(pos) * n))
+    grow = [np.exp(mu * t) for mu in tilts]
     for j, tap in zip((-1, 0, 1, 2), taps):
-        if tilt:
-            tap = tap * (grow * np.exp(-tilt * j))
-        # faster than one np.bincount over all four taps (numpy 2.4)
-        np.add.at(hist, (row + np.abs(i + j)).ravel(), (weight * tap).ravel())
-    return hist.reshape(len(pos), n)
+        node = (row + np.abs(i + j)).ravel()
+        for h, mu, g in zip(hist, tilts, grow):
+            # faster than one np.bincount over all four taps (numpy 2.4)
+            np.add.at(h, node, (weight * (tap * (g * np.exp(-mu * j)))).ravel())
+    return hist.reshape(len(tilts), len(pos), n)
 
 
 def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,9 +183,9 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
 
 class PdfTable:
     """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid, whose Deltas
-    start at 0 and lie in [0, 1]; `spec` is unused."""
+    start at 0 and lie in [0, 1]."""
 
-    def __init__(self, k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None):
+    def __init__(self, k_values: np.ndarray, deltas: np.ndarray):
         if np.any(k_values < 0) or k_values[0] != k_values.min():
             raise DomainError("invalid K grid")
         self.k_values = np.asarray(k_values, dtype=float)
@@ -201,17 +204,13 @@ class PdfTable:
         self.log_rows = np.empty((nc, nd, nr))
         self.workers = worker_count()
         # one set of fold matrices per amplitude node count, shared by every
-        # row and every spiked surface with that count, all built before the
-        # rows, which only read them
-        counts = sorted({len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0})
-        folds = run_in_order(lambda i: self._fold_weights(counts[i]), len(counts), self.workers)
-        self.folds = dict(zip(counts, folds))
-
-        def tabulate(i):
-            self.log_rows[i] = self._build_row(self.coarse_k[i], self.x_grid)
-
+        # row and every spiked surface with that count; the rows only read them
+        counts = {len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0}
+        self.folds = {n: self._fold_weights(n) for n in counts}
         # i0e and exp release the GIL, so rows build in parallel
-        run_in_order(tabulate, nc, self.workers)
+        with ThreadPoolExecutor(self.workers) as pool:
+            for i, row in enumerate(pool.map(self._build_row, self.coarse_k, [self.x_grid] * nc)):
+                self.log_rows[i] = row
 
     # -- construction ------------------------------------------------------
 
@@ -275,7 +274,7 @@ class PdfTable:
         (1 + max Delta)), whatever K."""
         pos = (n - 3) * np.sqrt((1.0 + self.deltas[1:, None] * self._cos_nodes)
                                 / (1.0 + self.deltas.max()))
-        return np.stack([_interp_histogram(pos, self._quad_w, n, tilt) for tilt in _TILTS])
+        return _interp_histogram(pos, self._quad_w, n, _TILTS)
 
     # -- evaluation --------------------------------------------------------
 
@@ -284,7 +283,7 @@ class PdfTable:
         plus the cell-independent sum of ln(x_n)."""
         if np.any(x > TableSpec.r_max):
             raise DomainError("sample exceeds the table envelope range")
-        w = _interp_histogram(x[None, :] / self._dx, 1.0, len(self.x_grid))[0]
+        w = _interp_histogram(x[None, :] / self._dx, 1.0, len(self.x_grid))[0, 0]
         with np.errstate(divide="ignore"):
             const = float(np.sum(np.log(x)))
         return w, const

@@ -65,6 +65,18 @@ class TestFit:
         assert run(["fit", str(src), "-o", str(out), "--k-max", "2"]) == 3
         assert not out.exists()
 
+    def test_quantized_envelopes_end_in_a_verdict(self, tmp_path):
+        # rounded to 0.01 root powers (232 distinct values), tied samples
+        # once made two g-test edges coincide: an empty cell and exit 4
+        env = sample_twdp(FadingParams(3.0, 0.4, 1.0), 100_000, 5).envelopes
+        q = 0.01 * np.sqrt(np.mean(env ** 2))
+        src = tmp_path / "env.csv"
+        fileio.write_envelopes(src, np.round(env / q) * q)
+        out = tmp_path / "report.json"
+        assert run(["fit", str(src), "-o", str(out), "--k-max", "30"]) == 0
+        report = fileio.read_report(out)
+        assert report.chosen == "rice" and report.gtest.verdict == "accepted"
+
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             run(["fit", "x.csv", "-o", "y.json", "--frobnicate"])

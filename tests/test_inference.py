@@ -31,11 +31,12 @@ from twdpfit import (
     ml_fit,
     partition_chequerboard,
     partition_stride,
+    rice_cdf,
     sample_twdp,
     select_model,
     twdp_pdf,
 )
-from twdpfit import likelihood, pool
+from twdpfit import inference, likelihood, pool
 from twdpfit.inference import _g_statistic
 from twdpfit.likelihood import PdfTable, TableSpec, get_table
 
@@ -342,6 +343,19 @@ class TestTableAccuracy:
                 worst = max(worst, np.max(np.abs(got[keep] - want[keep])))
         assert worst < 1e-2
 
+    @given(ki=st.integers(0, len(SMALL_GRID.k_values) - 1),
+           di=st.integers(0, len(SMALL_GRID.delta_values) - 1),
+           x=st.floats(0.0, TableSpec.r_max, exclude_min=True))
+    @settings(max_examples=30, deadline=None)
+    def test_table_matches_exact_density_at_random_cells(self, ki, di, x):
+        # any cell of the k_max 30 grid, read back at any in-range envelope
+        k, d = SMALL_GRID.k_values[ki], SMALL_GRID.delta_values[di]
+        with np.errstate(divide="ignore"):
+            want = float(np.log(twdp_pdf(x, FadingParams(k, d, 1.0))))
+        assume(want > -20.0)
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        assert abs(table.loglik_surface(np.array([x]))[ki, di] - want) <= 1e-2
+
     def test_first_delta_column_must_be_zero(self):
         # the first column is tabulated as the single Delta = 0 kernel, so a
         # grid starting at 0.5 would label the Delta = 0 density as 0.5
@@ -521,7 +535,7 @@ class TestCubicHistogram:
         for mu in likelihood._TILTS:
             def f(s):
                 return np.exp(mu * (s - 15.0)) * (0.7 - 0.3 * s + 0.05 * s * s)
-            hist = likelihood._interp_histogram(pos, 1.0, 32, mu)[0]
+            hist = likelihood._interp_histogram(pos, 1.0, 32, (mu,))[0]
             assert hist @ f(nodes) == pytest.approx(f(pos).sum(), rel=1e-12)
 
     def test_sample_at_r_max_reaches_the_guard_nodes(self):
@@ -608,8 +622,8 @@ class TestTablePool:
 
     def test_rows_with_one_node_count_share_one_fold(self, monkeypatch):
         # the fold weights depend on K only through the amplitude node
-        # count: one histogram per tilt and count at build time, read by
-        # every row with that count
+        # count: one histogram call per count, for all its tilts, at build
+        # time, read by every row with that count
         calls, operands = [], []
         histogram, einsum = likelihood._interp_histogram, np.einsum
 
@@ -627,9 +641,9 @@ class TestTablePool:
         monkeypatch.undo()
         counts = [len(table._amplitude_grid(k)) for k in table.coarse_k[1:]]
         assert len(table.folds) == len(set(counts)) < len(counts)
-        assert len(calls) == len(likelihood._TILTS) * len(table.folds)
+        assert len(calls) == len(table.folds)
         assert len(operands) >= len(counts)
-        assert all(any(w.base is f for f in table.folds.values()) for w in operands)
+        assert all(any(np.shares_memory(w, f) for f in table.folds.values()) for w in operands)
         i = counts.index(counts[0], 1)         # a later row with the same count
         k0, k1 = table.coarse_k[1], table.coarse_k[1 + i]
         assert table.folds[len(table._amplitude_grid(k0))] is \
@@ -716,6 +730,18 @@ class TestTableCache:
         assert "cache hit: 41 K rows" in hit.getMessage()
 
 
+def recorded_rice_edges(monkeypatch) -> list:
+    """The envelopes every later g-test evaluates the Rician CDF at."""
+    edges = []
+
+    def recorded(x, k, omega):
+        edges.append(x)
+        return rice_cdf(x, k, omega)
+
+    monkeypatch.setattr(inference, "rice_cdf", recorded)
+    return edges
+
+
 class TestGTest:
     def test_matching_model_accepted(self):
         es = make_set(4.0, 0.0, 10 ** 4, 31)
@@ -739,12 +765,17 @@ class TestGTest:
         with pytest.raises(DomainError):
             g_test(es, rice, estimate_omega(es))
 
-    def test_last_cell_absorbs_remainder(self):
+    def test_last_cell_absorbs_remainder(self, monkeypatch):
         es = make_set(1.0, 0.0, 4170, 3)  # 417 fit samples -> 41 cells, last 17
         om = estimate_omega(es)
         rice, _ = ml_fit(es, om, TINY_GRID)
+        edges = recorded_rice_edges(monkeypatch)
         res = g_test(es, rice, om)
         assert res.n_cells == 41
+        # tie-free data: every edge midway between samples 10 apart
+        x = np.sort(es.fit_values) / math.sqrt(om)
+        cuts = 10 * np.arange(1, 41)
+        assert np.array_equal(edges[0], 0.5 * (x[cuts - 1] + x[cuts]))
 
     def test_rice_lower_tail_cell_has_mass(self):
         # eleven deep fades at 0.3 root powers put a cell edge at 0.3, where
@@ -758,6 +789,35 @@ class TestGTest:
         res = g_test(es, ModelFit("rice", 100.0, 0.0, 0.0), om)
         assert res.verdict == "rejected"
         assert np.isfinite(res.statistic)
+
+    @pytest.mark.parametrize("step", [0.001, 0.01, 0.05])
+    def test_quantized_envelopes_end_in_a_verdict(self, step, monkeypatch):
+        # rounding to step root powers ties samples (2083, 232 and 48
+        # distinct values); the cells move their edges off the ties, so
+        # every edge lies between two distinct values and every cell holds
+        # at least per_cell samples, and the fit matches the unrounded one
+        env = sample_twdp(FadingParams(3.0, 0.4, 1.0), 10 ** 5, 5).envelopes
+        q = step * math.sqrt(np.mean(env ** 2))
+        es = partition_stride(np.round(env / q) * q, 10)
+        exact = fit_envelopes(partition_stride(env, 10), SMALL_GRID)
+        edges = recorded_rice_edges(monkeypatch)
+        report = fit_envelopes(es, SMALL_GRID)
+        assert (report.chosen, report.twdp.k_hat, report.twdp.delta_hat, report.rice.k_hat) \
+            == (exact.chosen, exact.twdp.k_hat, exact.twdp.delta_hat, exact.rice.k_hat) \
+            == ("rice", 2.45, 0.05, 2.45)
+        x = np.sort(es.fit_values) / math.sqrt(report.omega_hat)
+        (edge,) = edges
+        assert not np.any(np.isin(edge, x))
+        counts = np.diff(np.searchsorted(x, edge), prepend=0, append=len(x))
+        assert len(counts) == report.gtest.n_cells == report.gtest.dof + 2
+        assert counts.min() >= 10 and report.gtest.verdict == "accepted"
+
+    def test_three_distinct_values_leave_too_few_cells(self):
+        # 40 fit samples at each of 0.5, 1 and 1.5: three cells at most
+        es = partition_stride(np.tile([0.5, 1.0, 1.5], 400), 10)
+        for model in ("rice", "twdp"):
+            with pytest.raises(DomainError, match="distinct values"):
+                g_test(es, ModelFit(model, 1.0, 0.0, 0.0), estimate_omega(es))
 
 
 class TestPipeline:
