@@ -8,8 +8,9 @@ table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
 samples), `scan` on three directions (clean, spiked and below
 the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
-and one per density table's `log_rows` (k_max 30 and 100). Two source trees
-wrote byte-identical outputs exactly when their lines are equal:
+one per density table's `log_rows` (k_max 30 and 100) and one for the fit
+report's schema. Two source trees wrote byte-identical outputs exactly when
+their lines are equal:
 
     PYTHONPATH=src python scripts/output_digests.py /tmp/a > a.txt
     PYTHONPATH=../other/src python scripts/output_digests.py /tmp/b > b.txt
@@ -20,6 +21,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 from pathlib import Path
 
@@ -96,6 +98,7 @@ def main():
         grid = GridConfig(k_max=k_max)
         table = get_table(grid.k_values, grid.delta_values)
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
+    lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
     print("\n".join(lines))
 
 

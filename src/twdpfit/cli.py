@@ -5,7 +5,10 @@ given identical inputs and seeds, and all files are written atomically. A
 command that fails leaves none of its output files.
 
 Exit codes: 0 success, 2 input/parse error or a file that cannot be read or
-written, 3 domain/estimation error, 4 internal numerical error. The only
+written, 3 domain/estimation error, 4 internal numerical error. A ``scan``
+direction whose data cannot be fitted (a domain or estimation error) does not
+fail the command: it gets the marker ``failed``, its error message and a null
+report, and the other directions are still written (exit 0). The only
 environment variable honoured is TWDPFIT_LOG (debug|info|warning) for log
 verbosity; any value that is not a logging level name means warning.
 """
@@ -22,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, ParseError, TwdpfitError
+from .errors import DomainError, EstimationError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
 from .inference import GridConfig, fit_envelopes, partition_stride
 from .linksim import simulate_ber
@@ -103,28 +106,37 @@ def _cmd_scan(args) -> int:
     power = power_map(scan, args.margin_db, args.stride)
     mask = ~np.isnan(power)  # power_map leaves directions below the margin NaN
     grid = _grid_from_args(args)
+    if not 0.0 < args.alpha < 1.0 or args.per_cell < 1:    # an option, not a direction, fails
+        raise DomainError("--alpha must lie in (0, 1) and --per-cell be >= 1")
     records = []
     rows = ["azimuth,elevation,power_norm,marker"]
     for i in range(scan.n_directions):
         az, el = float(scan.azimuth[i]), float(scan.elevation[i])
-        marker, doc = "not_evaluated", None
+        record = {"azimuth": az, "elevation": el, "marker": "not_evaluated", "report": None}
         if mask[i]:
-            env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
-            report = fit_envelopes(env_set, grid=grid,
-                                   alpha=args.alpha, per_cell=args.per_cell)
-            marker = "rejected" if report.gtest.verdict == "rejected" else report.chosen
-            doc = fileio.report_to_dict(report)
-            log.info("direction (%.1f, %.1f): %s", az, el, marker)
-        records.append({"azimuth": az, "elevation": el, "marker": marker, "report": doc})
-        rows.append(f"{az!r},{el!r},{float(power[i])!r},{marker}")   # NaN when masked
+            try:
+                env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
+                report = fit_envelopes(env_set, grid=grid,
+                                       alpha=args.alpha, per_cell=args.per_cell)
+            except (DomainError, EstimationError) as exc:
+                record.update(marker="failed", error=str(exc))
+                log.warning("direction (%.1f, %.1f) failed: %s", az, el, exc)
+            else:
+                record.update(marker="rejected" if report.gtest.verdict == "rejected"
+                              else report.chosen, report=fileio.report_to_dict(report))
+                log.info("direction (%.1f, %.1f): %s", az, el, record["marker"])
+        records.append(record)
+        rows.append(f"{az!r},{el!r},{float(power[i])!r},{record['marker']}")   # NaN when masked
     prefix = Path(args.out_prefix)
     fileio.write_together(
         (fileio.write_text_atomic, prefix.with_suffix(".power.csv"), "\n".join(rows) + "\n"),
         (fileio.write_json, prefix.with_suffix(".fits.json"),
          {"kind": "scan_fits", "directions": records}))
     evaluated = int(mask.sum())
+    failed = sum(r["marker"] == "failed" for r in records)
     print(f"{evaluated}/{scan.n_directions} directions evaluated; "
-          f"outputs at {prefix.with_suffix('.power.csv')} and {prefix.with_suffix('.fits.json')}")
+          f"outputs at {prefix.with_suffix('.power.csv')} and {prefix.with_suffix('.fits.json')}"
+          + (f"; {failed} failed" if failed else ""))
     return 0
 
 

@@ -9,8 +9,9 @@ Formats (all plain text, byte-order independent):
 * directional scan: CSV with columns idir,ifreq,re,im plus a JSON header
   listing per-direction azimuth/elevation/noise power and the frequency
   axis;
-* fit report: versioned JSON validated against REPORT_SCHEMA (jsonschema
-  is imported only by the report functions, so other formats never load it);
+* fit report: versioned JSON validated against REPORT_SCHEMA, which is
+  derived from the report dataclasses of ``inference`` (jsonschema is
+  imported only by the report functions, so other formats never load it);
 * correlation map: CSV value matrix plus a JSON header with lag axes and
   axis cuts;
 * BER curve: CSV (snr_db, ber) plus a JSON metadata sidecar.
@@ -26,13 +27,14 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from dataclasses import asdict
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from .errors import ParseError
-from .inference import FitReport, GridConfig, GTestResult, ModelFit
+from .inference import FitReport
 from .linksim import BerCurve
 from .measurement import CorrelationMap, DirectionalScan, SpatialGrid
 
@@ -56,62 +58,20 @@ __all__ = [
     "write_ber_curve",
 ]
 
-_MODEL_FIT_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "model": {"type": "string", "enum": ["rice", "twdp"]},
-        "k_hat": {"type": "number", "minimum": 0},
-        "delta_hat": {"type": "number", "minimum": 0, "maximum": 1},
-        "loglik": {"type": "number"},
-        "aicc": {"type": "number"},
-        "boundary_hit": {"type": "boolean"},
-    },
-    "required": ["model", "k_hat", "delta_hat", "loglik", "aicc", "boundary_hit"],
-    "additionalProperties": False,
-}
+_JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema_version": {"type": "integer", "const": 1},
-        "omega_hat": {"type": "number", "exclusiveMinimum": 0},
-        "n_fit": {"type": "integer", "minimum": 1},
-        "n_moment": {"type": "integer", "minimum": 1},
-        "rice": _MODEL_FIT_SCHEMA,
-        "twdp": _MODEL_FIT_SCHEMA,
-        "chosen": {"type": "string", "enum": ["rice", "twdp"]},
-        "gtest": {
-            "type": "object",
-            "properties": {
-                "statistic": {"type": "number"},
-                "dof": {"type": "integer", "minimum": 1},
-                "threshold": {"type": "number"},
-                "verdict": {"type": "string", "enum": ["accepted", "rejected"]},
-                "n_cells": {"type": "integer", "minimum": 1},
-                "alpha": {"type": "number"},
-                "per_cell": {"type": "integer", "minimum": 1},
-            },
-            "required": ["statistic", "dof", "threshold", "verdict",
-                         "n_cells", "alpha", "per_cell"],
-            "additionalProperties": False,
-        },
-        "grid": {
-            "type": "object",
-            "properties": {
-                "k_min": {"type": "number"},
-                "k_max": {"type": "number"},
-                "k_step": {"type": "number"},
-                "delta_step": {"type": "number"},
-            },
-            "required": ["k_min", "k_max", "k_step", "delta_step"],
-            "additionalProperties": False,
-        },
-    },
-    "required": ["schema_version", "omega_hat", "n_fit", "n_moment",
-                 "rice", "twdp", "chosen", "gtest", "grid"],
-    "additionalProperties": False,
-}
+
+def _object_schema(cls) -> dict:
+    """JSON schema of a dataclass: every field required and no other, nested
+    dataclasses nested, and each field's metadata bounding (or typing) it."""
+    hints = get_type_hints(cls)
+    props = {f.name: _object_schema(hints[f.name]) if is_dataclass(hints[f.name])
+             else {"type": _JSON_TYPES.get(hints[f.name]), **f.metadata} for f in fields(cls)}
+    return {"type": "object", "properties": props, "required": list(props),
+            "additionalProperties": False}
+
+
+REPORT_SCHEMA = {"$schema": "http://json-schema.org/draft-07/schema#", **_object_schema(FitReport)}
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +274,7 @@ def read_grid(path: str | Path) -> SpatialGrid:
         spacing = float(header["spacing"])
         freq_axis = _freq_axis(header)
         direction = _direction(header)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # an int beyond float
         raise ParseError(f"{_sidecar(path)}: bad grid header ({exc})")
     h = _read_indexed(path, (nx, ny, nz, nf), "ix,iy,iz,ifreq,re,im")
     return SpatialGrid(h, spacing=spacing, freq_axis=freq_axis, direction=direction)
@@ -348,7 +308,7 @@ def read_scan(path: str | Path) -> DirectionalScan:
         elevation = np.array([d["elevation"] for d in dirs], dtype=float)
         noise = np.array([d["noise_power"] for d in dirs], dtype=float)
         freq_axis = _freq_axis(header)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # an int beyond float
         raise ParseError(f"{_sidecar(path)}: bad scan header ({exc})")
     samples = _read_indexed(path, (len(dirs), n_freq), "idir,ifreq,re,im")
     return DirectionalScan(azimuth, elevation, samples, noise, freq_axis=freq_axis)
@@ -375,10 +335,15 @@ def report_to_dict(report: FitReport) -> dict:
     return _checked(asdict(report))
 
 
+def _from_dict(cls, doc: dict):
+    """doc as an instance of dataclass cls, nested dataclasses rebuilt from their dicts."""
+    hints = get_type_hints(cls)
+    return cls(**{key: _from_dict(hints[key], value) if is_dataclass(hints[key]) else value
+                  for key, value in doc.items()})
+
+
 def report_from_dict(doc: dict) -> FitReport:
-    _checked(doc)
-    return FitReport(**{**doc, "rice": ModelFit(**doc["rice"]), "twdp": ModelFit(**doc["twdp"]),
-                        "gtest": GTestResult(**doc["gtest"]), "grid": GridConfig(**doc["grid"])})
+    return _from_dict(FitReport, _checked(doc))
 
 
 def write_report(path: str | Path, report: FitReport) -> None:

@@ -11,8 +11,10 @@ grid, the lower corrected information criterion picks the model, and a
 log-likelihood-ratio goodness-of-fit test validates the winner.
 
 Reported log-likelihoods refer to the normalized envelopes (scale-free);
-they are directly comparable across the two models. No scipy loads at import:
-``chi2_quantile`` imports scipy.special when called, as ``fading`` does.
+they are directly comparable across the two models. ``FitReport`` and the
+dataclasses it nests alone declare the report's layout and bounds. No scipy
+loads at import: ``chi2_quantile`` imports scipy.special when called, as
+``fading`` does.
 """
 
 from __future__ import annotations
@@ -109,42 +111,46 @@ class GridConfig:
         return np.round(np.arange(n) * self.delta_step, 12)
 
 
+# These dataclasses and GridConfig are the fit report's layout; each field's
+# metadata holds the JSON-schema keywords that bound it in REPORT_SCHEMA.
+
 @dataclass
 class ModelFit:
     """One fitted model: grid argmax, its log-likelihood and criterion value."""
 
-    model: str                  # "rice" | "twdp"
-    k_hat: float
-    delta_hat: float
+    model: str = field(metadata={"enum": ["rice", "twdp"]})
+    k_hat: float = field(metadata={"minimum": 0})
+    delta_hat: float = field(metadata={"minimum": 0, "maximum": 1})
     loglik: float
-    aicc: float | None = None
+    # None until fit_envelopes sets it; a written report always has it
+    aicc: float | None = field(default=None, metadata={"type": "number"})
     boundary_hit: bool = False  # argmax landed on the K grid edge
 
 
 @dataclass
 class GTestResult:
     statistic: float
-    dof: int
+    dof: int = field(metadata={"minimum": 1})
     threshold: float
-    verdict: str                # "accepted" | "rejected"
-    n_cells: int
+    verdict: str = field(metadata={"enum": ["accepted", "rejected"]})
+    n_cells: int = field(metadata={"minimum": 1})
     alpha: float
-    per_cell: int
+    per_cell: int = field(metadata={"minimum": 1})
 
 
 @dataclass
 class FitReport:
     """Complete outcome of the fitting pipeline for one envelope set."""
 
-    omega_hat: float
-    n_fit: int
-    n_moment: int
+    schema_version: int = field(default=1, kw_only=True, metadata={"const": 1})
+    omega_hat: float = field(metadata={"exclusiveMinimum": 0})
+    n_fit: int = field(metadata={"minimum": 1})
+    n_moment: int = field(metadata={"minimum": 1})
     rice: ModelFit
     twdp: ModelFit
-    chosen: str
+    chosen: str = field(metadata={"enum": ["rice", "twdp"]})
     gtest: GTestResult
     grid: GridConfig = field(default_factory=GridConfig)
-    schema_version: int = 1
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +295,7 @@ def g_test(
 
     The sorted fit-class envelopes are cut every ``per_cell`` samples, each
     cut moved up to the next change of value (tied, quantized samples share
-    a cell), and a cut fewer than ``per_cell`` after the previous one or
+    a cell), and a cut fewer than ``per_cell`` after the last kept cut or
     above ``n - per_cell`` is dropped: every edge lies midway between two
     distinct values, every cell holds at least ``per_cell`` samples, and
     tie-free data keep equal-count cells. Expected counts come from model
@@ -313,8 +319,11 @@ def g_test(
     x = np.sort(fit) / math.sqrt(omega_hat)
     # the first change of value at or after each equal-count cut (n if none)
     rises = np.append(np.flatnonzero(np.diff(x) > 0.0) + 1, n)
-    cuts = rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))]
-    cuts = cuts[(np.diff(cuts, prepend=0) >= per_cell) & (cuts <= n - per_cell)]
+    kept = [0]
+    for cut in rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))].tolist():
+        if cut - kept[-1] >= per_cell and cut <= n - per_cell:
+            kept.append(cut)
+    cuts = np.array(kept[1:], dtype=np.int64)
     m = len(cuts) + 1
     if m < e + 2:
         raise DomainError(f"{m} g-test cells between distinct values; need {e + 2}")

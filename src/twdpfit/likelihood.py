@@ -149,7 +149,7 @@ def _interp_histogram(pos: np.ndarray, weight, n: int, tilts=(0.0,)) -> np.ndarr
             -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
     row = np.arange(len(pos))[:, None] * n
     hist = np.zeros((len(tilts), len(pos) * n))
-    grow = [np.exp(mu * t) for mu in tilts]
+    grow = [np.exp(mu * t) if mu else 1.0 for mu in tilts]
     for j, tap in zip((-1, 0, 1, 2), taps):
         node = (row + np.abs(i + j)).ravel()
         for h, mu, g in zip(hist, tilts, grow):
@@ -186,9 +186,13 @@ class PdfTable:
     start at 0 and lie in [0, 1]."""
 
     def __init__(self, k_values: np.ndarray, deltas: np.ndarray):
-        if np.any(k_values < 0) or k_values[0] != k_values.min():
-            raise DomainError("invalid K grid")
         self.k_values = np.asarray(k_values, dtype=float)
+        # the 4-point K stencil needs distinct ascending rows; ascending from
+        # k[0] >= 0 up to a finite k[-1] also rules out NaN and infinities
+        k = self.k_values
+        if k.ndim != 1 or not len(k) or not (k[0] >= 0.0 and np.isfinite(k[-1])
+                                              and np.all(np.diff(k) > 0.0)):
+            raise DomainError("invalid K grid: it must be finite, >= 0 and strictly ascending")
         self.deltas = np.asarray(deltas, dtype=float)
         # the first column is tabulated as the single Delta = 0 kernel, and
         # 1 + Delta cos(alpha) must not go negative

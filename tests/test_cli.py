@@ -1,5 +1,7 @@
 """CLI subcommands through their file interfaces, including exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
 from twdpfit import cli, fileio, linksim
@@ -154,6 +157,42 @@ class TestScan:
         assert run(["scan", str(path), "-o", str(prefix), *GRID_ARGS]) == 3
         assert "finite" in capsys.readouterr().err
         assert not (tmp_path / "out.power.csv").exists()
+        assert not (tmp_path / "out.fits.json").exists()
+
+    def test_unfittable_direction_is_marked_failed(self, tmp_path, capsys):
+        # an exact zero in one direction's fit class (sample 9 at stride 10)
+        # used to exit 3 and write nothing for any direction
+        samples = np.stack([sample_twdp(FadingParams(k, d, 1.0), 1000, seed).samples
+                            for k, d, seed in ((8.0, 0.0, 41), (3.0, 0.7, 42),
+                                               (1.0, 0.0, 43), (5.0, 0.5, 44))])
+        outputs = {}
+        for name in ("clean", "zero"):
+            if name == "zero":
+                samples[2, 9] = 0.0
+            path = tmp_path / f"{name}.csv"
+            fileio.write_scan(path, DirectionalScan([0.0, 90.0, 180.0, 270.0], [90.0] * 4,
+                                                    samples, np.full(4, 1e-6)))
+            prefix = tmp_path / f"{name}_out"
+            assert run(["scan", str(path), "-o", str(prefix), "--k-max", "2"]) == 0
+            outputs[name] = (json.loads(prefix.with_suffix(".fits.json").read_text()),
+                             prefix.with_suffix(".power.csv").read_text().splitlines(),
+                             capsys.readouterr().out)
+        (clean, clean_rows, clean_out), (zero, zero_rows, zero_out) = outputs.values()
+        failed = zero["directions"][2]
+        assert failed["marker"] == "failed" and failed["report"] is None
+        assert "zero envelope" in failed["error"]
+        others = [0, 1, 3]
+        assert [zero["directions"][i] for i in others] == [clean["directions"][i] for i in others]
+        assert zero_rows[3] == clean_rows[3].rsplit(",", 1)[0] + ",failed"
+        assert [zero_rows[i] for i in (0, 1, 2, 4)] == [clean_rows[i] for i in (0, 1, 2, 4)]
+        assert zero_out.endswith(".fits.json; 1 failed\n") and clean_out.endswith(".fits.json\n")
+
+    @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--per-cell", "0"]])
+    def test_bad_g_test_option_fails_the_command(self, tmp_path, capsys, option):
+        # an option that no direction can be fitted with is not a direction's failure
+        path = self.make_scan_file(tmp_path)
+        assert run(["scan", str(path), "-o", str(tmp_path / "out"), *GRID_ARGS, *option]) == 3
+        assert "--alpha" in one_error_line(capsys)
         assert not (tmp_path / "out.fits.json").exists()
 
     def test_output_bytes(self, tmp_path, monkeypatch):
@@ -408,6 +447,90 @@ class TestUnreadableOrUnwritableFiles:
         assert str(tmp_path / "out.fits.json") in one_error_line(capsys)
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["out.fits.json", "scan.csv",
                                                               "scan.json"]
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a malformed input file ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+TOKENS = st.sampled_from(["", "0", "-1", "nan", "inf", "1e400", "1e-320", "x", ",", "\n", " ",
+                          "\ufeff", "\x00", "\udcff", "[", "}", '"'])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([2 ** 63, 10 ** 400])
+    | st.floats() | st.text(max_size=6) | TOKENS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                   max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def spliced(draw, data: bytes) -> bytes:
+    """data with one to three byte ranges of up to 40 replaced by a token (the
+    lone surrogate writes the byte 0xff, which is not UTF-8)."""
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(data)))
+        cut = draw(st.integers(0, 40))
+        data = data[:pos] + draw(TOKENS).encode("utf-8", "surrogateescape") + data[pos + cut:]
+    return data
+
+
+@st.composite
+def mutated_json(draw, data: bytes) -> bytes:
+    """A JSON document with one to three values replaced or deleted at any
+    depth, then possibly spliced as bytes."""
+    doc = json.loads(data)
+    for _ in range(draw(st.integers(1, 3))):
+        obj, parent, key = doc, None, None
+        while isinstance(obj, (dict, list)) and obj and (parent is None or draw(st.booleans())):
+            parent = obj
+            key = draw(st.sampled_from(sorted(obj) if isinstance(obj, dict) else range(len(obj))))
+            obj = obj[key]
+        if parent is None:
+            doc = draw(JSON_VALUES)
+        elif isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON_VALUES)
+    text = json.dumps(doc).encode()
+    return draw(spliced(text)) if draw(st.booleans()) else text
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory) -> dict[str, tuple[bytes, bytes | None]]:
+    """Valid envelope, scan and grid files: (CSV bytes, sidecar bytes or None)."""
+    work = tmp_path_factory.mktemp("fuzz_inputs")
+    rng = np.random.default_rng(8)
+    fileio.write_envelopes(work / "env.csv",
+                           sample_twdp(FadingParams(3.0, 0.5, 1.0), 600, 8).envelopes)
+    fileio.write_scan(work / "scan.csv", DirectionalScan(
+        [0.0, 90.0], [90.0, 45.0], rng.normal(size=(2, 600)) + 1j * rng.normal(size=(2, 600)),
+        [1e-6, 1e-6], 6e10 + 1e6 * np.arange(600)))
+    fileio.write_grid(work / "grid.csv", SpatialGrid(
+        rng.normal(size=(3, 3, 1, 2)) + 1j * rng.normal(size=(3, 3, 1, 2)),
+        freq_axis=[6e10, 6.1e10], direction=(10.0, 90.0)))
+    return {name: ((work / f"{name}.csv").read_bytes(),
+                   None if name == "env" else (work / f"{name}.json").read_bytes())
+            for name in ("env", "scan", "grid")}
+
+
+@pytest.mark.parametrize("command, name", [("fit", "env"), ("scan", "scan"), ("spatial", "grid")])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_fuzz_mutated_input(tmp_path_factory, fuzz_inputs, command, name, data):
+    # the envelope CSV, or the scan's or grid's JSON sidecar, mutated: every
+    # outcome is a documented exit code, and main lets no exception escape
+    csv, sidecar = fuzz_inputs[name]
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / f"{name}.csv"
+    if sidecar is None:
+        path.write_bytes(data.draw(spliced(csv)))
+    else:
+        path.write_bytes(csv)
+        path.with_suffix(".json").write_bytes(data.draw(mutated_json(sidecar)))
+    grid = [] if command == "spatial" else ["--k-max", "2"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, str(path), "-o", str(work / "out"), *grid])
+    assert code in (0, 2, 3, 4)
 
 
 def fresh_python(probe: str, cwd: Path, **env_vars) -> subprocess.CompletedProcess:

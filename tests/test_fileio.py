@@ -238,11 +238,13 @@ def patch_sidecar(path, **fields):
 BAD_GRID_HEADERS = [
     {"freq_axis": ["x"]}, {"shape": [3, "3", 1, 1]}, {"shape": [3, 3.0, 1, 1]},
     {"shape": [3, True, 1, 1]}, {"shape": [3, -3, 1, 1]}, {"shape": [3, 3, 1]},
-    {"shape": 9}, {"direction": 5}, {"spacing": "near"},
+    {"shape": 9}, {"direction": 5}, {"spacing": "near"}, {"spacing": 10 ** 400},
+    {"direction": [10 ** 400, 90]}, {"freq_axis": [10 ** 400]},
 ]
 BAD_SCAN_HEADERS = [
     {"freq_axis": ["x"]}, {"n_freq": "40"}, {"n_freq": 39.7}, {"n_freq": -1},
-    {"directions": [{"azimuth": 0.0}]}, {"directions": 2},
+    {"directions": [{"azimuth": 0.0}]}, {"directions": 2}, {"freq_axis": [10 ** 400]},
+    {"directions": [{"azimuth": 10 ** 400, "elevation": 90.0, "noise_power": 1e-6}] * 2},
 ]
 
 
@@ -338,6 +340,38 @@ class TestReport:
         with pytest.raises(jsonschema.ValidationError) as got:
             fileio.report_from_dict(doc)
         assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
+
+    @pytest.mark.parametrize("path, value, accepted", [
+        ("rice.k_hat", -0.5, False), ("twdp.delta_hat", 1.5, False), ("omega_hat", 0, False),
+        ("n_fit", 0, False), ("n_moment", 0, False), ("gtest.dof", 0, False),
+        ("gtest.n_cells", 0, False), ("gtest.per_cell", 0, False),
+        ("gtest.verdict", "maybe", False), ("rice.model", "nakagami", False),
+        ("schema_version", 2, False), ("rice.boundary_hit", 1, False),
+        ("grid.k_step", "0.05", False),
+        *[(f"{obj}.{key}", 0, False) for obj in ("rice", "twdp", "gtest", "grid")
+          for key in ("extra", "missing")],
+        ("rice.k_hat", 0.0, True), ("rice.delta_hat", 0.0, True),
+        ("twdp.delta_hat", 1.0, True), ("gtest.dof", 1, True),
+    ])
+    def test_field_bounds(self, tmp_path, path, value, accepted):
+        # each bound a field's metadata carries rejects a value past it and
+        # accepts its edge value; "missing" deletes the object's first key
+        doc = fileio.report_to_dict(hand_report())
+        *parents, key = path.split(".")
+        obj = doc
+        for name in parents:
+            obj = obj[name]
+        if key == "missing":
+            del obj[next(iter(obj))]
+        else:
+            obj[key] = value
+        target = tmp_path / "report.json"
+        target.write_text(json.dumps(doc))
+        if accepted:
+            assert fileio.report_to_dict(fileio.read_report(target)) == doc
+        else:
+            with pytest.raises(ParseError, match="schema"):
+                fileio.read_report(target)
 
     def test_dict_is_json_clean(self, report):
         doc = fileio.report_to_dict(report)

@@ -366,6 +366,21 @@ class TestTableAccuracy:
         assert got == pytest.approx(math.log(twdp_pdf(1.0, FadingParams(4.0, 0.5, 1.0))),
                                     abs=1e-2)
 
+    @pytest.mark.parametrize("k_values", [
+        [0.0, 1.0, 1.0, 3.0, 4.0], [0.0, 2.0, 1.0, 3.0, 4.0], [-1.0, 1.0, 2.0, 3.0],
+        [0.0, 1.0, 2.0, np.inf], [np.nan, 1.0, 2.0, 3.0], [0.0, 1.0, np.nan, 3.0], []])
+    def test_k_grid_must_be_finite_nonnegative_and_ascending(self, k_values):
+        # a repeated row used to build a table whose K stencil divides by zero
+        with pytest.raises(DomainError, match="invalid K grid"):
+            PdfTable(np.array(k_values), np.array([0.0, 0.5, 1.0]))
+
+    def test_k_grid_may_be_a_list(self):
+        # a list used to raise TypeError before it was converted
+        deltas = [0.0, 0.5, 1.0]
+        table = PdfTable([0.0, 1.0, 2.0, 3.0, 4.0], deltas)
+        assert np.array_equal(table.log_rows, PdfTable(np.arange(5.0), np.array(deltas)).log_rows)
+        assert get_table([0.0, 1.0, 2.0, 3.0, 4.0], deltas).k_values.dtype == float
+
     def test_row_on_grid_nodes_matches_stored_rows(self, high_k_table):
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         # r_max is node 511; 512 and 513 are the guard nodes above it
@@ -811,6 +826,19 @@ class TestGTest:
         counts = np.diff(np.searchsorted(x, edge), prepend=0, append=len(x))
         assert len(counts) == report.gtest.n_cells == report.gtest.dof + 2
         assert counts.min() >= 10 and report.gtest.verdict == "accepted"
+
+    def test_cut_is_measured_from_the_last_kept_cut(self, monkeypatch):
+        # 100 fit samples, ties over sorted indices 8-17 and 19-24: the
+        # equal-count cuts 10 and 20 move up to 18 and 25, 25 lies 7 after
+        # the kept 18 and is dropped, and 30 lies 12 after it and is kept
+        x = np.arange(1.0, 101.0) / 40.0
+        x[8:18], x[19:25] = x[8], x[19]
+        es = EnvelopeSet(x, np.ones(100, dtype=bool))
+        edges = recorded_rice_edges(monkeypatch)
+        res = g_test(es, ModelFit("rice", 1.0, 0.0, 0.0), 1.0)
+        cuts = np.array([18, 30, 40, 50, 60, 70, 80, 90])
+        assert np.array_equal(edges[0], 0.5 * (x[cuts - 1] + x[cuts]))
+        assert (res.n_cells, res.dof) == (9, 7)
 
     def test_three_distinct_values_leave_too_few_cells(self):
         # 40 fit samples at each of 0.5, 1 and 1.5: three cells at most
