@@ -9,9 +9,9 @@ Formats (all plain text, byte-order independent):
 * directional scan: CSV with columns idir,ifreq,re,im plus a JSON header
   listing per-direction azimuth/elevation/noise power and the frequency
   axis;
-* fit report: versioned JSON validated against REPORT_SCHEMA, which is
-  derived from the report dataclasses of ``inference`` (jsonschema is
-  imported only by the report functions, so other formats never load it);
+* fit report: versioned JSON checked against REPORT_SCHEMA, which is
+  derived from the report dataclasses of ``inference``, by a walk over the
+  schema itself (the Draft 7 keywords it uses, no validator library);
 * correlation map: CSV value matrix plus a JSON header with lag axes and
   axis cuts;
 * BER curve: CSV (snr_db, ber) plus a JSON metadata sidecar.
@@ -33,7 +33,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError, TwdpfitError
 from .inference import FitReport
 from .linksim import BerCurve
 from .measurement import CorrelationMap, DirectionalScan, SpatialGrid
@@ -177,6 +177,13 @@ def _count(value) -> int:
     return value
 
 
+def _real(value) -> float:
+    """float(value); a JSON true or false is an error, not 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _freq_axis(header: dict) -> np.ndarray | None:
     return None if header.get("freq_axis") is None else np.asarray(header["freq_axis"], float)
 
@@ -187,7 +194,7 @@ def _direction(header: dict) -> tuple[float, float] | None:
     value = header.get("direction")
     if value is not None and (type(value) is not list or len(value) != 2):
         raise ValueError(f"expected null or [azimuth, elevation], got {value!r}")
-    return None if value is None else (float(value[0]), float(value[1]))
+    return None if value is None else (_real(value[0]), _real(value[1]))
 
 
 def _load_json(path: Path) -> dict:
@@ -271,7 +278,7 @@ def read_grid(path: str | Path) -> SpatialGrid:
     header = _load_json(_sidecar(path))
     try:
         nx, ny, nz, nf = map(_count, header["shape"])
-        spacing = float(header["spacing"])
+        spacing = _real(header["spacing"])
         freq_axis = _freq_axis(header)
         direction = _direction(header)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:   # an int beyond float
@@ -318,15 +325,32 @@ def read_scan(path: str | Path) -> DirectionalScan:
 # fit reports
 # ---------------------------------------------------------------------------
 
-def _checked(doc: dict) -> dict:
-    """doc, or the error jsonschema.validate would raise for it (the best
-    match), without validate's check of REPORT_SCHEMA itself on every call:
-    that check costs ten times the validation."""
-    import jsonschema
-    error = jsonschema.exceptions.best_match(
-        jsonschema.Draft7Validator(REPORT_SCHEMA).iter_errors(doc))
-    if error is not None:
-        raise error
+def _breach(doc, schema: dict, path: str = "report") -> tuple[str, str] | None:
+    """(dotted field, fault) where doc first breaks schema, or None, on the keywords REPORT_SCHEMA
+    uses. As in Draft 7, a bool is no number, 1.0 is an integer and NaN passes every bound."""
+    number = isinstance(doc, (int, float)) and not isinstance(doc, bool)
+    if "type" in schema and not {"object": isinstance(doc, dict), "string": isinstance(doc, str),
+                                 "boolean": isinstance(doc, bool), "number": number,
+                                 "integer": number and not doc % 1}[schema["type"]]:
+        return path, f"{doc!r} is not of type {schema['type']!r}"
+    if ("enum" in schema and doc not in schema["enum"]
+            or "const" in schema and doc != schema["const"]):
+        return path, f"{doc!r} is not an allowed value"
+    if number and (doc < schema.get("minimum", np.nan) or doc > schema.get("maximum", np.nan)
+                   or doc <= schema.get("exclusiveMinimum", np.nan)):       # never for NaN
+        return path, f"{doc!r} is out of bounds"
+    props = schema.get("properties", {})
+    for key in dict.fromkeys([*schema.get("required", ()), *doc]) if isinstance(doc, dict) else ():
+        if key not in doc or key not in props and schema.get("additionalProperties") is False:
+            return f"{path}.{key}", "missing" if key not in doc else "not a report field"
+        if key in props and (found := _breach(doc[key], props[key], f"{path}.{key}")):
+            return found
+
+
+def _checked(doc: dict, fault=TwdpfitError, source="internal error") -> dict:
+    """doc, or fault naming the field where it first breaks REPORT_SCHEMA."""
+    if found := _breach(doc, REPORT_SCHEMA):
+        raise fault(f"{source}: {found[0]} does not match the schema ({found[1]})")
     return doc
 
 
@@ -342,8 +366,11 @@ def _from_dict(cls, doc: dict):
                   for key, value in doc.items()})
 
 
-def report_from_dict(doc: dict) -> FitReport:
-    return _from_dict(FitReport, _checked(doc))
+def report_from_dict(doc: dict, source="report") -> FitReport:
+    try:
+        return _from_dict(FitReport, _checked(doc, ParseError, source))
+    except DomainError as exc:          # GridConfig's checks, which the schema does not state
+        raise ParseError(f"{source}: report.grid does not match the schema ({exc})") from None
 
 
 def write_report(path: str | Path, report: FitReport) -> None:
@@ -351,12 +378,7 @@ def write_report(path: str | Path, report: FitReport) -> None:
 
 
 def read_report(path: str | Path) -> FitReport:
-    doc = _load_json(Path(path))
-    import jsonschema
-    try:
-        return report_from_dict(doc)
-    except jsonschema.ValidationError as exc:
-        raise ParseError(f"{path}: report does not match the schema ({exc.message})")
+    return report_from_dict(_load_json(Path(path)), path)
 
 
 # ---------------------------------------------------------------------------

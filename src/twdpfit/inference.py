@@ -91,13 +91,14 @@ class GridConfig:
     delta_step: float = 0.05
 
     def __post_init__(self):
-        if self.k_step <= 0 or self.delta_step <= 0:
+        # each check is written so that NaN fails it
+        if not (self.k_step > 0 and self.delta_step > 0):
             raise DomainError("grid steps must be positive")
-        if self.k_max <= self.k_min or self.k_min < 0:
+        if not 0 <= self.k_min < self.k_max:
             raise DomainError("require 0 <= k_min < k_max")
-        if self.k_max > K_MAX_SUPPORTED:
+        if not self.k_max <= K_MAX_SUPPORTED:
             raise DomainError(f"k_max exceeds the supported cap {K_MAX_SUPPORTED:g}")
-        if self.delta_step > 1.0:
+        if not self.delta_step <= 1.0:
             raise DomainError("delta_step must not exceed 1")
 
     @property

@@ -44,6 +44,18 @@ def _on_sphere(azimuth, elevation):
     return (0 <= azimuth) & (azimuth < 360) & (0 <= elevation) & (elevation <= 180)
 
 
+def _frequencies(freq_axis, n_freq: int) -> np.ndarray | None:
+    """freq_axis as n_freq positive, finite frequencies in Hz, or None."""
+    if freq_axis is None:
+        return None
+    freq_axis = np.asarray(freq_axis, dtype=float)
+    if freq_axis.shape != (n_freq,):
+        raise DomainError("freq_axis length must match the frequency dimension")
+    if not np.all((freq_axis > 0) & (freq_axis < np.inf)):
+        raise DomainError("frequencies must be positive and finite")
+    return freq_axis
+
+
 @dataclass
 class SpatialGrid:
     """Complex channel samples on a uniform spatial lattice.
@@ -65,14 +77,10 @@ class SpatialGrid:
             raise DomainError("grid must be a 4-D array (ix, iy, iz, ifreq) with dims >= 1")
         if not np.all(np.isfinite(self.h)):
             raise DomainError("grid samples must be finite")
-        if not 0 < self.spacing < np.inf:
-            raise DomainError("spacing must be positive and finite")
-        if self.freq_axis is not None:
-            self.freq_axis = np.asarray(self.freq_axis, dtype=float)
-            if self.freq_axis.shape != (self.h.shape[3],):
-                raise DomainError("freq_axis length must match the frequency dimension")
-            if not np.all((self.freq_axis > 0) & (self.freq_axis < np.inf)):
-                raise DomainError("frequencies must be positive and finite")
+        # correlation lags reach (n - 1) spacings on the longer side; n leaves room to round
+        if not 0 < self.spacing < np.finfo(float).max / max(self.h.shape[:2]):
+            raise DomainError("spacing must be positive, with a finite largest lag")
+        self.freq_axis = _frequencies(self.freq_axis, self.h.shape[3])
         if self.direction is not None:
             self.direction = tuple(map(float, self.direction))
             if len(self.direction) != 2 or not _on_sphere(*self.direction):
@@ -104,6 +112,7 @@ class DirectionalScan:
             raise DomainError("samples must be (n_directions, n_freq)")
         if not np.all(np.isfinite(self.samples)):
             raise DomainError("scan samples must be finite")
+        self.freq_axis = _frequencies(self.freq_axis, self.samples.shape[1])
         if self.elevation.shape != (nd,) or self.noise_power.shape != (nd,):
             raise DomainError("per-direction arrays must have equal length")
         if not np.all(_on_sphere(self.azimuth, self.elevation)):

@@ -354,6 +354,7 @@ def one_error_line(capsys) -> str:
     ("spatial", {"freq_axis": ["x"]}), ("spatial", {"shape": [3, "3", 1, 1]}),
     ("spatial", {"shape": [3, 3.0, 1, 1]}), ("spatial", {"direction": 5}),
     ("scan", {"freq_axis": ["x"]}), ("scan", {"n_freq": 39.7}), ("scan", {"n_freq": "40"}),
+    ("spatial", {"spacing": True}), ("spatial", {"direction": [True, 0]}),
 ])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
     path = sidecar_input(tmp_path, command, fields)
@@ -376,6 +377,7 @@ def nan_azimuth_directions():
     ("spatial", {"direction": [10, 181]}, 3), ("spatial", {"direction": "abc"}, 2),
     ("spatial", {"direction": "12"}, 2), ("spatial", {"direction": [1, 2, 3, 4]}, 2),
     ("spatial", {"direction": ["x", 90]}, 2), ("scan", {"directions": nan_azimuth_directions()}, 3),
+    ("spatial", {"spacing": 1e308}, 3), ("scan", {"freq_axis": [6e10]}, 3),
 ])
 def test_non_finite_or_out_of_range_sidecar(tmp_path, capsys, command, fields, code):
     # range checks that NaN passes would let spatial print "lag step nan"
@@ -588,10 +590,12 @@ sys.meta_path.insert(0, Spy())
 fileio.write_envelopes("env.csv", sample_twdp(FadingParams(5.0, 0.8, 1.0), 5000, 2).envelopes)
 print(main(["fit", "env.csv", "-o", "report.json", "--k-max", "3"]))
 print(first)
+print("jsonschema" in sys.modules)
 """
     lines = fresh_python(probe, tmp_path).stdout.splitlines()
-    assert lines[-2] == "0"
-    assert lines[-1].startswith("['ThreadPoolExecutor")
+    assert lines[-3] == "0"
+    assert lines[-2].startswith("['ThreadPoolExecutor")
+    assert lines[-1] == "False"      # the report is checked without a validator library
     report = fileio.read_report(tmp_path / "report.json")     # validates the schema
     assert report.chosen in ("rice", "twdp")
 
@@ -604,7 +608,7 @@ def test_fresh_read_report_rejects_schema_break(tmp_path, monkeypatch):
     doc = json.loads((tmp_path / "report.json").read_text())
     doc["chosen"] = "nakagami"
     (tmp_path / "report.json").write_text(json.dumps(doc))
-    # read_report is the first user of jsonschema in this process
+    # a fresh process rejects the report without loading jsonschema
     probe = """
 import sys
 from twdpfit import ParseError, fileio
@@ -614,7 +618,7 @@ except ParseError as exc:
     print("ParseError", "jsonschema" in sys.modules, exc)
 """
     out = fresh_python(probe, tmp_path).stdout
-    assert out.startswith("ParseError True") and "schema" in out
+    assert out.startswith("ParseError False") and "chosen does not match the schema" in out
 
 
 def test_unknown_log_level_falls_back_to_warning(tmp_path):

@@ -1,7 +1,10 @@
 """File formats: round trips, parse failures, schema validation, atomicity."""
 
+import copy
+import functools
 import json
 import os
+import re
 import stat
 
 import numpy as np
@@ -16,6 +19,7 @@ from twdpfit import (
     ParseError,
     PlaneWave,
     PlaneWaveScene,
+    TwdpfitError,
     fit_envelopes,
     partition_stride,
     sample_twdp,
@@ -239,7 +243,8 @@ BAD_GRID_HEADERS = [
     {"freq_axis": ["x"]}, {"shape": [3, "3", 1, 1]}, {"shape": [3, 3.0, 1, 1]},
     {"shape": [3, True, 1, 1]}, {"shape": [3, -3, 1, 1]}, {"shape": [3, 3, 1]},
     {"shape": 9}, {"direction": 5}, {"spacing": "near"}, {"spacing": 10 ** 400},
-    {"direction": [10 ** 400, 90]}, {"freq_axis": [10 ** 400]},
+    {"direction": [10 ** 400, 90]}, {"freq_axis": [10 ** 400]}, {"spacing": True},
+    {"direction": [True, 0]},
 ]
 BAD_SCAN_HEADERS = [
     {"freq_axis": ["x"]}, {"n_freq": "40"}, {"n_freq": 39.7}, {"n_freq": -1},
@@ -299,6 +304,65 @@ class TestReaderGuards:
             read(path)
 
 
+def hand_report() -> FitReport:
+    """A report built field by field, so its bytes involve no fit or BLAS."""
+    return FitReport(
+        omega_hat=1.5, n_fit=100, n_moment=900,
+        rice=ModelFit("rice", 2.5, 0.0, -120.25, 244.5, False),
+        twdp=ModelFit("twdp", 10.0, 0.9, -110.5, 227.125, True),
+        chosen="twdp",
+        gtest=GTestResult(12.5, 7, 18.475, "accepted", 10, 0.01, 10),
+        grid=GridConfig(k_max=30.0))
+
+
+# JSON values where Draft 7 is subtle (bools, integral floats, non-finite
+# numbers, bound edges) drawn as often as all the others together
+REPORT_VALUES = st.one_of(
+    st.sampled_from([True, False, 0, 1, 0.0, 1.0, -0.0, 2.5, float("nan"), float("inf"),
+                     float("-inf")]),
+    st.sampled_from([None, 2, -1, 0.5, 1.5, -0.5, 1e9, 10 ** 400, "rice", "twdp", "accepted",
+                     "0.05", "", [], {}, [1.0], {"k_hat": 1.0}]).map(copy.deepcopy))
+
+
+def field_slot(doc: dict, path: str) -> tuple[dict, str]:
+    """The object of doc that holds the dotted path's last key, and that key."""
+    *parents, key = path.split(".")
+    return functools.reduce(dict.__getitem__, parents, doc), key
+
+
+def report_with(path: str, value) -> dict:
+    """hand_report's dict with the dotted path set to value."""
+    doc = fileio.report_to_dict(hand_report())
+    obj, key = field_slot(doc, path)
+    obj[key] = value
+    return doc
+
+
+def report_paths(doc: dict, prefix: str = ""):
+    """Every dotted key path of doc, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from report_paths(value, f"{prefix}{key}.")
+
+
+@st.composite
+def mutated_reports(draw):
+    """hand_report's dict with one or two keys set to another value, deleted,
+    or given an extra sibling."""
+    doc = fileio.report_to_dict(hand_report())
+    for _ in range(draw(st.integers(1, 2))):
+        obj, key = field_slot(doc, draw(st.sampled_from(list(report_paths(doc)))))
+        action = draw(st.sampled_from(["set", "delete", "extra"]))
+        if action == "delete":
+            del obj[key]
+        else:
+            obj["extra" if action == "extra" else key] = draw(REPORT_VALUES)
+        if not doc:
+            break
+    return doc
+
+
 class TestReport:
     def test_round_trip_and_schema(self, tmp_path, report):
         path = tmp_path / "report.json"
@@ -330,16 +394,46 @@ class TestReport:
         with pytest.raises(ParseError, match="schema"):
             fileio.read_report(path)
 
-    def test_check_raises_the_error_validate_picks(self):
+    @given(doc=mutated_reports())
+    @example(doc=report_with("omega_hat", True)).via("a bool is no number")
+    @example(doc=report_with("schema_version", True)).via("true is not the integer 1")
+    @example(doc=report_with("n_fit", 1.0)).via("an integral float is an integer")
+    @example(doc=report_with("gtest.dof", 2.5)).via("a fraction is no integer")
+    @example(doc=report_with("rice.k_hat", float("nan"))).via("NaN passes every bound")
+    @settings(max_examples=150, deadline=None)
+    def test_check_accepts_what_draft_7_accepts(self, doc):
+        # the walk over REPORT_SCHEMA against jsonschema itself; a rejected
+        # document is a ParseError naming the field where the walk stopped
         import jsonschema
-        doc = fileio.report_to_dict(hand_report())
-        doc["chosen"], doc["rice"]["k_hat"], doc["extra"] = "nakagami", -1.0, 0
-        del doc["gtest"]["dof"]
-        with pytest.raises(jsonschema.ValidationError) as want:
-            jsonschema.validate(doc, fileio.REPORT_SCHEMA)
-        with pytest.raises(jsonschema.ValidationError) as got:
-            fileio.report_from_dict(doc)
-        assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
+        found = fileio._breach(doc, fileio.REPORT_SCHEMA)
+        assert (found is None) == jsonschema.Draft7Validator(fileio.REPORT_SCHEMA).is_valid(doc)
+        if found is not None:
+            field = re.escape(found[0])
+            with pytest.raises(ParseError, match=f"{field} does not match the schema"):
+                fileio.report_from_dict(doc)
+
+    def test_check_handles_every_keyword_of_the_schema(self):
+        # a keyword the walk does not know would go unchecked
+        def nodes(schema):
+            yield schema
+            for sub in schema.get("properties", {}).values():
+                yield from nodes(sub)
+
+        handled = {"type", "properties", "required", "additionalProperties", "enum", "const",
+                   "minimum", "maximum", "exclusiveMinimum"}
+        for node in nodes({k: v for k, v in fileio.REPORT_SCHEMA.items() if k != "$schema"}):
+            assert set(node) <= handled, node
+            assert node["type"] in ("object", "number", "integer", "boolean", "string")
+            assert node.get("additionalProperties", False) is False
+
+    def test_write_side_fault_is_a_package_error(self, tmp_path):
+        report = hand_report()
+        report.rice.boundary_hit = np.True_
+        with pytest.raises(TwdpfitError, match="rice.boundary_hit does not match the schema") \
+                as err:
+            fileio.write_report(tmp_path / "report.json", report)
+        assert err.value.exit_code == 4
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("path, value, accepted", [
         ("rice.k_hat", -0.5, False), ("twdp.delta_hat", 1.5, False), ("omega_hat", 0, False),
@@ -347,7 +441,8 @@ class TestReport:
         ("gtest.n_cells", 0, False), ("gtest.per_cell", 0, False),
         ("gtest.verdict", "maybe", False), ("rice.model", "nakagami", False),
         ("schema_version", 2, False), ("rice.boundary_hit", 1, False),
-        ("grid.k_step", "0.05", False),
+        ("grid.k_step", "0.05", False), ("grid.k_step", -1.0, False), ("grid.k_max", 1e9, False),
+        ("grid.k_max", float("nan"), False),
         *[(f"{obj}.{key}", 0, False) for obj in ("rice", "twdp", "gtest", "grid")
           for key in ("extra", "missing")],
         ("rice.k_hat", 0.0, True), ("rice.delta_hat", 0.0, True),
@@ -357,10 +452,7 @@ class TestReport:
         # each bound a field's metadata carries rejects a value past it and
         # accepts its edge value; "missing" deletes the object's first key
         doc = fileio.report_to_dict(hand_report())
-        *parents, key = path.split(".")
-        obj = doc
-        for name in parents:
-            obj = obj[name]
+        obj, key = field_slot(doc, path)
         if key == "missing":
             del obj[next(iter(obj))]
         else:
@@ -382,17 +474,6 @@ class TestReport:
         fileio.write_report(p1, report)
         fileio.write_report(p2, report)
         assert p1.read_bytes() == p2.read_bytes()
-
-
-def hand_report() -> FitReport:
-    """A report built field by field, so its bytes involve no fit or BLAS."""
-    return FitReport(
-        omega_hat=1.5, n_fit=100, n_moment=900,
-        rice=ModelFit("rice", 2.5, 0.0, -120.25, 244.5, False),
-        twdp=ModelFit("twdp", 10.0, 0.9, -110.5, 227.125, True),
-        chosen="twdp",
-        gtest=GTestResult(12.5, 7, 18.475, "accepted", 10, 0.01, 10),
-        grid=GridConfig(k_max=30.0))
 
 
 def json_bytes(doc) -> bytes:
@@ -588,7 +669,9 @@ def optional_axis(draw, n):
 @st.composite
 def spatial_grids(draw):
     shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
-    return SpatialGrid(complex_array(draw, shape), spacing=draw(POSITIVE),
+    largest = np.finfo(float).max / max(shape[:2])          # keeps the largest lag finite
+    return SpatialGrid(complex_array(draw, shape),
+                       spacing=draw(st.floats(0.0, largest, exclude_min=True, exclude_max=True)),
                        freq_axis=optional_axis(draw, shape[3]),
                        direction=draw(st.none() | st.tuples(AZIMUTH, ELEVATION)))
 

@@ -123,7 +123,7 @@ class TestNonFiniteMetadata:
         {"spacing": np.nan}, {"spacing": np.inf}, {"freq_axis": [np.nan]},
         {"freq_axis": [np.inf]}, {"direction": (np.nan, 90.0)}, {"direction": (10.0, np.inf)},
         {"direction": (360.0, 90.0)}, {"direction": (10.0, 180.5)}, {"direction": (-1.0, 0.0)},
-        {"direction": (1.0, 2.0, 3.0)}])
+        {"direction": (1.0, 2.0, 3.0)}, {"spacing": 1e308}])
     def test_grid_rejects(self, fields):
         with pytest.raises(DomainError):
             SpatialGrid(np.ones((2, 2, 1, 1)), **fields)
@@ -138,6 +138,12 @@ class TestNonFiniteMetadata:
     def test_scan_rejects(self, azimuth, elevation):
         with pytest.raises(DomainError, match="azimuth must lie"):
             DirectionalScan([0.0, azimuth], [90.0, elevation], np.ones((2, 4)), [1e-6, 1e-6])
+
+    @pytest.mark.parametrize("freq_axis", [[1.0, -2.0], [1.0, np.nan], [1.0], 5.0])
+    def test_scan_rejects_freq_axis(self, freq_axis):
+        # the same check as a grid's: one positive, finite frequency per tone
+        with pytest.raises(DomainError, match="freq"):
+            DirectionalScan([0.0], [90.0], np.ones((1, 2)), [1.0], freq_axis=freq_axis)
 
 
 class TestAutocorr2d:
