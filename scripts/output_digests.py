@@ -8,9 +8,11 @@ table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
 samples), `scan` on three directions (clean, spiked and below
 the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
-one per density table's `log_rows` (k_max 30 and 100) and one for the fit
-report's schema. Two source trees wrote byte-identical outputs exactly when
-their lines are equal:
+one per density table's `log_rows` (k_max 30 and 100), one for the fit
+report's schema and one per sidecar reader: the arrays `read_grid` parses
+from a grid written with a direction and a frequency axis, and those
+`read_scan` parses from the scan. Two source trees wrote byte-identical
+outputs exactly when their lines are equal:
 
     PYTHONPATH=src python scripts/output_digests.py /tmp/a > a.txt
     PYTHONPATH=../other/src python scripts/output_digests.py /tmp/b > b.txt
@@ -31,7 +33,7 @@ from twdpfit import cli, fileio
 from twdpfit.fading import FadingParams
 from twdpfit.inference import GridConfig
 from twdpfit.likelihood import get_table
-from twdpfit.measurement import DirectionalScan
+from twdpfit.measurement import DirectionalScan, SpatialGrid
 from twdpfit.synth import sample_twdp
 
 K30 = ["--k-max", "30"]
@@ -41,8 +43,14 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def parsed(*values) -> bytes:
+    """The bytes of each value as an array, in turn; a None as b"None"."""
+    return b"".join(b"None" if v is None else np.asarray(v).tobytes() for v in values)
+
+
 def write_inputs() -> None:
-    """The spiked and the quantized envelope file and the three-direction scan."""
+    """The spiked and the quantized envelope file, the three-direction scan and
+    a small grid with a direction and a frequency axis."""
     values = sample_twdp(FadingParams(4.0, 0.5, 1.0), 20_000, 40).envelopes
     values[[9, 19]] = [6.0, 7.5]               # fit class at the default stride 10
     fileio.write_envelopes("spiked.csv", values)
@@ -57,6 +65,9 @@ def write_inputs() -> None:
     fileio.write_scan("scan.csv", DirectionalScan(
         azimuth=[10.0, 120.0, 200.0], elevation=[90.0, 80.0, 90.0],
         samples=np.stack([clean, spiked, weak]), noise_power=np.full(3, 1e-4)))
+    h = np.random.default_rng(44).normal(size=(3, 4, 2, 5, 2)) @ [1, 1j]
+    fileio.write_grid("grid_dir.csv", SpatialGrid(
+        h, spacing=0.3, freq_axis=6e10 + 1e6 * np.arange(5), direction=(30.0, 60.0)))
 
 
 def main():
@@ -99,6 +110,12 @@ def main():
         table = get_table(grid.k_values, grid.delta_values)
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
+    grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
+    grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)
+    scan_arrays = parsed(scan.azimuth, scan.elevation, scan.noise_power, scan.samples,
+                         scan.freq_axis)
+    lines += [f"{sha(grid_arrays)}  read_grid grid_dir.csv",
+              f"{sha(scan_arrays)}  read_scan scan.csv"]
     print("\n".join(lines))
 
 

@@ -177,24 +177,17 @@ def _count(value) -> int:
     return value
 
 
-def _real(value) -> float:
-    """float(value); a JSON true or false is an error, not 1.0 or 0.0."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _freq_axis(header: dict) -> np.ndarray | None:
-    return None if header.get("freq_axis") is None else np.asarray(header["freq_axis"], float)
-
-
-def _direction(header: dict) -> tuple[float, float] | None:
-    """The optional [azimuth, elevation] pair; anything but null or a
-    two-element list is an error."""
-    value = header.get("direction")
-    if value is not None and (type(value) is not list or len(value) != 2):
-        raise ValueError(f"expected null or [azimuth, elevation], got {value!r}")
-    return None if value is None else (_real(value[0]), _real(value[1]))
+def _reals(value, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """A JSON number, or (nested) list of numbers, as a float array, of `shape`
+    if given; a JSON true, false or null is an error, not 1.0, 0.0 or NaN."""
+    leaves = np.asarray(value, dtype=object)
+    for leaf in leaves.flat:
+        if isinstance(leaf, (bool, type(None))):
+            raise ValueError(f"expected a number, got {leaf!r}")
+    out = leaves.astype(float)
+    if shape is not None and out.shape != shape:
+        raise ValueError(f"expected shape {shape}, got {out.shape}")
+    return out
 
 
 def _load_json(path: Path) -> dict:
@@ -278,9 +271,9 @@ def read_grid(path: str | Path) -> SpatialGrid:
     header = _load_json(_sidecar(path))
     try:
         nx, ny, nz, nf = map(_count, header["shape"])
-        spacing = _real(header["spacing"])
-        freq_axis = _freq_axis(header)
-        direction = _direction(header)
+        spacing = float(_reals(header["spacing"], ()))
+        freq_axis = None if header.get("freq_axis") is None else _reals(header["freq_axis"])
+        direction = None if header.get("direction") is None else _reals(header["direction"], (2,))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:   # an int beyond float
         raise ParseError(f"{_sidecar(path)}: bad grid header ({exc})")
     h = _read_indexed(path, (nx, ny, nz, nf), "ix,iy,iz,ifreq,re,im")
@@ -311,10 +304,9 @@ def read_scan(path: str | Path) -> DirectionalScan:
     try:
         dirs = header["directions"]
         n_freq = _count(header["n_freq"])
-        azimuth = np.array([d["azimuth"] for d in dirs], dtype=float)
-        elevation = np.array([d["elevation"] for d in dirs], dtype=float)
-        noise = np.array([d["noise_power"] for d in dirs], dtype=float)
-        freq_axis = _freq_axis(header)
+        azimuth, elevation, noise = (_reals([d[key] for d in dirs], (len(dirs),))
+                                     for key in ("azimuth", "elevation", "noise_power"))
+        freq_axis = None if header.get("freq_axis") is None else _reals(header["freq_axis"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:   # an int beyond float
         raise ParseError(f"{_sidecar(path)}: bad scan header ({exc})")
     samples = _read_indexed(path, (len(dirs), n_freq), "idir,ifreq,re,im")

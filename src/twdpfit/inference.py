@@ -92,8 +92,8 @@ class GridConfig:
 
     def __post_init__(self):
         # each check is written so that NaN fails it
-        if not (self.k_step > 0 and self.delta_step > 0):
-            raise DomainError("grid steps must be positive")
+        if not (0 < self.k_step < math.inf and self.delta_step > 0):
+            raise DomainError("grid steps must be positive and finite")
         if not 0 <= self.k_min < self.k_max:
             raise DomainError("require 0 <= k_min < k_max")
         if not self.k_max <= K_MAX_SUPPORTED:

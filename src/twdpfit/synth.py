@@ -94,10 +94,13 @@ class PlaneWave:
     delay: float = 0.0
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise DomainError("amplitude must be nonnegative")
+        # each check is written so that NaN and inf fail it
+        if not 0 <= self.amplitude < np.inf:
+            raise DomainError("amplitude must be nonnegative and finite")
+        if not np.isfinite([self.phase, self.delay]).all():
+            raise DomainError("phase and delay must be finite")
         d = np.asarray(self.direction, dtype=float)
-        if d.shape != (3,) or abs(np.linalg.norm(d) - 1.0) > 1e-12:
+        if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-12:
             raise DomainError("direction must be a 3-D unit vector (tol 1e-12)")
 
 
@@ -124,12 +127,11 @@ class PlaneWaveScene:
     seed: int = 0
 
     def __post_init__(self):
-        if self.wavelength <= 0:
-            raise DomainError("wavelength must be positive")
-        if self.spacing <= 0:
-            raise DomainError("spacing must be positive")
-        if self.diffuse_sigma2 < 0 or self.position_jitter < 0:
-            raise DomainError("diffuse_sigma2 and position_jitter must be >= 0")
+        # each check is written so that NaN and inf fail it
+        if not (0 < self.wavelength < np.inf and 0 < self.spacing < np.inf):
+            raise DomainError("wavelength and spacing must be positive and finite")
+        if not (0 <= self.diffuse_sigma2 < np.inf and 0 <= self.position_jitter < np.inf):
+            raise DomainError("diffuse_sigma2 and position_jitter must be finite and >= 0")
         if min(self.shape) < 1:
             raise DomainError("grid dimensions must be >= 1")
 

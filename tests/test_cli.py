@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,7 @@ def one_error_line(capsys) -> str:
     ("spatial", {"shape": [3, 3.0, 1, 1]}), ("spatial", {"direction": 5}),
     ("scan", {"freq_axis": ["x"]}), ("scan", {"n_freq": 39.7}), ("scan", {"n_freq": "40"}),
     ("spatial", {"spacing": True}), ("spatial", {"direction": [True, 0]}),
+    ("scan", {"directions": [{"azimuth": True, "elevation": 90.0, "noise_power": 1e-6}] * 2}),
 ])
 def test_malformed_sidecar_exits_2(tmp_path, capsys, command, fields):
     path = sidecar_input(tmp_path, command, fields)
@@ -387,6 +389,34 @@ def test_non_finite_or_out_of_range_sidecar(tmp_path, capsys, command, fields, c
     assert run([command, str(path), "-o", str(tmp_path / "out.csv"), *grid]) == code
     one_error_line(capsys)
     assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, path.with_suffix(".json").name]
+
+
+@pytest.mark.parametrize("args", [
+    ["--jitter", "inf"], ["--jitter", "nan"], ["--wavelength", "inf"], ["--wavelength", "nan"],
+    ["--spacing", "inf"], ["--diffuse-sigma2", "inf"], ["--wave", "inf:1,0,0"],
+    ["--wave", "nan:1,0,0"], ["--wave", "1:1,0,0:inf"], ["--wave", "1:1,0,0:0:inf"],
+    ["--wave", "1:nan,0,0"], ["--wave", "1:inf,0,0"],
+])
+def test_non_finite_synth_grid_argument_exits_3(tmp_path, capsys, args):
+    # each is refused before any arithmetic: no numpy warning, no traceback
+    wave = [] if "--wave" in args else ["--wave", "1:1,0,0"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["synth", "grid", "-o", str(tmp_path / "g.csv"), "--shape", "3,3,1",
+                    *wave, *args])
+    assert (code, caught, list(tmp_path.iterdir())) == (3, [], [])
+    one_error_line(capsys)
+
+
+def test_infinite_k_step_exits_3_without_warning(tmp_path, capsys):
+    src = tmp_path / "env.csv"
+    fileio.write_envelopes(src, sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 8).envelopes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["fit", str(src), "-o", str(tmp_path / "r.json"), "--k-step", "inf",
+                    "--k-max", "5"])
+    assert (code, caught, list(tmp_path.iterdir())) == (3, [], [src])
+    assert "grid steps" in one_error_line(capsys)
 
 
 class TestUnreadableOrUnwritableFiles:

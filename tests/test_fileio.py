@@ -244,12 +244,13 @@ BAD_GRID_HEADERS = [
     {"shape": [3, True, 1, 1]}, {"shape": [3, -3, 1, 1]}, {"shape": [3, 3, 1]},
     {"shape": 9}, {"direction": 5}, {"spacing": "near"}, {"spacing": 10 ** 400},
     {"direction": [10 ** 400, 90]}, {"freq_axis": [10 ** 400]}, {"spacing": True},
-    {"direction": [True, 0]},
+    {"direction": [True, 0]}, {"freq_axis": [True]},
 ]
 BAD_SCAN_HEADERS = [
     {"freq_axis": ["x"]}, {"n_freq": "40"}, {"n_freq": 39.7}, {"n_freq": -1},
     {"directions": [{"azimuth": 0.0}]}, {"directions": 2}, {"freq_axis": [10 ** 400]},
     {"directions": [{"azimuth": 10 ** 400, "elevation": 90.0, "noise_power": 1e-6}] * 2},
+    {"freq_axis": [True]},
 ]
 
 
@@ -282,6 +283,36 @@ class TestMalformedHeaders:
         sidecar.write_text(json.dumps(header))
         with pytest.raises(ParseError, match=f"bad .* header .*{key}"):
             read(path)
+
+
+def numeric_leaves(doc, path=()) -> list[tuple]:
+    """The key path of every number in a JSON document; a bool is no number."""
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        return [leaf for key, value in items for leaf in numeric_leaves(value, (*path, key))]
+    return [path] if isinstance(doc, (int, float)) and not isinstance(doc, bool) else []
+
+
+@pytest.mark.parametrize("make, read, kind, n_leaves", [
+    # grid: shape, spacing, freq_axis, direction; scan: directions, n_freq, freq_axis
+    (small_grid_file, fileio.read_grid, "grid", 4 + 1 + 1 + 2),
+    (small_scan_file, fileio.read_scan, "scan", 2 * 3 + 1 + 40),
+])
+def test_bool_or_null_at_any_numeric_leaf(tmp_path, make, read, kind, n_leaves):
+    # a JSON true, false or null where a number belongs is a parse error,
+    # never 1.0, 0.0 or NaN
+    path = make(tmp_path)
+    sidecar = path.with_suffix(".json")
+    header = json.loads(sidecar.read_text())
+    leaves = numeric_leaves(header)
+    assert len(leaves) == n_leaves
+    for *parents, key in leaves:
+        for flag in (True, False, None):
+            doc = copy.deepcopy(header)
+            functools.reduce(lambda obj, k: obj[k], parents, doc)[key] = flag
+            sidecar.write_text(json.dumps(doc))
+            with pytest.raises(ParseError, match=f"bad {kind} header .*got {flag}"):
+                read(path)
 
 
 class TestReaderGuards:
@@ -442,7 +473,7 @@ class TestReport:
         ("gtest.verdict", "maybe", False), ("rice.model", "nakagami", False),
         ("schema_version", 2, False), ("rice.boundary_hit", 1, False),
         ("grid.k_step", "0.05", False), ("grid.k_step", -1.0, False), ("grid.k_max", 1e9, False),
-        ("grid.k_max", float("nan"), False),
+        ("grid.k_max", float("nan"), False), ("grid.k_step", float("inf"), False),
         *[(f"{obj}.{key}", 0, False) for obj in ("rice", "twdp", "gtest", "grid")
           for key in ("extra", "missing")],
         ("rice.k_hat", 0.0, True), ("rice.delta_hat", 0.0, True),

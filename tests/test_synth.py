@@ -132,6 +132,14 @@ class TestSynthField:
         with pytest.raises(DomainError):
             PlaneWave(1.0, (1.0, 1.0, 0.0))
 
+    @pytest.mark.parametrize("wave", [
+        {"amplitude": np.inf}, {"amplitude": np.nan}, {"phase": np.inf}, {"delay": np.nan},
+        {"direction": (np.nan, 0.0, 0.0)}, {"direction": (np.inf, 0.0, 0.0)},
+    ])
+    def test_non_finite_wave_rejected(self, wave):
+        with pytest.raises(DomainError):
+            PlaneWave(**{"amplitude": 1.0, "direction": (1.0, 0.0, 0.0), **wave})
+
     def test_delay_rotates_phase_across_tones(self):
         lam = 0.005
         f0 = 299792458.0 / lam
