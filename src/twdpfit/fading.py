@@ -11,7 +11,14 @@ Conventions
 
 The TWDP CDF and density are phase-balance averages of the Rician ones
 (``_phase_average``); the density table shares their Rician kernel and
-trapezoid rule.
+trapezoid rule. The CDF evaluates each batch of phase-node columns over row
+blocks of its envelopes on the shared pool (``pool.map_row_blocks``):
+scipy's ``chndtr`` is elementwise and releases the GIL, so the values are
+the same bits on any number of threads. As with the likelihood GEMV, these
+are numpy's and scipy's own loops on twdpfit's threads, because OpenBLAS
+busy-waits after a threaded product and would hold the core a second block
+runs on. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's points, converged phase
+nodes, milliseconds and threads.
 
 scipy.special (~0.3 s to import) is imported by the functions that call it, so
 synth, spatial and ber never load it; a fit first loads it in the row pool.
@@ -23,12 +30,15 @@ numerics of the distribution kernels are not guaranteed.
 
 from __future__ import annotations
 
+import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .pool import map_row_blocks, threads
 
 __all__ = [
     "FadingParams",
@@ -43,6 +53,8 @@ __all__ = [
     "twdp_cdf",
     "twdp_pdf",
 ]
+
+log = logging.getLogger(__name__)
 
 # Above this K the quadrature accuracy targets are not validated.
 K_MAX_SUPPORTED = 1.0e4
@@ -222,7 +234,8 @@ def rice_pdf(r, k: float, omega: float = 1.0):
     return _shaped_like(r, arr * _rice_kernel(math.sqrt(2.0 * k), arr / math.sqrt(s2), 1.0 / s2))
 
 
-def _phase_average(node_values, k: float, delta: float, relative: bool = False) -> np.ndarray:
+def _phase_average(node_values, k: float, delta: float,
+                   relative: bool = False) -> tuple[np.ndarray, int]:
     """Mean over alpha of node_values(a), a = sqrt(2k(1 + delta cos alpha)).
 
     ``node_values`` maps node amplitudes to one column per node. Nested
@@ -230,7 +243,7 @@ def _phase_average(node_values, k: float, delta: float, relative: bool = False) 
     set, so T_2n = T_n / 2 + (midpoint sum) / (2n), and each doubling
     evaluates only the n new midpoints. The integrand depends on alpha only
     through cos(alpha), so the nodes fold onto n/2 + 1 distinct values and
-    the midpoints onto n/2. Returns T_2n once |T_2n - T_n| <= _CDF_TOL
+    the midpoints onto n/2. Returns T_2n and 2n once |T_2n - T_n| <= _CDF_TOL
     everywhere, times |T_2n| pointwise when ``relative``. Nodes run along the
     last axis, where numpy sums pairwise.
     """
@@ -246,7 +259,7 @@ def _phase_average(node_values, k: float, delta: float, relative: bool = False) 
         n *= 2
         bound = _CDF_TOL * np.abs(refined) if relative else _CDF_TOL
         if np.all(np.abs(refined - total) <= bound):
-            return refined
+            return refined, n
         total = refined
     raise NumericalError(
         f"phase-balance quadrature not converged at {n} nodes for k={k}, delta={delta}")
@@ -258,9 +271,16 @@ def twdp_cdf(r, params: FadingParams):
     Successive sums must agree to 1e-13 at every envelope."""
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
+    start = time.perf_counter()
     b = arr.ravel() / math.sqrt(sigma2_from_k(params.k, params.omega))
-    out = _phase_average(lambda a: _ncx2_cdf((b * b)[:, None], (a * a)[None, :]),
-                         params.k, params.delta)
+    b2 = b * b
+
+    def columns(a):
+        return map_row_blocks(lambda rows: _ncx2_cdf(rows[:, None], (a * a)[None, :]), b2)
+
+    out, nodes = _phase_average(columns, params.k, params.delta)
+    log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", b.size, nodes,
+              1e3 * (time.perf_counter() - start), max(1, min(threads(), b.size)))
     return _shaped_like(r, np.clip(out, 0.0, 1.0))
 
 
@@ -273,6 +293,6 @@ def twdp_pdf(r, params: FadingParams):
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
     s2 = sigma2_from_k(params.k, params.omega)
     b = arr.ravel() / math.sqrt(s2)
-    out = _phase_average(lambda a: _rice_kernel(a[None, :], b[:, None], 1.0 / s2),
-                         params.k, params.delta, relative=True)
+    out, _ = _phase_average(lambda a: _rice_kernel(a[None, :], b[:, None], 1.0 / s2),
+                            params.k, params.delta, relative=True)
     return _shaped_like(r, arr.ravel() * out)

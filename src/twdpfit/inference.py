@@ -31,6 +31,7 @@ from .likelihood import get_table
 __all__ = [
     "EnvelopeSet",
     "GridConfig",
+    "MAX_GRID_CELLS",
     "ModelFit",
     "GTestResult",
     "FitReport",
@@ -81,9 +82,16 @@ class EnvelopeSet:
         return int(len(self.values) - self.fit_mask.sum())
 
 
+# Most (K, Delta) cells a search grid may have, 24 times the default grid's
+# 420,021. A fit holds about 50 bytes of surface and K-interpolation arrays
+# per cell, about 0.5 GB at the cap; the density table comes on top.
+MAX_GRID_CELLS = 10 ** 7
+
+
 @dataclass(frozen=True)
 class GridConfig:
-    """Search grid for the (K, Delta) maximum-likelihood fit (linear K)."""
+    """Search grid for the (K, Delta) maximum-likelihood fit (linear K), of
+    at most ``MAX_GRID_CELLS`` cells."""
 
     k_min: float = 0.0
     k_max: float = 1000.0
@@ -100,6 +108,11 @@ class GridConfig:
             raise DomainError(f"k_max exceeds the supported cap {K_MAX_SUPPORTED:g}")
         if not self.delta_step <= 1.0:
             raise DomainError("delta_step must not exceed 1")
+        # counted in floats, which a huge count cannot overflow
+        cells = ((self.k_max - self.k_min) / self.k_step + 1.0) * (1.0 / self.delta_step + 1.0)
+        if not cells <= MAX_GRID_CELLS:
+            raise DomainError(f"grid of {cells:.3g} (K, Delta) cells exceeds the cap "
+                              f"of {MAX_GRID_CELLS:g}")
 
     @property
     def k_values(self) -> np.ndarray:

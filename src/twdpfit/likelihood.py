@@ -28,13 +28,12 @@ product against a per-dataset weight vector:
   (0.8 MB), 18 for the 215 up to K = 100 (1.7 MB) and 30 for the default
   grid's 332 (6.2 MB).
 * Rows are independent, and the kernel's i0e and exp release the GIL, so
-  the build maps them over a ``ThreadPoolExecutor`` with one worker per
-  usable CPU (``pool.worker_count``), as the BER Monte Carlo maps its SNR
-  points.
-  The fold is numpy's own einsum loop, not a BLAS GEMM: OpenBLAS worker
-  threads busy-wait after each GEMM and would take the cores the pool runs
-  on. Its summation order differs from OpenBLAS's by <= 1e-12 in ln; the
-  table is the same on every build.
+  the build maps them over twdpfit's shared thread pool (``pool.executor``,
+  one thread per usable CPU), as the BER Monte Carlo maps its SNR points.
+  The fold is numpy's own einsum loop on twdpfit's threads, not a BLAS GEMM,
+  because OpenBLAS busy-waits: its worker threads spin after each GEMM and
+  would take the cores the pool runs on. Its summation order differs from
+  OpenBLAS's by <= 1e-12 in ln; the table is the same on every build.
 * ln(pdf(x)/x) is stored on a uniform envelope grid of 512 nodes up to
   r_max = 4 and 2 guard nodes above it (the division by x removes the
   r -> 0 log singularity and makes the function even in x, so the readout
@@ -46,7 +45,10 @@ product against a per-dataset weight vector:
   data weights, so it applies to per-cell log-likelihoods as to rows.
 * For a dataset, sum_n L(x_n) of the cubic-convolution interpolant of the
   tabulated L equals a weighted histogram of the samples dotted with the
-  table row, so the whole grid evaluates as one GEMV. Samples above r_max
+  table row, so the whole grid evaluates as one GEMV. That GEMV is numpy's
+  own einsum loop too, over row blocks of the table on the shared pool
+  (``pool.map_row_blocks``): each surface row is the same dot product on any
+  number of threads, within 1e-12 relative of OpenBLAS's. Samples above r_max
   (spikes) add their row density at their exact value, through the same
   fold weights, at every tabulated K row instead, so the table never grows
   and a spike pays only for its kernel.
@@ -68,13 +70,12 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
-from .pool import worker_count
+from .pool import executor, map_row_blocks, threads
 
 __all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
 
@@ -206,15 +207,15 @@ class PdfTable:
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
         nc, nd, nr = len(self.coarse_idx), len(self.deltas), len(self.x_grid)
         self.log_rows = np.empty((nc, nd, nr))
-        self.workers = worker_count()
+        self.workers = threads()
         # one set of fold matrices per amplitude node count, shared by every
         # row and every spiked surface with that count; the rows only read them
         counts = {len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0}
         self.folds = {n: self._fold_weights(n) for n in counts}
         # i0e and exp release the GIL, so rows build in parallel
-        with ThreadPoolExecutor(self.workers) as pool:
-            for i, row in enumerate(pool.map(self._build_row, self.coarse_k, [self.x_grid] * nc)):
-                self.log_rows[i] = row
+        for i, row in enumerate(executor().map(self._build_row, self.coarse_k,
+                                               [self.x_grid] * nc)):
+            self.log_rows[i] = row
 
     # -- construction ------------------------------------------------------
 
@@ -304,7 +305,8 @@ class PdfTable:
         x_out = np.sort(x[beyond])
         w, const = self.sample_weights(x[~beyond])
         nc, nd, nr = self.log_rows.shape
-        coarse = (self.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd)
+        coarse = map_row_blocks(lambda rows: np.einsum("ij,j->i", rows, w),
+                                self.log_rows.reshape(nc * nd, nr)).reshape(nc, nd)
         # blocks of spikes bound the kernel matrix of a row
         for i in range(0, len(x_out), _SPIKE_BLOCK):
             block = x_out[i:i + _SPIKE_BLOCK]

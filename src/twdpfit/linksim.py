@@ -2,8 +2,8 @@
 of Gray-mapped 4-QAM over flat fading with zero-forcing equalization, and
 the high-K capacity-loss bound as a function of the amplitude balance.
 
-The SNR points of a curve map over a ``ThreadPoolExecutor`` with one
-thread per usable CPU (``pool.worker_count``); numpy's random fills and
+The SNR points of a curve map over twdpfit's shared thread pool
+(``pool.executor``, one thread per usable CPU); numpy's random fills and
 ufuncs release the GIL. Each point holds three complex buffers of
 n_symbols (channel, noise, and symbols turned into the equalized
 estimates) plus the sampler's scratch. On 2 cores, a fresh ``twdpfit ber``
@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .fading import FadingParams
-from .pool import worker_count
+from .pool import executor, threads
 from .synth import _rng, sample_twdp
 
 __all__ = ["BerCurve", "simulate_ber", "capacity_loss"]
@@ -98,11 +97,10 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
         raise DomainError("snr_db must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(snr_db)):
         raise DomainError("snr_db must be finite")
-    workers = min(worker_count(), len(snr_db))
+    workers = min(threads(), len(snr_db))
     start = time.perf_counter()
-    with ThreadPoolExecutor(workers) as pool:
-        ber = np.fromiter(pool.map(lambda i: _ber_point(params, snr_db[i], n_symbols, seed, i),
-                                   range(len(snr_db))), float, len(snr_db))
+    ber = np.fromiter(executor().map(lambda i: _ber_point(params, snr_db[i], n_symbols, seed, i),
+                                     range(len(snr_db))), float, len(snr_db))
     log.info("BER curve simulated: %d SNR points x %d symbols, %.2f s on %d threads",
              len(snr_db), n_symbols, time.perf_counter() - start, workers)
     return BerCurve(snr_db, ber, params, n_symbols, seed)

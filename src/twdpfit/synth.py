@@ -9,6 +9,7 @@ avoids log(0)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,7 +115,8 @@ class PlaneWaveScene:
     circular Gaussian field (per-component variance) per lattice point and
     frequency. ``position_jitter`` perturbs each lattice coordinate by a
     uniform offset within +-jitter wavelengths (repeat-accuracy emulation,
-    off by default).
+    off by default). A scene whose extent in metres or whose largest phase
+    argument is not a finite double is refused before any arithmetic on it.
     """
 
     waves: list[PlaneWave]
@@ -134,6 +136,17 @@ class PlaneWaveScene:
             raise DomainError("diffuse_sigma2 and position_jitter must be finite and >= 0")
         if min(self.shape) < 1:
             raise DomainError("grid dimensions must be >= 1")
+        # in Python floats, which overflow to inf without a warning: the
+        # extent bounds every coordinate, sqrt(3) extent every projection
+        extent = ((float(self.spacing) * float(max(self.shape)) + 2.0 * float(self.position_jitter))
+                  * float(self.wavelength))
+        f_max = (SPEED_OF_LIGHT / float(self.wavelength) if self.freq_axis is None
+                 else float(np.max(np.abs(self.freq_axis), initial=0.0)))
+        turn = max((abs(float(w.phase)) + 2.0 * math.pi * f_max * abs(float(w.delay))
+                    for w in self.waves), default=0.0)
+        phase = 2.0 * math.pi * f_max / SPEED_OF_LIGHT * math.sqrt(3.0) * extent + turn
+        if not (math.isfinite(extent) and math.isfinite(phase)):
+            raise DomainError("the lattice extent in metres or its largest phase is not finite")
 
 
 def synth_field(scene: PlaneWaveScene) -> SpatialGrid:

@@ -396,6 +396,9 @@ def test_non_finite_or_out_of_range_sidecar(tmp_path, capsys, command, fields, c
     ["--spacing", "inf"], ["--diffuse-sigma2", "inf"], ["--wave", "inf:1,0,0"],
     ["--wave", "nan:1,0,0"], ["--wave", "1:1,0,0:inf"], ["--wave", "1:1,0,0:0:inf"],
     ["--wave", "1:nan,0,0"], ["--wave", "1:inf,0,0"],
+    # finite, but the lattice in metres or its phase overflows
+    ["--jitter", "1e300", "--wavelength", "1e10"], ["--jitter", "1e308"],
+    ["--wavelength", "1e300", "--spacing", "1e10"],
 ])
 def test_non_finite_synth_grid_argument_exits_3(tmp_path, capsys, args):
     # each is refused before any arithmetic: no numpy warning, no traceback
@@ -417,6 +420,19 @@ def test_infinite_k_step_exits_3_without_warning(tmp_path, capsys):
                     "--k-max", "5"])
     assert (code, caught, list(tmp_path.iterdir())) == (3, [], [src])
     assert "grid steps" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("step", [["--k-step", "1e-300"], ["--k-step", "5e-324"],
+                                  ["--delta-step", "1e-300"], ["--k-step", "1e-6"]])
+def test_oversized_grid_exits_3_without_warning(tmp_path, capsys, step):
+    # counted before numpy is asked for the K or Delta values
+    src = tmp_path / "env.csv"
+    fileio.write_envelopes(src, sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 8).envelopes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["fit", str(src), "-o", str(tmp_path / "r.json"), "--k-max", "5", *step])
+    assert (code, caught, list(tmp_path.iterdir())) == (3, [], [src])
+    assert "exceeds the cap of 1e+07" in one_error_line(capsys)
 
 
 class TestUnreadableOrUnwritableFiles:

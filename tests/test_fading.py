@@ -5,7 +5,9 @@ Derived expectations are computed by independent oracles inside the tests
 by the code paths under test.
 """
 
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from twdpfit import (
     twdp_cdf,
     twdp_pdf,
 )
-from twdpfit import fading
+from twdpfit import fading, pool
 from twdpfit.fading import k_delta_from_amplitudes
 
 
@@ -326,6 +328,32 @@ class TestTwdpCdf:
     def test_empty_input(self):
         out = twdp_cdf(np.array([]), FadingParams(10.0, 0.9, 1.0))
         assert out.shape == (0,)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_same_bits_on_any_number_of_threads(self, pool_threads, workers):
+        # row blocks of chndtr on the pool give the bits of one unsplit
+        # phase average, also for a scalar on more threads than envelopes
+        p = FadingParams(10.0, 0.9, 1.0)
+        r = np.linspace(0.0, 3.0, 999)
+
+        def unsplit(x):
+            b = np.ravel(x) / math.sqrt(p.sigma2)
+            out, _ = fading._phase_average(
+                lambda a: fading._ncx2_cdf((b * b)[:, None], (a * a)[None, :]), p.k, p.delta)
+            return np.clip(out, 0.0, 1.0)
+
+        pool_threads(workers)
+        assert np.array_equal(twdp_cdf(r, p), unsplit(r))
+        assert twdp_cdf(r[400], p) == unsplit(r[400])[0]
+
+    def test_each_cdf_is_logged_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="twdpfit.fading")
+        twdp_cdf(np.linspace(0.0, 3.0, 999), FadingParams(10.0, 0.9, 1.0))
+        twdp_cdf(1.0, FadingParams(10.0, 0.9, 1.0))
+        many, one = [r.getMessage() for r in caplog.records if r.name == "twdpfit.fading"]
+        assert re.fullmatch(rf"twdp cdf: 999 points x \d+ nodes, [\d.]+ ms on "
+                            rf"{min(pool.threads(), 999)} threads", many)
+        assert re.fullmatch(r"twdp cdf: 1 points x \d+ nodes, [\d.]+ ms on 1 threads", one)
 
 
 class TestTwdpPdf:

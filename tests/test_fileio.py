@@ -28,7 +28,7 @@ from twdpfit import (
     average_corr,
 )
 from twdpfit import fileio
-from twdpfit.inference import FitReport, GTestResult, ModelFit
+from twdpfit.inference import MAX_GRID_CELLS, FitReport, GTestResult, ModelFit
 from twdpfit.linksim import BerCurve
 from twdpfit.measurement import SPEED_OF_LIGHT, CorrelationMap, SpatialGrid
 
@@ -474,6 +474,7 @@ class TestReport:
         ("schema_version", 2, False), ("rice.boundary_hit", 1, False),
         ("grid.k_step", "0.05", False), ("grid.k_step", -1.0, False), ("grid.k_max", 1e9, False),
         ("grid.k_max", float("nan"), False), ("grid.k_step", float("inf"), False),
+        ("grid.k_step", 1e-300, False), ("grid.delta_step", 5e-324, False),
         *[(f"{obj}.{key}", 0, False) for obj in ("rice", "twdp", "gtest", "grid")
           for key in ("extra", "missing")],
         ("rice.k_hat", 0.0, True), ("rice.delta_hat", 0.0, True),
@@ -727,8 +728,11 @@ def fit_reports(draw):
 
     counts = st.integers(1, 10 ** 9)
     k_min = draw(st.floats(0.0, 100.0))
-    grid = GridConfig(k_min=k_min, k_max=k_min + draw(st.floats(1e-3, 100.0)),
-                      k_step=draw(st.floats(1e-6, 10.0)), delta_step=draw(st.floats(1e-3, 1.0)))
+    k_span = draw(st.floats(1e-3, 100.0))
+    # the finest K step that keeps the grid within MAX_GRID_CELLS at any delta_step
+    finest = max(1e-6, 1.001 * k_span * 1002.0 / MAX_GRID_CELLS)
+    grid = GridConfig(k_min=k_min, k_max=k_min + k_span, k_step=draw(st.floats(finest, 10.0)),
+                      delta_step=draw(st.floats(1e-3, 1.0)))
     gtest = GTestResult(draw(FINITE), draw(counts), draw(FINITE),
                         draw(st.sampled_from(["accepted", "rejected"])), draw(counts),
                         draw(FINITE), draw(counts))

@@ -7,7 +7,9 @@ behind the high-K accuracy checks, so the module runs in well under a minute.
 import json
 import logging
 import math
+import multiprocessing
 import sys
+import threading
 import time
 from dataclasses import asdict
 
@@ -425,9 +427,16 @@ class TestTableAccuracy:
         x = 3.99 * x / x.max()
         w, const = table.sample_weights(x)
         nc, nd, nr = table.log_rows.shape
-        coarse = (table.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd)
-        want = np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
-        assert np.array_equal(table.loglik_surface(x), want)
+
+        def surface(coarse):
+            return np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
+
+        # the GEMV is numpy's einsum loop, row by row on any number of
+        # threads, and within 1e-12 relative of the OpenBLAS product
+        got = table.loglik_surface(x)
+        assert np.array_equal(got, surface(np.einsum("cdr,r->cd", table.log_rows, w)))
+        blas = surface((table.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd))
+        assert np.allclose(got, blas, rtol=1e-12, atol=0)
 
     def test_zero_sample_scores_minus_infinity_without_warning(self):
         # ln(0) is the exact score of a zero envelope; the pytest
@@ -572,13 +581,13 @@ class TestTablePool:
 
     def test_pooled_rows_equal_main_thread_rows(self):
         table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values)
-        assert table.workers == pool.worker_count()
+        assert table.workers == pool.threads() == pool.worker_count()
         assert np.array_equal(table.log_rows, self.rows_on_main_thread(table))
 
-    def test_oversubscribed_pool_loses_no_row(self, monkeypatch):
+    def test_oversubscribed_pool_loses_no_row(self, pool_threads):
         # more threads than cores, switching every microsecond: a row lost
         # or written twice would leave np.empty garbage or a wrong K
-        monkeypatch.setattr(likelihood, "worker_count", lambda: 8)
+        pool_threads(8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -741,7 +750,7 @@ class TestTableCache:
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
         assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.04 MB" \
             in miss.getMessage()
-        assert miss.getMessage().endswith(f" s on {pool.worker_count()} threads")
+        assert miss.getMessage().endswith(f" s on {pool.threads()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
 
 
@@ -857,6 +866,42 @@ class TestPipeline:
         assert r1.chosen == select_model(r1.rice.aicc, r1.twdp.aicc)
         assert json.dumps(asdict(r1), sort_keys=True) == \
                json.dumps(asdict(r2), sort_keys=True)
+
+    def test_reports_independent_of_thread_count(self, pool_threads):
+        # the GEMV and the g-test's CDF split into row blocks per thread
+        es = make_set(10.0, 0.9, 10 ** 5, 43)
+        reports = []
+        for workers in (1, 3):
+            pool_threads(workers)
+            reports.append(fit_envelopes(es, SMALL_GRID))
+        assert reports[0].chosen == "twdp"
+        assert reports[0] == reports[1]
+
+    def test_forked_child_runs_its_own_g_test(self):
+        # the child has none of the parent's pool threads; a pool kept across
+        # the fork would queue the child's CDF blocks for threads that are gone
+        es = make_set(10.0, 0.9, 10 ** 4, 45)
+        report = fit_envelopes(es, SMALL_GRID)
+        assert report.chosen == "twdp"
+        fork = multiprocessing.get_context("fork")
+        recv, send = fork.Pipe(duplex=False)
+        child = fork.Process(
+            target=lambda: send.send(g_test(es, report.twdp, report.omega_hat).statistic))
+        child.start()
+        try:
+            assert recv.poll(60.0), "the forked child's g-test did not finish"
+            assert recv.recv() == report.gtest.statistic
+        finally:
+            child.kill()
+            child.join(10.0)
+
+    def test_repeated_fits_start_no_thread(self):
+        es = make_set(10.0, 0.9, 10 ** 4, 47)
+        fit_envelopes(es, SMALL_GRID)
+        before = threading.active_count()
+        for _ in range(5):
+            fit_envelopes(es, SMALL_GRID)
+        assert threading.active_count() == before
 
     def test_rayleigh_data_prefers_rice(self):
         wins = 0

@@ -111,11 +111,12 @@ class TestSimulateBer:
         assert curve.ber.tolist() == [0.204245, 0.10227, 0.0451, 0.00633, 0.00075]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_curve_independent_of_thread_count(self, monkeypatch, workers):
+    def test_curve_independent_of_thread_count(self, pool_threads, workers):
         params, snr = FadingParams(2.0, 0.7, 1.0), [0.0, 10.0, 20.0]
         want = simulate_ber(params, snr, 20_000, seed=11).ber
-        monkeypatch.setattr(linksim, "worker_count", lambda: workers)
+        pool_threads(workers)
         assert np.array_equal(simulate_ber(params, snr, 20_000, seed=11).ber, want)
+        assert pool.threads() == workers
 
     def test_point_error_reaches_caller(self, monkeypatch):
         calls = []
@@ -138,7 +139,7 @@ class TestSimulateBer:
         assert record.levelno == logging.INFO
         message = record.getMessage()
         assert message.startswith("BER curve simulated: 3 SNR points x 10000 symbols, ")
-        assert message.endswith(f" s on {min(pool.worker_count(), 3)} threads")
+        assert message.endswith(f" s on {min(pool.threads(), 3)} threads")
 
     def test_too_few_symbols(self):
         with pytest.raises(DomainError):
