@@ -9,16 +9,24 @@ Conventions
   (0: single wave, i.e. Rician; 1: equal amplitudes).
 * Omega is the mean envelope power E[r^2] and acts as a pure scale factor.
 
-The TWDP CDF and density are phase-balance averages of the Rician ones
-(``_phase_average``); the density table shares their Rician kernel and
-trapezoid rule. The CDF evaluates each batch of phase-node columns over row
-blocks of its envelopes on the shared pool (``pool.map_row_blocks``):
-scipy's ``chndtr`` is elementwise and releases the GIL, so the values are
-the same bits on any number of threads. As with the likelihood GEMV, these
-are numpy's and scipy's own loops on twdpfit's threads, because OpenBLAS
-busy-waits after a threaded product and would hold the core a second block
-runs on. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's points, converged phase
-nodes, milliseconds and threads.
+The TWDP density is the phase-balance average of Rician densities
+(``_phase_average``); the density table shares its Rician kernel and
+trapezoid rule. The TWDP CDF is the same average of Rician CDFs, taken as a
+Poisson mixture (Durgin, Rappaport & de Wolf 2002 for the phase average;
+Loader 2000 for the Poisson pmf): a 2-dof noncentral chi-square CDF is a
+Poisson mixture of central ones, and each of those is a Poisson tail. So
+with y = r^2 / (2 sigma^2), F(r) = sum_m Pois(m; y) S_(m-1), where S is the
+CDF of the phase mixture of Poisson(K (1 + Delta cos alpha)). S is averaged
+once per (K, Delta) to 1e-13; then each envelope costs one pmf row of a few
+hundred terms, reached by ratio products from an anchor near its mode,
+instead of one scipy ``chndtr`` call (~430 ns) per phase node. Every term is
+positive, so both tails keep their relative digits. The rows go in fixed
+blocks, at most 2 MB of terms each, on the shared pool (``pool.executor``):
+numpy's own loops, never an OpenBLAS product, which would busy-wait on the
+pool's cores. Each block is summed on its own, so the values are the same
+bits on any number of threads. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's
+points, the phase nodes its mixing weights converged at, milliseconds and
+threads.
 
 scipy.special (~0.3 s to import) is imported by the functions that call it, so
 synth, spatial and ber never load it; a fit first loads it in the row pool.
@@ -38,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .pool import map_row_blocks, threads
+from .pool import executor, threads
 
 __all__ = [
     "FadingParams",
@@ -59,11 +67,12 @@ log = logging.getLogger(__name__)
 # Above this K the quadrature accuracy targets are not validated.
 K_MAX_SUPPORTED = 1.0e4
 
-# Phase-balance quadrature of the TWDP CDF and density. The integrand is
-# smooth and 2pi-periodic in alpha, so the uniform trapezoid rule converges
-# spectrally. It starts at _CDF_NODES_START nodes and doubles until two
-# successive sums agree to _CDF_TOL; K <= 1e4 converges by 4096 nodes, and
-# a rule not converged at _CDF_NODES_CAP raises NumericalError.
+# Phase-balance quadrature of the TWDP density and of the CDF's mixing
+# weights. The integrand is smooth and 2pi-periodic in alpha, so the uniform
+# trapezoid rule converges spectrally. It starts at _CDF_NODES_START nodes
+# and doubles until two successive sums agree to _CDF_TOL; K <= 1e4
+# converges by 4096 nodes, and a rule not converged at _CDF_NODES_CAP raises
+# NumericalError.
 _CDF_NODES_START = 16
 _CDF_NODES_CAP = 2 ** 15
 _CDF_TOL = 1e-13
@@ -234,28 +243,27 @@ def rice_pdf(r, k: float, omega: float = 1.0):
     return _shaped_like(r, arr * _rice_kernel(math.sqrt(2.0 * k), arr / math.sqrt(s2), 1.0 / s2))
 
 
-def _phase_average(node_values, k: float, delta: float,
+def _phase_average(node_sum, k: float, delta: float,
                    relative: bool = False) -> tuple[np.ndarray, int]:
-    """Mean over alpha of node_values(a), a = sqrt(2k(1 + delta cos alpha)).
+    """Mean over alpha of f(a), a = sqrt(2k(1 + delta cos alpha)).
 
-    ``node_values`` maps node amplitudes to one column per node. Nested
-    trapezoid doubling on [0, 2pi): the n-node set is a subset of the 2n-node
-    set, so T_2n = T_n / 2 + (midpoint sum) / (2n), and each doubling
-    evaluates only the n new midpoints. The integrand depends on alpha only
-    through cos(alpha), so the nodes fold onto n/2 + 1 distinct values and
-    the midpoints onto n/2. Returns T_2n and 2n once |T_2n - T_n| <= _CDF_TOL
-    everywhere, times |T_2n| pointwise when ``relative``. Nodes run along the
-    last axis, where numpy sums pairwise.
+    ``node_sum(a, w)`` returns sum_i w_i f(a_i) over node amplitudes a, or
+    the unweighted sum where w is None. Nested trapezoid doubling on
+    [0, 2pi): the n-node set is a subset of the 2n-node set, so T_2n = T_n / 2
+    + (midpoint sum) / (2n), and each doubling evaluates only the n new
+    midpoints. The integrand depends on alpha only through cos(alpha), so
+    the nodes fold onto n/2 + 1 distinct values and the midpoints onto n/2.
+    Returns T_2n and 2n once |T_2n - T_n| <= _CDF_TOL everywhere, times
+    |T_2n| pointwise when ``relative``.
     """
-    def values_at(cos_alpha):
-        return node_values(np.sqrt(2.0 * k * (1.0 + delta * cos_alpha)))
+    def sum_at(cos_alpha, w=None):
+        return node_sum(np.sqrt(2.0 * k * (1.0 + delta * cos_alpha)), w)
 
     n = _CDF_NODES_START
-    cos_alpha, w = _trapezoid_nodes(n)
-    total = values_at(cos_alpha) @ w
+    total = sum_at(*_trapezoid_nodes(n))
     while n < _CDF_NODES_CAP:
         mid = np.cos(np.pi * (2.0 * np.arange(n // 2) + 1.0) / n)
-        refined = 0.5 * total + values_at(mid).sum(axis=1) / n
+        refined = 0.5 * total + sum_at(mid) / n
         n *= 2
         bound = _CDF_TOL * np.abs(refined) if relative else _CDF_TOL
         if np.all(np.abs(refined - total) <= bound):
@@ -265,22 +273,174 @@ def _phase_average(node_values, k: float, delta: float,
         f"phase-balance quadrature not converged at {n} nodes for k={k}, delta={delta}")
 
 
+# ---------------------------------------------------------------------------
+# Poisson mixture form of the TWDP CDF
+# ---------------------------------------------------------------------------
+
+# Loader's stirlerr(n) = ln n! - ((n + 1/2) ln n - n + ln sqrt(2 pi)) for
+# n = 1..15, where its asymptotic series is not yet accurate to double
+# precision (entry 0 is unused).
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801])
+
+# A Poisson pmf term below e^-_UNDERFLOW is exactly 0 in double precision,
+# and the mixing distribution's mass beyond its last term is below
+# e^-_SUPPORT_TAIL (4e-18).
+_UNDERFLOW = 750.0
+_SUPPORT_TAIL = 40.0
+
+# Rows of pmf terms per block: at most _BLOCK_ROWS, and at most
+# _BLOCK_ENTRIES terms (2 MB per temporary), whatever K.
+_BLOCK_ROWS = 512
+_BLOCK_ENTRIES = 2 ** 18
+
+
+def _stirlerr(n):
+    """ln n! - ((n + 1/2) ln n - n + ln sqrt(2 pi)) at integer-valued n >= 1:
+    the table up to 15, Stirling's series above (Loader 2000)."""
+    nn = n * n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        series = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn)
+                  / nn) / n
+    return np.where(n <= 15, _STIRLERR[np.minimum(n, 15).astype(int)], series)
+
+
+def _poisson_pmf(x, lam):
+    """Poisson(lam) pmf at integer-valued x >= 0 in Loader's saddle-point
+    form, exp(-stirlerr(x) - bd0(x, lam)) / sqrt(2 pi x). The deviance
+    bd0 = x ln(x / lam) + lam - x is taken as x log1p((x - lam) / lam) -
+    (x - lam), whose absolute error is a few ulps of |x - lam| (x / lam):
+    at x = floor(lam) the pmf is good to a few ulps, where the naive
+    x ln(lam) - lam - ln x! loses ~ln(x!) ulps."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bd0 = x * np.log1p((x - lam) / lam) - (x - lam)
+        saddle = np.exp(-_stirlerr(x) - bd0) / np.sqrt(2.0 * math.pi * x)
+    return np.where(x == 0, np.exp(-lam), saddle)
+
+
+def _tail_end(lam, nats):
+    """lam + t such that P[N >= lam + t] <= e^-nats for N ~ Poisson(lam)
+    (Bernstein: exp(-t^2 / (2 (lam + t / 3))))."""
+    return lam + nats / 3.0 + np.sqrt(nats * nats / 9.0 + 2.0 * nats * lam)
+
+
+def _window(lam, top: int) -> tuple[int, int]:
+    """Columns [lo, hi) of 0..top-1 where some Poisson(lam) pmf is not
+    exactly 0: below lam - sqrt(2 _UNDERFLOW lam) the pmf is at most
+    exp(-(lam - j)^2 / (2 lam)) < e^-_UNDERFLOW, and above
+    ``_tail_end(lam, _UNDERFLOW)`` it is below the tail that it starts."""
+    low, high = float(lam.min()), float(lam.max())
+    hi = min(top, int(math.ceil(_tail_end(high, _UNDERFLOW))) + 1)
+    lo = max(0, int(math.floor(low - math.sqrt(2.0 * _UNDERFLOW * low))))
+    return min(lo, hi), hi
+
+
+def _anchors(lam, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's anchor, the integer below lam but at most ``top``, and
+    the pmf there. In the window [lo, hi) of any block of rows that holds
+    it, an anchor lies in [lo, hi], as ``_poisson_rows`` needs."""
+    anchor = np.minimum(np.floor(lam), top)
+    return anchor, _poisson_pmf(anchor, lam)
+
+
+def _poisson_rows(lam, anchor, at_anchor, lo: int, hi: int) -> np.ndarray:
+    """Pois(j; lam_i) for j in [lo, hi), one row per lam_i, from the pmf
+    ``at_anchor`` at each row's ``anchor`` by ratio products outward:
+    Pois(j + 1) = Pois(j) lam / (j + 1) above the anchor and Pois(j - 1) =
+    Pois(j) j / lam below it. Every ratio on the way out is at most 1, so
+    clipping lam / j and (j + 1) / lam at 1 keeps exactly the factors of
+    each side, and no product overflows. Only columns above the lowest
+    anchor take upward products, and only those below the highest downward
+    ones: about half each where the rows are sorted."""
+    j = np.arange(lo, hi, dtype=float)
+    rows = np.ones((lam.size, hi - lo))
+    up = rows[:, min(int(anchor.min()) + 1 - lo, hi - lo):]     # so j >= 1 there
+    np.multiply.outer(lam, 1.0 / j[j.size - up.shape[1]:], out=up)
+    np.minimum(up, 1.0, out=up)
+    np.cumprod(up, axis=1, out=up)
+    with np.errstate(divide="ignore", over="ignore"):
+        down = np.multiply.outer(1.0 / lam, j[:max(0, int(anchor.max()) - lo)] + 1.0)
+    np.minimum(down, 1.0, out=down)
+    np.cumprod(down[:, ::-1], axis=1, out=down[:, ::-1])
+    rows[:, :down.shape[1]] *= down
+    rows *= at_anchor[:, None]
+    return rows
+
+
+def _block_rows(width: int) -> int:
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // width))
+
+
+def _mixing_tails(k: float, delta: float) -> tuple[np.ndarray, int]:
+    """The phase-balance mixture N of Poisson(K (1 + Delta cos alpha)) as its
+    two tails, rows P[N <= m - 1] and P[N >= m] for m = 0..J + 1, and the
+    trapezoid nodes they converged at. J ends the support: P[N > J] <=
+    e^-_SUPPORT_TAIL. The mixing weights W_j = avg_alpha Pois(j; K_alpha) are
+    summed over blocks of nodes, each in the window where it is not 0, and
+    each tail sums positive weights, so it keeps its relative digits where
+    it is small."""
+    top = int(math.ceil(_tail_end(k * (1.0 + delta), _SUPPORT_TAIL))) + 1    # J + 1
+    step = _block_rows(top)
+
+    def node_sum(a, w):
+        lam = 0.5 * a * a
+        anchor, at_anchor = _anchors(lam, top)
+        weights = np.ones(lam.size) if w is None else w
+        mix = np.zeros(top)
+        for i in range(0, lam.size, step):
+            block = slice(i, i + step)
+            lo, hi = _window(lam[block], top)
+            rows = _poisson_rows(lam[block], anchor[block], at_anchor[block], lo, hi)
+            mix[lo:hi] += np.einsum("ij,i->j", rows, weights[block])
+        return np.concatenate([[0.0], np.cumsum(mix), np.cumsum(mix[::-1])[::-1], [0.0]])
+
+    tails, nodes = _phase_average(node_sum, k, delta)
+    return tails.reshape(2, top + 1), nodes
+
+
 def twdp_cdf(r, params: FadingParams):
     """TWDP envelope CDF, the phase-balance average of Rician CDFs with
     specular power K (1 + Delta cos alpha) and common sigma set by K.
-    Successive sums must agree to 1e-13 at every envelope."""
+
+    With y = r^2 / (2 sigma^2), a Rician CDF is P[M > N_alpha] for
+    M ~ Poisson(y) and N_alpha ~ Poisson(K (1 + Delta cos alpha)): the
+    noncentral chi-square CDF is a Poisson mixture of central ones, each a
+    Poisson tail. So the TWDP CDF is P[M > N] for the phase mixture N, whose
+    tails are averaged once per (K, Delta) to 1e-13 (``_mixing_tails``).
+    Each envelope then takes one pmf row of M over N's support. The lower
+    sum, sum_m Pois(m; y) P[N <= m - 1] plus P[M >= J + 2] (one gammainc)
+    beyond the support, is the CDF where it is at most 1/2; elsewhere the
+    CDF is one minus the upper sum, sum_m Pois(m; y) P[N >= m]. Both add
+    positive terms, so each tail of the CDF keeps its relative digits. The
+    rows go in fixed blocks on the shared pool, each summed on its own over
+    the same columns, so a value depends on its envelope alone and is the
+    same bits on any number of threads."""
+    from scipy import special
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
     start = time.perf_counter()
-    b = arr.ravel() / math.sqrt(sigma2_from_k(params.k, params.omega))
-    b2 = b * b
+    y = arr.ravel() ** 2 / (2.0 * sigma2_from_k(params.k, params.omega))
+    tails, nodes = _mixing_tails(params.k, params.delta)
+    top = tails.shape[1]                                                    # J + 2
+    anchor, at_anchor = _anchors(y, top)
+    step = _block_rows(top)
 
-    def columns(a):
-        return map_row_blocks(lambda rows: _ncx2_cdf(rows[:, None], (a * a)[None, :]), b2)
+    def block_sums(i):
+        block = slice(i, i + step)
+        rows = _poisson_rows(y[block], anchor[block], at_anchor[block], 0, top)
+        return np.einsum("ij,kj->ik", rows, tails)
 
-    out, nodes = _phase_average(columns, params.k, params.delta)
-    log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", b.size, nodes,
-              1e3 * (time.perf_counter() - start), max(1, min(threads(), b.size)))
+    starts = range(0, y.size, step)
+    sums = (executor().map if len(starts) > 1 else map)(block_sums, starts)
+    below, above = np.concatenate([np.zeros((0, 2)), *sums]).T
+    below = below + special.gammainc(top, y)
+    out = np.where(below <= 0.5, below, 1.0 - above)
+    log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", y.size, nodes,
+              1e3 * (time.perf_counter() - start), max(1, min(threads(), len(starts))))
     return _shaped_like(r, np.clip(out, 0.0, 1.0))
 
 
@@ -293,6 +453,10 @@ def twdp_pdf(r, params: FadingParams):
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
     s2 = sigma2_from_k(params.k, params.omega)
     b = arr.ravel() / math.sqrt(s2)
-    out, _ = _phase_average(lambda a: _rice_kernel(a[None, :], b[:, None], 1.0 / s2),
-                            params.k, params.delta, relative=True)
+
+    def kernel_sum(a, w):
+        values = _rice_kernel(a[None, :], b[:, None], 1.0 / s2)
+        return values.sum(axis=1) if w is None else values @ w
+
+    out, _ = _phase_average(kernel_sum, params.k, params.delta, relative=True)
     return _shaped_like(r, arr.ravel() * out)

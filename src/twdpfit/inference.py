@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, NumericalError
 from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, rice_cdf, twdp_cdf
-from .likelihood import get_table
+from .likelihood import MAX_TABLE_BYTES, get_table, table_bytes
 
 __all__ = [
     "EnvelopeSet",
@@ -91,7 +91,8 @@ MAX_GRID_CELLS = 10 ** 7
 @dataclass(frozen=True)
 class GridConfig:
     """Search grid for the (K, Delta) maximum-likelihood fit (linear K), of
-    at most ``MAX_GRID_CELLS`` cells."""
+    at most ``MAX_GRID_CELLS`` cells and a density table of at most
+    ``likelihood.MAX_TABLE_BYTES``."""
 
     k_min: float = 0.0
     k_max: float = 1000.0
@@ -113,6 +114,10 @@ class GridConfig:
         if not cells <= MAX_GRID_CELLS:
             raise DomainError(f"grid of {cells:.3g} (K, Delta) cells exceeds the cap "
                               f"of {MAX_GRID_CELLS:g}")
+        table = table_bytes(self.k_values, len(self.delta_values))
+        if not table <= MAX_TABLE_BYTES:
+            raise DomainError(f"grid's density table of {table / 1e6:.1f} MB exceeds the cap "
+                              f"of {MAX_TABLE_BYTES / 1e6:g} MB")
 
     @property
     def k_values(self) -> np.ndarray:

@@ -77,7 +77,8 @@ from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
 from .pool import executor, map_row_blocks, threads
 
-__all__ = ["TableSpec", "PdfTable", "get_table", "clear_table_cache"]
+__all__ = ["TableSpec", "PdfTable", "MAX_TABLE_BYTES", "table_bytes", "get_table",
+           "clear_table_cache"]
 
 log = logging.getLogger(__name__)
 
@@ -95,6 +96,13 @@ _TILTS = _TILT_STEP * np.arange(-_TILT_TOP, _TILT_TOP + 1)
 # (strictly rising already; np.unique would import numpy.ma, ~15 ms, on every
 # import of the package)
 _NODE_COUNTS = np.ceil(33.0 * 1.1 ** np.arange(80)).astype(np.int64)
+
+
+# Largest density table a search grid may ask for, 1e9 bytes: 35 times the
+# default grid's 28.7 MB. Every K step below K = 2 is an exact row (86 KB at
+# 21 Delta columns) and rows grow with the Delta columns, so grids under
+# the 1e7-cell cap can ask for tables of tens of GB.
+MAX_TABLE_BYTES = 10 ** 9
 
 
 class TableSpec:
@@ -119,16 +127,26 @@ def _coarse_k_indices(k_values: np.ndarray) -> np.ndarray:
     if n <= 4:
         return np.arange(n)
     step = k_values[1] - k_values[0]
+    below = int(np.searchsorted(k_values, 2.0))       # every row below K = 2
     idx = []
-    i = 0
+    i = below
     while i < n:
         k = k_values[i]
-        target = step if k < 2.0 else (0.2 if k < 20.0 else max(0.4, 0.02 * k))
+        target = 0.2 if k < 20.0 else max(0.4, 0.02 * k)
         idx.append(i)
         i += max(1, int(target / step + 1e-9))
-    if idx[-1] != n - 1:
+    if (idx[-1] if idx else below - 1) != n - 1:
         idx.append(n - 1)
-    return np.asarray(idx if len(idx) >= 4 else range(n), dtype=np.int64)
+    if below + len(idx) < 4:
+        return np.arange(n)
+    return np.concatenate([np.arange(below), np.asarray(idx, dtype=np.int64)])
+
+
+def table_bytes(k_values, n_delta: int) -> int:
+    """Bytes of the density table of the K grid ``k_values`` with ``n_delta``
+    Delta columns, counted without building it."""
+    rows = len(_coarse_k_indices(np.asarray(k_values, dtype=float)))
+    return rows * n_delta * (TableSpec.n_r + 2) * 8
 
 
 def _interp_histogram(pos: np.ndarray, weight, n: int, tilts=(0.0,)) -> np.ndarray:

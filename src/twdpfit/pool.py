@@ -1,15 +1,16 @@
 """The one thread pool of twdpfit's numeric stages.
 
 Independent tasks whose numpy and scipy kernels release the GIL (density
-table rows, BER SNR points, row blocks of the g-test's TWDP CDF and of the
-likelihood GEMV) run on one process-wide ``ThreadPoolExecutor`` with one
-thread per usable CPU. It is made on first use, so a command that never
-needs it starts no thread, and a forked child makes its own: the parent's
-threads do not exist there. A task must not itself wait on the pool.
+table rows, BER SNR points, blocks of the TWDP CDF's pmf rows and row
+blocks of the likelihood GEMV) run on one process-wide
+``ThreadPoolExecutor`` with one thread per usable CPU. It is made on first
+use, so a command that never needs it starts no thread, and a forked child
+makes its own: the parent's threads do not exist there. A task must not
+itself wait on the pool.
 
-The GEMV and the table's fold are numpy's own loops on these threads, not
-OpenBLAS products: OpenBLAS's worker threads busy-wait after each product
-and would hold the cores the pool runs on.
+The GEMV, the CDF's row sums and the table's fold are numpy's own loops on
+these threads, not OpenBLAS products: OpenBLAS's worker threads busy-wait
+after each product and would hold the cores the pool runs on.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -433,6 +434,19 @@ def test_oversized_grid_exits_3_without_warning(tmp_path, capsys, step):
         code = run(["fit", str(src), "-o", str(tmp_path / "r.json"), "--k-max", "5", *step])
     assert (code, caught, list(tmp_path.iterdir())) == (3, [], [src])
     assert "exceeds the cap of 1e+07" in one_error_line(capsys)
+
+
+@pytest.mark.parametrize("grid", [["--k-step", "1e-5", "--k-max", "2"],
+                                  ["--delta-step", "2e-4", "--k-max", "50"]])
+def test_oversized_table_exits_3_quickly(tmp_path, capsys, grid):
+    # under the cell cap, but each would ask for a table of several GB
+    src = tmp_path / "env.csv"
+    fileio.write_envelopes(src, sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 8).envelopes)
+    start = time.perf_counter()
+    code = run(["fit", str(src), "-o", str(tmp_path / "r.json"), *grid])
+    assert time.perf_counter() - start < 2.0
+    assert (code, list(tmp_path.iterdir())) == (3, [src])
+    assert "exceeds the cap of 1000 MB" in one_error_line(capsys)
 
 
 class TestUnreadableOrUnwritableFiles:

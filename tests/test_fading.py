@@ -8,6 +8,7 @@ by the code paths under test.
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,6 +76,37 @@ def quad_oracle_q1(a: float, b: float) -> float:
     if b >= a:
         return integrate.quad(density, b, math.inf, epsabs=1e-14, limit=200)[0]
     return 1.0 - integrate.quad(density, 0.0, b, epsabs=1e-14, limit=200)[0]
+
+
+def rice_cdf_quad(r: float, k: float) -> float:
+    """Rician CDF (omega = 1) by quadrature of the density in units of
+    sigma: from 0 with a relative tolerance where that is at most 1/2, so
+    the lower tail keeps its relative digits, else one minus the upper
+    tail."""
+    a, b = math.sqrt(2.0 * k), r * math.sqrt(2.0 * (1.0 + k))
+
+    def density(x):
+        return x * special.i0e(a * x) * math.exp(-0.5 * (x - a) ** 2)
+
+    lower = integrate.quad(density, 0.0, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    if lower <= 0.5:
+        return lower
+    return 1.0 - integrate.quad(density, b, math.inf, epsabs=1e-15, limit=200)[0]
+
+
+def chndtr_phase_average(r, k, delta):
+    """The TWDP CDF as the phase-balance average of scipy's 2-dof noncentral
+    chi-square CDF (chndtr) over the package's trapezoid doubling: the
+    algorithm before the Poisson mixture, kept as an oracle."""
+    b2 = np.ravel(r) ** 2 / sigma2_from_k(k)
+
+    def node_sum(a, w):
+        a2 = np.where(a * a < np.finfo(float).tiny, 0.0, a * a)
+        values = special.chndtr(b2[:, None], 2.0, a2[None, :])
+        return values.sum(axis=1) if w is None else values @ w
+
+    out, _ = fading._phase_average(node_sum, k, delta)
+    return np.clip(out, 0.0, 1.0).reshape(np.shape(r))
 
 
 def fixed_trapezoid(n_nodes):
@@ -331,29 +363,55 @@ class TestTwdpCdf:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_same_bits_on_any_number_of_threads(self, pool_threads, workers):
-        # row blocks of chndtr on the pool give the bits of one unsplit
-        # phase average, also for a scalar on more threads than envelopes
-        p = FadingParams(10.0, 0.9, 1.0)
-        r = np.linspace(0.0, 3.0, 999)
-
-        def unsplit(x):
-            b = np.ravel(x) / math.sqrt(p.sigma2)
-            out, _ = fading._phase_average(
-                lambda a: fading._ncx2_cdf((b * b)[:, None], (a * a)[None, :]), p.k, p.delta)
-            return np.clip(out, 0.0, 1.0)
-
+        # fixed blocks of pmf rows, each summed on its own: the bits do not
+        # depend on how many threads share the blocks (10 of them here),
+        # also for a scalar on more threads than envelopes
+        p = FadingParams(30.0, 0.9, 1.0)
+        r = np.linspace(0.0, 3.0, 5000)
+        pool_threads(1)
+        many, one = twdp_cdf(r, p), twdp_cdf(r[400], p)
         pool_threads(workers)
-        assert np.array_equal(twdp_cdf(r, p), unsplit(r))
-        assert twdp_cdf(r[400], p) == unsplit(r[400])[0]
+        assert np.array_equal(twdp_cdf(r, p), many)
+        assert twdp_cdf(r[400], p) == one
 
-    def test_each_cdf_is_logged_at_debug(self, caplog):
+    def test_each_cdf_is_logged_at_debug(self, caplog, pool_threads):
+        # "nodes" counts the phase nodes of the mixing weights; 999 points
+        # at K = 10 are two blocks of pmf rows
+        pool_threads(2)
         caplog.set_level(logging.DEBUG, logger="twdpfit.fading")
         twdp_cdf(np.linspace(0.0, 3.0, 999), FadingParams(10.0, 0.9, 1.0))
         twdp_cdf(1.0, FadingParams(10.0, 0.9, 1.0))
         many, one = [r.getMessage() for r in caplog.records if r.name == "twdpfit.fading"]
-        assert re.fullmatch(rf"twdp cdf: 999 points x \d+ nodes, [\d.]+ ms on "
-                            rf"{min(pool.threads(), 999)} threads", many)
+        assert re.fullmatch(r"twdp cdf: 999 points x \d+ nodes, [\d.]+ ms on 2 threads", many)
         assert re.fullmatch(r"twdp cdf: 1 points x \d+ nodes, [\d.]+ ms on 1 threads", one)
+
+    @pytest.mark.parametrize("k", [10.0, 30.0, 1000.0])
+    def test_sorted_points_give_nondecreasing_bits(self, k):
+        # fit --overlay evaluates the CDF at every sorted fit envelope, and
+        # its column must not step down, also where F is within 1e-16 of 1
+        p = FadingParams(k, 0.9, 1.0)
+        for r in (np.linspace(0.0, 4.0, 10_000), np.sort(mc_envelopes(k, 0.9, 1.0, 10_000, 3))):
+            f = twdp_cdf(r, p)
+            assert np.all(np.diff(f) >= 0.0)
+            assert f[-1] <= 1.0
+
+    def test_large_input_in_bounded_memory(self):
+        # the overlay of a 4e6-envelope fit: 4e5 points at K = 1000 would be
+        # 7 GB of pmf terms at once; blocks keep the peak to a few arrays
+        # of one float per point and a few blocks per thread
+        r = np.sort(mc_envelopes(1000.0, 0.9, 1.0, 400_000, 5))
+        p = FadingParams(1000.0, 0.9, 1.0)
+        twdp_cdf(r[:10], p)
+        tracemalloc.start()
+        try:
+            f = twdp_cdf(r, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_point, block = 8 * r.size, 8 * fading._BLOCK_ENTRIES
+        assert peak <= 10 * per_point + 4 * pool.threads() * block
+        assert np.all(np.diff(f) >= 0.0)
+        assert f[0] >= 0.0 and f[-1] <= 1.0
 
 
 class TestTwdpPdf:
@@ -450,3 +508,33 @@ def test_cdf_monotone_property(k, delta, r1, r2):
     lo, hi = min(r1, r2), max(r1, r2)
     p = FadingParams(k, delta, 1.0)
     assert twdp_cdf(lo, p) <= twdp_cdf(hi, p) + 1e-12
+
+
+@given(
+    k=st.floats(0, 1e4),
+    delta=st.floats(0, 1),
+    r=st.floats(0, 4),
+)
+@settings(max_examples=60, deadline=None)
+@example(k=100.0, delta=0.0, r=0.016)        # chndtr is 3.9e-3 off at F = 2.8e-45
+@example(k=8750.0, delta=0.0, r=0.914)       # and 2.2e-12 off at F = 2.8e-30
+@example(k=1e4, delta=1.0, r=1.0)
+def test_cdf_matches_chndtr_phase_average_property(k, delta, r):
+    p = FadingParams(k, delta, 1.0)
+    got = twdp_cdf(r, p)
+    assert abs(got - float(chndtr_phase_average(r, k, delta))) <= 1e-13
+    if delta == 0.0:
+        # relative digits in the lower tail: chndtr loses them there (see
+        # the examples), the quadrature keeps them wherever it is normal
+        want = rice_cdf_quad(r, k)
+        if want >= np.finfo(float).tiny:
+            assert abs(got - want) <= 1e-12 * want
+
+
+def test_stirlerr_table():
+    # Loader's table of ln n! - ((n + 1/2) ln n - n + ln sqrt(2 pi)); the
+    # lgamma difference loses ~ln(n!) ulps, hence the looser bound
+    n = np.arange(1.0, 40.0)
+    want = [math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi)
+            for m in n]
+    assert np.allclose(fading._stirlerr(n), want, rtol=0, atol=2e-14)

@@ -511,6 +511,26 @@ class TestRowPlacement:
         # 2581 rows (444 MB, ~55 s to build) at fixed 0.4 steps above K = 20
         assert len(likelihood._coarse_k_indices(GridConfig().k_values)) <= 340
 
+    @pytest.mark.parametrize("grid", [GridConfig(), SMALL_GRID, TINY_GRID])
+    def test_table_bytes_are_counted_before_the_build(self, grid):
+        # the default and k_max 30 grids stay far below the cap; the count
+        # is the table's own size (the default one is built elsewhere)
+        counted = likelihood.table_bytes(grid.k_values, len(grid.delta_values))
+        assert counted <= likelihood.MAX_TABLE_BYTES / 30
+        if grid.k_max <= 30.0:
+            assert counted == get_table(grid.k_values, grid.delta_values).log_rows.nbytes
+
+    @pytest.mark.parametrize("fields", [
+        {"k_step": 1e-5, "k_max": 2.0},            # 200,001 exact rows, 17 GB
+        {"delta_step": 2e-4, "k_max": 50.0},       # 5001 Delta columns, 3.7 GB
+    ])
+    def test_oversized_table_refused_before_any_build(self, fields):
+        # both grids are under the cell cap
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="density table of .* MB exceeds the cap of 1000 MB"):
+            GridConfig(**fields)
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("k, delta, seed", HIGH_K_CORPUS)
     def test_high_k_truth_cell_matches_density(self, k, delta, seed):
         # The cubic readout follows the narrow high-K density on the x grid:
