@@ -315,9 +315,12 @@ def _poisson_pmf(x, lam):
     bd0 = x ln(x / lam) + lam - x is taken as x log1p((x - lam) / lam) -
     (x - lam), whose absolute error is a few ulps of |x - lam| (x / lam):
     at x = floor(lam) the pmf is good to a few ulps, where the naive
-    x ln(lam) - lam - ln x! loses ~ln(x!) ulps."""
+    x ln(lam) - lam - ln x! loses ~ln(x!) ulps. Below lam / 2 it takes
+    ln(x / lam), since (x - lam) / lam rounds to -1 where x is an anchor
+    held far below lam."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bd0 = x * np.log1p((x - lam) / lam) - (x - lam)
+        u = (x - lam) / lam
+        bd0 = x * np.where(u > -0.5, np.log1p(u), np.log(x / lam)) - (x - lam)
         saddle = np.exp(-_stirlerr(x) - bd0) / np.sqrt(2.0 * math.pi * x)
     return np.where(x == 0, np.exp(-lam), saddle)
 
@@ -423,7 +426,9 @@ def twdp_cdf(r, params: FadingParams):
     arr = _check_r(r)
     _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
     start = time.perf_counter()
-    y = arr.ravel() ** 2 / (2.0 * sigma2_from_k(params.k, params.omega))
+    with np.errstate(over="ignore"):    # beyond 1e154 sigma the CDF is 1 all the same
+        y = np.minimum(arr.ravel() ** 2 / (2.0 * sigma2_from_k(params.k, params.omega)),
+                       np.finfo(float).max)
     tails, nodes = _mixing_tails(params.k, params.delta)
     top = tails.shape[1]                                                    # J + 2
     anchor, at_anchor = _anchors(y, top)

@@ -385,6 +385,15 @@ class TestTwdpCdf:
         assert re.fullmatch(r"twdp cdf: 999 points x \d+ nodes, [\d.]+ ms on 2 threads", many)
         assert re.fullmatch(r"twdp cdf: 1 points x \d+ nodes, [\d.]+ ms on 1 threads", one)
 
+    def test_far_upper_tail_is_one(self):
+        # far beyond N's support the row anchors sit at its end, far below
+        # y, and past r = 1e154 y is the largest double: each gives exactly
+        # 1, with no numpy warning
+        r = np.array([0.5, 10.0, 1e10, 1e200, 1.7e308])
+        for k in (0.0, 10.0, 1000.0):
+            f = twdp_cdf(r, FadingParams(k, 0.9, 1.0))
+            assert f[0] < 1.0 and np.all(f[1:] == 1.0)
+
     @pytest.mark.parametrize("k", [10.0, 30.0, 1000.0])
     def test_sorted_points_give_nondecreasing_bits(self, k):
         # fit --overlay evaluates the CDF at every sorted fit envelope, and
