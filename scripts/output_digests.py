@@ -8,11 +8,12 @@ table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
 samples), `scan` on three directions (clean, spiked and below
 the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
-one per density table's `log_rows` (k_max 30 and 100), one for the fit
-report's schema and one per sidecar reader: the arrays `read_grid` parses
-from a grid written with a direction and a frequency axis, and those
-`read_scan` parses from the scan. Two source trees wrote byte-identical
-outputs exactly when their lines are equal:
+one per density table's `log_rows` (k_max 30 and 100), one for the values
+of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed (K, Delta, r) grid, one
+for the fit report's schema and one per sidecar reader: the arrays
+`read_grid` parses from a grid written with a direction and a frequency
+axis, and those `read_scan` parses from the scan. Two source trees wrote
+byte-identical outputs exactly when their lines are equal:
 
     PYTHONPATH=src python scripts/output_digests.py /tmp/a > a.txt
     PYTHONPATH=../other/src python scripts/output_digests.py /tmp/b > b.txt
@@ -24,19 +25,23 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 
 from twdpfit import cli, fileio
-from twdpfit.fading import FadingParams
+from twdpfit.fading import FadingParams, marcum_q1, rice_cdf, twdp_cdf
 from twdpfit.inference import GridConfig
 from twdpfit.likelihood import get_table
 from twdpfit.measurement import DirectionalScan, SpatialGrid
 from twdpfit.synth import sample_twdp
 
 K30 = ["--k-max", "30"]
+CDF_KS = (0.0, 1.0, 10.0, 100.0, 1000.0)
+CDF_DELTAS = (0.0, 0.5, 0.9, 1.0)
+CDF_R = np.linspace(0.0, 4.0, 81)
 
 
 def sha(data: bytes) -> str:
@@ -46,6 +51,17 @@ def sha(data: bytes) -> str:
 def parsed(*values) -> bytes:
     """The bytes of each value as an array, in turn; a None as b"None"."""
     return b"".join(b"None" if v is None else np.asarray(v).tobytes() for v in values)
+
+
+def cdf_values() -> bytes:
+    """The bytes of rice_cdf at each K of the grid, twdp_cdf at each
+    (K, Delta), and marcum_q1 = 1 - rice_cdf at each K, all at every r of
+    CDF_R (omega 1)."""
+    values = [rice_cdf(CDF_R, k) for k in CDF_KS]
+    values += [twdp_cdf(CDF_R, FadingParams(k, d)) for k in CDF_KS for d in CDF_DELTAS]
+    values += [marcum_q1(math.sqrt(2.0 * k), CDF_R * math.sqrt(2.0 * (1.0 + k)))
+               for k in CDF_KS]
+    return parsed(*values)
 
 
 def write_inputs() -> None:
@@ -109,6 +125,7 @@ def main():
         grid = GridConfig(k_max=k_max)
         table = get_table(grid.k_values, grid.delta_values)
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
+    lines.append(f"{sha(cdf_values())}  rice_cdf twdp_cdf marcum_q1")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
     grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
     grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, EstimationError, NumericalError
-from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, rice_cdf, twdp_cdf
+from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, twdp_cdf
 from .likelihood import MAX_TABLE_BYTES, get_table, table_bytes
 
 __all__ = [
@@ -317,10 +317,11 @@ def g_test(
     a cell), and a cut fewer than ``per_cell`` after the last kept cut or
     above ``n - per_cell`` is dropped: every edge lies midway between two
     distinct values, every cell holds at least ``per_cell`` samples, and
-    tie-free data keep equal-count cells. Expected counts come from model
-    CDF differences. The model loses e = 2 (Rice) or e = 3 (TWDP) degrees
-    of freedom for the estimated (omega, K[, Delta]); fewer than e + 2
-    cells raise ``DomainError``.
+    tie-free data keep equal-count cells. Expected counts come from
+    differences of the TWDP CDF at the fitted (K, Delta); a Rice fit has
+    Delta = 0, where that CDF is the Rician one. The model loses e = 2
+    (Rice) or e = 3 (TWDP) degrees of freedom for the estimated
+    (omega, K[, Delta]); fewer than e + 2 cells raise ``DomainError``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError("alpha must lie in (0, 1)")
@@ -347,10 +348,7 @@ def g_test(
     if m < e + 2:
         raise DomainError(f"{m} g-test cells between distinct values; need {e + 2}")
     edges = 0.5 * (x[cuts - 1] + x[cuts])
-    if model_fit.model == "rice":
-        cdf_at_edges = rice_cdf(edges, model_fit.k_hat, 1.0)
-    else:
-        cdf_at_edges = twdp_cdf(edges, FadingParams(model_fit.k_hat, model_fit.delta_hat, 1.0))
+    cdf_at_edges = twdp_cdf(edges, FadingParams(model_fit.k_hat, model_fit.delta_hat, 1.0))
     cum = np.concatenate([[0.0], cdf_at_edges, [1.0]])
     expected = np.diff(cum) * n
     if np.any(expected <= 0.0):

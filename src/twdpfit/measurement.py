@@ -292,8 +292,8 @@ def cir(spectrum: np.ndarray, f_spacing: float) -> tuple[np.ndarray, np.ndarray]
         raise DomainError("need at least two frequency samples")
     if not np.all(np.isfinite(spec)):
         raise DomainError("spectrum must be finite")
-    if f_spacing <= 0:
-        raise DomainError("frequency spacing must be positive")
+    if not 0.0 < f_spacing < np.inf:
+        raise DomainError(f"frequency spacing must be positive and finite, got {f_spacing}")
     taps = np.fft.ifft(spec)
     delays = np.arange(len(spec)) / (len(spec) * f_spacing)
     return taps, delays
@@ -301,6 +301,8 @@ def cir(spectrum: np.ndarray, f_spacing: float) -> tuple[np.ndarray, np.ndarray]
 
 def excess_distance(delay_axis: np.ndarray, los_delay: float) -> np.ndarray:
     """Convert delays to path-length excess relative to the direct path."""
+    if not np.isfinite(los_delay):
+        raise DomainError(f"line-of-sight delay must be finite, got {los_delay}")
     return (np.asarray(delay_axis, dtype=float) - los_delay) * SPEED_OF_LIGHT
 
 

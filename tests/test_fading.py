@@ -183,8 +183,9 @@ class TestMarcumQ:
         assert marcum_q1(a, b) == pytest.approx(series_oracle_q1(a, b), abs=1e-10)
 
     def test_against_ncx2_sweep(self):
-        # the implementation is the ncx2 identity; the reference is the
-        # quadratured Rician tail, which shares no code with it
+        # marcum_q1 is the ncx2 identity through scipy's chndtr; the
+        # reference is the quadratured Rician tail, which shares no code
+        # with it
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 60, 300)
         b = rng.uniform(0, 60, 300)
@@ -224,6 +225,15 @@ class TestParamConversions:
     ])
     def test_sigma2(self, k, omega, expected):
         assert sigma2_from_k(k, omega) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("v1,v2,sigma2", [
+        (np.nan, 1.0, 1.0), (1.0, np.nan, 1.0), (1.0, 1.0, np.nan),
+        (np.inf, 1.0, 1.0), (1.0, np.inf, 1.0), (1.0, 1.0, np.inf),
+    ])
+    def test_amplitudes_reject_non_finite(self, v1, v2, sigma2):
+        # (nan, 1, 1) gave (nan, nan) and (1, 1, inf) gave (0.0, 1.0)
+        with pytest.raises(DomainError):
+            k_delta_from_amplitudes(v1, v2, sigma2)
 
     def test_sigma2_rejects_bad_omega(self):
         with pytest.raises(DomainError):
@@ -266,6 +276,13 @@ class TestParamConversions:
             assert p.v1 >= p.v2 >= 0.0
 
 
+@pytest.mark.parametrize("omega", [0.0, -1.0, np.nan, np.inf])
+def test_rayleigh_cdf_rejects_bad_omega(omega):
+    # nan gave nan and inf gave 0.0
+    with pytest.raises(DomainError, match="omega"):
+        rayleigh_cdf(1.0, omega)
+
+
 class TestRiceCdf:
     def test_rayleigh_special_case(self):
         assert rice_cdf(1.0, 0.0, 1.0) == pytest.approx(1 - math.exp(-1.0), abs=1e-12)
@@ -286,23 +303,31 @@ class TestRiceCdf:
     @pytest.mark.parametrize("k", [10.0, 100.0])
     def test_lower_tail_keeps_its_digits(self, k):
         # 1 - Q1 rounded every value below ~1e-16 to 0; rice_cdf(0.3, 100)
-        # is 1.405e-23, the same as the TWDP CDF at Delta = 0
+        # is 1.405e-23
         r = np.linspace(0.05, 0.6, 12)
-        want = twdp_cdf(r, FadingParams(k, 0.0, 1.0))
+        want = np.array([rice_cdf_quad(x, k) for x in r])
         got = rice_cdf(r, k, 1.0)
-        keep = want > 0.0
+        keep = want >= np.finfo(float).tiny
         assert keep.sum() >= 8
         assert np.all(np.abs(got[keep] - want[keep]) <= 1e-12 * want[keep])
         assert rice_cdf(0.3, 100.0) == pytest.approx(1.405e-23, rel=1e-3)
 
+    @pytest.mark.parametrize("r,k", [(0.016, 100.0), (0.668, 2869.0), (0.914, 8750.0)])
+    def test_deep_lower_tail_against_quadrature(self, r, k):
+        # scipy's chndtr is 3.9e-3, 8.4e-7 and 2.0e-12 off at these points
+        want = rice_cdf_quad(r, k)
+        assert abs(rice_cdf(r, k) - want) <= 1e-12 * want
+
 
 class TestTwdpCdf:
     def test_reduces_to_rice(self):
+        # the Rician CDF as scipy's 2-dof noncentral chi-square CDF, which
+        # shares no code with the mixture
         r = np.linspace(0, 3, 100)
         for k in (0.5, 4.0, 50.0):
             got = twdp_cdf(r, FadingParams(k, 0.0, 1.0))
-            want = rice_cdf(r, k, 1.0)
-            assert np.max(np.abs(got - want)) < 1e-9
+            want = special.chndtr(r * r * 2.0 * (1.0 + k), 2.0, 2.0 * k)
+            assert np.max(np.abs(got - want)) < 1e-13
 
     def test_reduces_to_rayleigh(self):
         r = np.linspace(0, 3, 100)
@@ -480,8 +505,9 @@ class TestTwdpPdf:
 
 @pytest.mark.parametrize("a2", [5e-324, 1e-320, 1e-315, 4.4e-313])
 def test_subnormal_noncentrality_equals_zero(a2):
-    # scipy's chndtr errs at a subnormal noncentrality (by 3.6e-4 at 1e-320);
-    # to double precision the CDFs there are their K = 0 values
+    # scipy's chndtr errs at a subnormal noncentrality (by 3.6e-4 at 1e-320),
+    # so marcum_q1 takes it as 0; to double precision Q1 and the mixture
+    # CDFs there are their K = 0 values
     r = np.linspace(0.0, 4.0, 41)
     assert np.array_equal(rice_cdf(r, a2 / 2), rice_cdf(r, 0.0))
     for delta in (0.0, 0.5, 1.0):

@@ -33,9 +33,9 @@ from twdpfit import (
     ml_fit,
     partition_chequerboard,
     partition_stride,
-    rice_cdf,
     sample_twdp,
     select_model,
+    twdp_cdf,
     twdp_pdf,
 )
 from twdpfit import inference, likelihood, pool
@@ -775,14 +775,16 @@ class TestTableCache:
 
 
 def recorded_rice_edges(monkeypatch) -> list:
-    """The envelopes every later g-test evaluates the Rician CDF at."""
+    """The envelopes every later g-test of a Rice fit evaluates the CDF at:
+    the TWDP CDF at Delta = 0, which is the Rician one."""
     edges = []
 
-    def recorded(x, k, omega):
+    def recorded(x, params):
+        assert params.delta == 0.0
         edges.append(x)
-        return rice_cdf(x, k, omega)
+        return twdp_cdf(x, params)
 
-    monkeypatch.setattr(inference, "rice_cdf", recorded)
+    monkeypatch.setattr(inference, "twdp_cdf", recorded)
     return edges
 
 

@@ -286,6 +286,12 @@ class TestCir:
         with pytest.raises(DomainError):
             cir(np.ones(8), 0.0)
 
+    @pytest.mark.parametrize("f_spacing", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_spacing(self, f_spacing):
+        # NaN gave an all-NaN delay axis and inf an all-zero one
+        with pytest.raises(DomainError, match="spacing"):
+            cir(np.ones(8), f_spacing)
+
 
 class TestExcessDistance:
     def test_zero_at_los(self):
@@ -298,6 +304,11 @@ class TestExcessDistance:
     def test_half_ns_is_15cm(self):
         out = excess_distance(np.array([0.5e-9]), 0.0)
         assert out[0] == pytest.approx(0.15, abs=1e-3)
+
+    @pytest.mark.parametrize("los_delay", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_los_delay(self, los_delay):
+        with pytest.raises(DomainError, match="line-of-sight"):
+            excess_distance(np.array([5e-9]), los_delay)
 
 
 class TestTapEnvelopes:
