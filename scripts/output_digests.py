@@ -65,8 +65,9 @@ def cdf_values() -> bytes:
 
 
 def write_inputs() -> None:
-    """The spiked and the quantized envelope file, the three-direction scan and
-    a small grid with a direction and a frequency axis."""
+    """The spiked and the quantized envelope file, the three-direction scan, a
+    small grid with a direction and a frequency axis and a 9 x 9 x 9 x 100
+    grid, whose 72,900 rows span several of the CSV writer's blocks."""
     values = sample_twdp(FadingParams(4.0, 0.5, 1.0), 20_000, 40).envelopes
     values[[9, 19]] = [6.0, 7.5]               # fit class at the default stride 10
     fileio.write_envelopes("spiked.csv", values)
@@ -84,6 +85,8 @@ def write_inputs() -> None:
     h = np.random.default_rng(44).normal(size=(3, 4, 2, 5, 2)) @ [1, 1j]
     fileio.write_grid("grid_dir.csv", SpatialGrid(
         h, spacing=0.3, freq_axis=6e10 + 1e6 * np.arange(5), direction=(30.0, 60.0)))
+    h = np.random.default_rng(45).normal(size=(9, 9, 9, 100, 2)) @ [1, 1j]
+    fileio.write_grid("grid_big.csv", SpatialGrid(h, spacing=0.35))
 
 
 def main():
@@ -129,9 +132,12 @@ def main():
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
     grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
     grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)
+    big = fileio.read_grid("grid_big.csv")
+    big_arrays = parsed(big.h, big.spacing, big.freq_axis, big.direction)
     scan_arrays = parsed(scan.azimuth, scan.elevation, scan.noise_power, scan.samples,
                          scan.freq_axis)
     lines += [f"{sha(grid_arrays)}  read_grid grid_dir.csv",
+              f"{sha(big_arrays)}  read_grid grid_big.csv",
               f"{sha(scan_arrays)}  read_scan scan.csv"]
     print("\n".join(lines))
 

@@ -109,7 +109,6 @@ def _cmd_scan(args) -> int:
     if not 0.0 < args.alpha < 1.0 or args.per_cell < 1:    # an option, not a direction, fails
         raise DomainError("--alpha must lie in (0, 1) and --per-cell be >= 1")
     records = []
-    rows = ["azimuth,elevation,power_norm,marker"]
     for i in range(scan.n_directions):
         az, el = float(scan.azimuth[i]), float(scan.elevation[i])
         record = {"azimuth": az, "elevation": el, "marker": "not_evaluated", "report": None}
@@ -126,10 +125,12 @@ def _cmd_scan(args) -> int:
                               else report.chosen, report=fileio.report_to_dict(report))
                 log.info("direction (%.1f, %.1f): %s", az, el, record["marker"])
         records.append(record)
-        rows.append(f"{az!r},{el!r},{float(power[i])!r},{record['marker']}")   # NaN when masked
     prefix = Path(args.out_prefix)
+    power_table = {"azimuth": scan.azimuth, "elevation": scan.elevation,
+                   "power_norm": power,         # NaN where masked
+                   "marker": [r["marker"] for r in records]}
     fileio.write_together(
-        (fileio.write_text_atomic, prefix.with_suffix(".power.csv"), "\n".join(rows) + "\n"),
+        (fileio.write_power_map, prefix.with_suffix(".power.csv"), power_table),
         (fileio.write_json, prefix.with_suffix(".fits.json"),
          {"kind": "scan_fits", "directions": records}))
     evaluated = int(mask.sum())

@@ -9,6 +9,7 @@ Formats (all plain text, byte-order independent):
 * directional scan: CSV with columns idir,ifreq,re,im plus a JSON header
   listing per-direction azimuth/elevation/noise power and the frequency
   axis;
+* scan power map: CSV with columns azimuth,elevation,power_norm,marker;
 * fit report: versioned JSON checked against REPORT_SCHEMA, which is
   derived from the report dataclasses of ``inference``, by a walk over the
   schema itself (the Draft 7 keywords it uses, no validator library);
@@ -20,16 +21,23 @@ All writes are atomic (temp file + rename in the target directory), and
 every JSON file has one layout (``write_json``). A writer of two files, or a
 command that writes several, renders them all first and writes them with
 ``write_together``: a failed write removes the files written before it.
+
+Every CSV is rendered by ``_csv_text`` a block of rows at a time, but each
+file's text is joined in full before ``write_together`` writes the first
+file. The envelope reader parses the lines of the open file as they stream
+past, and reads the file again only to name a bad line.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import json
 import os
 import secrets
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -54,11 +62,13 @@ __all__ = [
     "write_report",
     "read_report",
     "write_overlay",
+    "write_power_map",
     "write_correlation_map",
     "write_ber_curve",
 ]
 
 _JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+_BLOCK_CELLS = 1 << 16          # values that _csv_text renders per block of rows
 
 
 def _object_schema(cls) -> dict:
@@ -126,12 +136,18 @@ def write_together(*writes) -> None:
         raise
 
 
-def _csv_text(matrix, header: str | None = None) -> str:
-    """One CSV row per matrix row, each value as the repr of its float,
-    under an optional header line."""
-    rows = [] if header is None else [header]
-    rows += [",".join(map(repr, row)) for row in np.asarray(matrix, dtype=float).tolist()]
-    return "\n".join(rows) + "\n"
+def _csv_text(columns, header: str | None = None) -> str:
+    """CSV text of equal-length columns under an optional header line: str()
+    of each Python value (a float's repr, an int's digits), rendered a block
+    of rows at a time, so that only one block is ever held as Python objects."""
+    columns = [np.asarray(col) for col in columns]
+    fmt, step = ",".join(["%s"] * len(columns)), max(1, _BLOCK_CELLS // len(columns))
+    chunks = [] if header is None else [header + "\n"]
+    for start in range(0, len(columns[0]), step):
+        block = [col[start:start + step].tolist() for col in columns]
+        rows = map(str, block[0]) if len(block) == 1 else map(fmt.__mod__, zip(*block))
+        chunks.append("\n".join(rows) + "\n")
+    return "".join(chunks)
 
 
 def _sidecar(path: str | Path) -> Path:
@@ -140,12 +156,9 @@ def _sidecar(path: str | Path) -> Path:
 
 def _write_indexed(path: str | Path, header: dict, arr: np.ndarray, columns: str) -> None:
     """JSON header sidecar, then one CSV row of indices, re and im per entry."""
-    fmt = ",".join(["%d"] * arr.ndim) + ",%r,%r"
     flat = arr.ravel()
-    rows = [columns] + [fmt % (*idx, re, im) for idx, re, im in
-                        zip(np.ndindex(arr.shape), flat.real.tolist(), flat.imag.tolist())]
-    write_together((write_json, _sidecar(path), header),
-                   (write_text_atomic, path, "\n".join(rows) + "\n"))
+    text = _csv_text([*np.indices(arr.shape).reshape(arr.ndim, -1), flat.real, flat.imag], columns)
+    write_together((write_json, _sidecar(path), header), (write_text_atomic, path, text))
 
 
 def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarray:
@@ -206,48 +219,54 @@ def _load_json(path: Path) -> dict:
 # envelopes
 # ---------------------------------------------------------------------------
 
+def _value_texts(lines) -> Iterator[str]:
+    """The stripped lines, the first one blank if it is not a number (a header)."""
+    texts = map(str.strip, lines)
+    first = next(texts, "")
+    try:
+        float(first)
+    except ValueError:
+        first = ""
+    return itertools.chain([first], texts)
+
+
 def read_envelopes(path: str | Path) -> np.ndarray:
-    """One nonnegative real per line; a single leading non-numeric line is
-    treated as a header."""
+    """One nonnegative real per line, a line ending at LF, CRLF or CR (as
+    open() splits them); a single leading non-numeric line is a header."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        with open(path) as handle:
+            values = np.fromiter(map(float, filter(None, _value_texts(handle))), float)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}")
-    texts = [raw.strip() for raw in lines]
-    if texts:
-        try:
-            float(texts[0])
-        except ValueError:
-            texts[0] = ""                       # header
-    try:
-        values = np.fromiter(map(float, filter(None, texts)), float)
     except ValueError:
         values = None
     if values is None or not np.all(np.isfinite(values) & (values >= 0)):
-        _raise_first_bad_line(path, texts)
+        _raise_first_bad_line(path)
     if not len(values):
         raise ParseError(f"{path}: no envelope samples found")
     return values
 
 
-def _raise_first_bad_line(path: Path, texts: list[str]) -> None:
+def _raise_first_bad_line(path: Path) -> None:
     """ParseError naming the first stripped line that is not a finite,
-    nonnegative number."""
-    for lineno, text in enumerate(texts, start=1):
-        if not text:
-            continue
-        try:
-            val = float(text)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: not a number: {text!r}")
-        if not np.isfinite(val) or val < 0:
-            raise ParseError(f"{path}:{lineno}: envelope must be finite and >= 0")
+    nonnegative number. Only a regular file is read again to find it: a pipe
+    cannot be, and a FIFO would wait for a writer."""
+    with open(path) if path.is_file() else io.StringIO() as handle:
+        for lineno, text in enumerate(_value_texts(handle), start=1):
+            if not text:
+                continue
+            try:
+                val = float(text)
+            except ValueError:
+                raise ParseError(f"{path}:{lineno}: not a number: {text!r}")
+            if not np.isfinite(val) or val < 0:
+                raise ParseError(f"{path}:{lineno}: envelope must be finite and >= 0")
+    raise ParseError(f"{path}: a line is not a finite number >= 0")
 
 
 def write_envelopes(path: str | Path, values: np.ndarray) -> None:
-    body = "envelope\n" + "\n".join(map(repr, np.asarray(values, dtype=float).tolist())) + "\n"
-    write_text_atomic(path, body)
+    write_text_atomic(path, _csv_text([np.asarray(values, dtype=float)], "envelope"))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +398,13 @@ def read_report(path: str | Path) -> FitReport:
 
 def write_overlay(path: str | Path, table: dict[str, np.ndarray]) -> None:
     """CDF overlay table: column name -> column values, equal lengths."""
-    write_text_atomic(path, _csv_text(np.column_stack(list(table.values())), ",".join(table)))
+    write_text_atomic(path, _csv_text(np.asarray(list(table.values()), dtype=float),
+                                      ",".join(table)))
+
+
+def write_power_map(path: str | Path, table: dict[str, np.ndarray]) -> None:
+    """Scan power map: column name -> values (floats, or the markers)."""
+    write_text_atomic(path, _csv_text(table.values(), ",".join(table)))
 
 
 def write_correlation_map(path: str | Path, cmap: CorrelationMap) -> None:
@@ -390,7 +415,7 @@ def write_correlation_map(path: str | Path, cmap: CorrelationMap) -> None:
         "lag_y": list(map(float, cmap.lag_y)),
         "cut_x": list(map(float, cmap.cut_x)),
         "cut_y": list(map(float, cmap.cut_y)),
-    }), (write_text_atomic, path, _csv_text(cmap.values)))
+    }), (write_text_atomic, path, _csv_text(np.asarray(cmap.values, dtype=float).T)))
 
 
 def write_ber_curve(path: str | Path, curve: BerCurve) -> None:
@@ -401,5 +426,5 @@ def write_ber_curve(path: str | Path, curve: BerCurve) -> None:
         "omega": curve.params.omega,
         "n_symbols": curve.n_symbols,
         "seed": curve.seed,
-    }), (write_text_atomic, path, _csv_text(np.column_stack([curve.snr_db, curve.ber]),
+    }), (write_text_atomic, path, _csv_text(np.asarray([curve.snr_db, curve.ber], dtype=float),
                                             "snr_db,ber")))

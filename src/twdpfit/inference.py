@@ -203,13 +203,20 @@ def partition_chequerboard(grid_shape: tuple[int, int, int]) -> np.ndarray:
 
 
 def estimate_omega(envelope_set: EnvelopeSet) -> float:
-    """Mean squared envelope over the moment class."""
+    """Mean squared envelope over the moment class; a mean power that is not
+    a finite normal double (squares that overflow or underflow) is a
+    DomainError."""
     mom = envelope_set.moment_values
     if len(mom) == 0:
         raise DomainError("moment class is empty")
-    omega = float(np.mean(mom ** 2))
-    if omega <= 0:
-        raise DomainError("moment set has zero mean power")
+    with np.errstate(over="ignore", under="ignore"):
+        omega = float(np.mean(mom ** 2))
+    normal = np.finfo(float)
+    if not normal.tiny <= omega <= normal.max:
+        if not mom.any():
+            raise DomainError("moment set has zero mean power")
+        raise DomainError(f"moment set mean power {omega:g} lies outside the normal double "
+                          f"range [{normal.tiny:g}, {normal.max:g}]; rescale the envelopes")
     return omega
 
 

@@ -55,7 +55,7 @@ product against a per-dataset weight vector:
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
-rows, 28.7 MB) builds in about 1.1 s on 2 cores, after which each fit takes
+rows, 28.7 MB) builds in about 0.6-0.7 s on 2 cores, after which each fit takes
 well under a second. Builds are logged at info level with the table's and
 the fold weights' bytes, cache hits at debug.
 

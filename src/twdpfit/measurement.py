@@ -24,6 +24,7 @@ from .inference import EnvelopeSet, estimate_omega, partition_chequerboard, part
 
 __all__ = [
     "SPEED_OF_LIGHT",
+    "MAX_LAG_CELLS",
     "SpatialGrid",
     "DirectionalScan",
     "CorrelationMap",
@@ -37,6 +38,8 @@ __all__ = [
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+# cells of one refined (2 nx q) x (2 ny q) lag array in average_corr
+MAX_LAG_CELLS = 10 ** 7
 
 
 def _on_sphere(azimuth, elevation):
@@ -263,13 +266,16 @@ def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
     if interp_factor < 1:
         raise DomainError("interp_factor must be >= 1")
     nx, ny, nz, nf = grid.shape
+    q = int(interp_factor)
+    if 4 * nx * ny * q * q > MAX_LAG_CELLS:
+        raise DomainError(f"interp_factor {q} refines the {nx}x{ny} window to "
+                          f"{4 * nx * ny * q * q:g} lag cells, more than {MAX_LAG_CELLS:g}")
     acc = None
     for iz in range(nz):
         for jf in range(nf):
             c_w = _windowed_corr(_check_slice(np.real(grid.h[:, :, iz, jf])))
             acc = c_w if acc is None else acc + c_w
     acc /= nz * nf
-    q = int(interp_factor)
     fine = _compensated(acc, nx, ny, q)
     cx, cy = (nx - 1) * q, (ny - 1) * q
     lag_x = np.arange(-cx, cx + 1) * (grid.spacing / q)

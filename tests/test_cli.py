@@ -681,6 +681,36 @@ except ParseError as exc:
     assert out.startswith("ParseError False") and "chosen does not match the schema" in out
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc")
+def test_fit_peak_memory_per_envelope(tmp_path):
+    """A fresh fit's own peak memory (VmHWM; ru_maxrss would carry the peak
+    of the process that spawned it) grows by at most 40 bytes per envelope
+    between 2.5e5 and 5e5 envelopes: 21-23 measured on the streamed reader,
+    58 when the reader held the file's text and two lists of its lines."""
+    values = sample_twdp(FadingParams(10.0, 0.9, 1.0), 500_000, 1).envelopes
+    sizes = (250_000, 500_000)
+    peaks = []
+    for n in sizes:
+        fileio.write_envelopes(tmp_path / f"env{n}.csv", values[:n])
+        probe = f"""
+from twdpfit.cli import main
+assert main(["fit", "env{n}.csv", "-o", "report.json", "--k-max", "10"]) == 0
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+"""
+        peaks.append(int(fresh_python(probe, tmp_path).stdout.splitlines()[-1]) * 1024)
+    assert (peaks[1] - peaks[0]) / (sizes[1] - sizes[0]) <= 40
+
+
+def test_spatial_past_the_lag_cap_exits_3(tmp_path, capsys):
+    path = tmp_path / "grid.csv"
+    fileio.write_grid(path, SpatialGrid(np.ones((9, 9, 1, 1), complex), spacing=0.35))
+    out = tmp_path / "corr.csv"
+    assert run(["spatial", str(path), "-o", str(out), "--interp-factor", "2000"]) == 3
+    assert "lag cells, more than 1e+07" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_log_level_falls_back_to_warning(tmp_path):
     probe = 'from twdpfit.cli import main; print(main(["ber", "--k", "1", "--snr-db", "0", ' \
             '"--n-symbols", "10000", "-o", "ber.csv"]))'

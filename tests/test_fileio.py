@@ -104,6 +104,58 @@ class TestEnvelopes:
             fileio.read_envelopes(path)
 
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, newline):
+        lines = ["envelope", " 0.5", "", "2e-3 ", "1"]
+        paths = tmp_path / "lf.csv", tmp_path / "other.csv"
+        paths[0].write_bytes(("\n".join(lines) + "\n").encode())
+        paths[1].write_bytes((newline.join(lines) + newline).encode())
+        assert np.array_equal(fileio.read_envelopes(paths[1]), [0.5, 2e-3, 1.0])
+        assert np.array_equal(fileio.read_envelopes(paths[1]), fileio.read_envelopes(paths[0]))
+        paths[1].write_bytes(newline.join(["envelope", "1.0", "bogus"]).encode())
+        with pytest.raises(ParseError, match=r"other\.csv:3: not a number: 'bogus'$"):
+            fileio.read_envelopes(paths[1])
+
+    def test_form_feed_is_inside_its_line(self, tmp_path):
+        # a line ends only at LF, CRLF or CR, not where str.splitlines splits
+        path = tmp_path / "env.csv"
+        path.write_text("envelope\n1.0\n2.0\f3.0\n4.0\n")
+        with pytest.raises(ParseError, match=r"env\.csv:3: not a number: '2\.0\\x0c3\.0'$"):
+            fileio.read_envelopes(path)
+
+    @pytest.mark.parametrize("body", [
+        b"envelope\n1.0\n\xff\xfe2.0\n",
+        b"\xff\n1.0\n",
+        b"envelope\n" + b"1.0\n" * 5000 + b"2.0\xff\n",   # past the first decoded chunk
+    ])
+    def test_undecodable_byte(self, tmp_path, body):
+        path = tmp_path / "env.csv"
+        path.write_bytes(body)
+        with pytest.raises(ParseError, match=r"env\.csv: .*can't decode"):
+            fileio.read_envelopes(path)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("body,message", [
+        ("envelope\n1.0\n2.5\n", None),
+        ("envelope\n1.0\nbogus\n", r"\d+: a line is not a finite number >= 0$"),
+    ])
+    def test_pipe_is_read_once(self, body, message):
+        # a pipe's lines can be read once: a good one parses, and a bad line
+        # that a second read cannot name is still a ParseError
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, body.encode())
+            os.close(write_end)
+            path = f"/dev/fd/{read_end}"
+            if message is None:
+                assert np.array_equal(fileio.read_envelopes(path), [1.0, 2.5])
+            else:
+                with pytest.raises(ParseError, match=message):
+                    fileio.read_envelopes(path)
+        finally:
+            os.close(read_end)
+
+
 class TestGrid:
     def make_grid(self):
         scene = PlaneWaveScene(
@@ -635,6 +687,97 @@ class TestWriterBytes:
         path = tmp_path / "env.csv"
         fileio.write_envelopes(path, [0.0, 1.5, 0.1, 1 / 3, 1e300])
         assert path.read_text() == "envelope\n0.0\n1.5\n0.1\n0.3333333333333333\n1e+300\n"
+
+
+    def test_power_map(self, tmp_path):
+        path = tmp_path / "scan.power.csv"
+        fileio.write_power_map(path, {"azimuth": np.array([0.0, 90.5]),
+                                      "elevation": np.array([90.0, 45.0]),
+                                      "power_norm": np.array([1.0, np.nan]),
+                                      "marker": ["rice", "not_evaluated"]})
+        assert path.read_text() == ("azimuth,elevation,power_norm,marker\n"
+                                    "0.0,90.0,1.0,rice\n90.5,45.0,nan,not_evaluated\n")
+
+
+def assert_looped(path, header: str | None, rows) -> None:
+    """The file holds the CSV text built one row at a time; a mismatch names
+    its first line, not a diff of the whole text."""
+    want = "".join(([] if header is None else [header + "\n"])
+                   + [",".join(row) + "\n" for row in rows])
+    got = path.read_text()
+    same = got == want
+    assert same, next((f"line {i + 1}: {a!r} != {b!r}" for i, (a, b) in enumerate(
+        zip(got.splitlines(), want.splitlines())) if a != b), "a line too many or missing")
+
+
+class TestBlockedWriters:
+    """Every CSV writer gives the bytes of a row-at-a-time loop whatever the
+    renderer's block size; at the default one, each input spans two blocks."""
+
+    @pytest.fixture(autouse=True, params=[1, 7, None], ids=["block1", "block7", "default"])
+    def block(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(fileio, "_BLOCK_CELLS", request.param)
+        else:
+            assert fileio._BLOCK_CELLS < 70_000
+
+    @pytest.fixture
+    def rng(self):
+        return np.random.default_rng(11)
+
+    def test_envelopes(self, tmp_path, rng):
+        values = rng.random(70_000) * 3.0
+        fileio.write_envelopes(tmp_path / "env.csv", values)
+        assert_looped(tmp_path / "env.csv", "envelope", ([repr(v)] for v in values.tolist()))
+
+    def test_grid(self, tmp_path, rng):
+        h = rng.normal(size=(9, 9, 9, 16, 2)) @ [1, 1j]
+        fileio.write_grid(tmp_path / "grid.csv", SpatialGrid(h, 0.35))
+        assert_looped(tmp_path / "grid.csv", "ix,iy,iz,ifreq,re,im", (
+            [*map(str, idx), repr(float(h[idx].real)), repr(float(h[idx].imag))]
+            for idx in np.ndindex(h.shape)))
+
+    def test_scan(self, tmp_path, rng):
+        samples = rng.normal(size=(3, 6000, 2)) @ [1, 1j]
+        fileio.write_scan(tmp_path / "scan.csv", DirectionalScan(
+            [0.0, 90.0, 180.0], [90.0, 90.0, 45.0], samples, [1e-6, 1e-6, 1e-6]))
+        assert_looped(tmp_path / "scan.csv", "idir,ifreq,re,im", (
+            [str(i), str(j), repr(float(samples[i, j].real)), repr(float(samples[i, j].imag))]
+            for i, j in np.ndindex(samples.shape)))
+
+    def test_overlay(self, tmp_path, rng):
+        table = {name: rng.random(14_000) for name in ("r", "a", "b", "c", "d")}
+        fileio.write_overlay(tmp_path / "overlay.csv", table)
+        rows = zip(*(col.tolist() for col in table.values()))
+        assert_looped(tmp_path / "overlay.csv", "r,a,b,c,d", (map(repr, row) for row in rows))
+
+    def test_correlation_map(self, tmp_path, rng):
+        v = rng.random((321, 321))
+        v = 0.5 * (v + v[::-1, ::-1])
+        v[160, 160] = 1.0
+        lags = np.linspace(-1.0, 1.0, 321)
+        fileio.write_correlation_map(tmp_path / "corr.csv",
+                                     CorrelationMap(lags, lags, v, v[:, 160], v[160, :]))
+        assert_looped(tmp_path / "corr.csv", None, (map(repr, row) for row in v.tolist()))
+
+    def test_ber_curve(self, tmp_path, rng):
+        snr, ber = np.arange(33_000) * 0.001, rng.random(33_000)
+        fileio.write_ber_curve(tmp_path / "ber.csv",
+                               BerCurve(snr, ber, FadingParams(10.0, 0.5, 1.0), 1000, 7))
+        assert_looped(tmp_path / "ber.csv", "snr_db,ber",
+                      (map(repr, row) for row in zip(snr.tolist(), ber.tolist())))
+
+    def test_power_map(self, tmp_path, rng):
+        power = rng.random(17_000)
+        power[::3] = np.nan
+        markers = ["rice", "twdp", "failed", "rejected"] * 4250
+        azimuth, elevation = np.arange(17_000) * 0.5, np.full(17_000, 90.0)
+        fileio.write_power_map(tmp_path / "power.csv", {
+            "azimuth": azimuth, "elevation": elevation, "power_norm": power, "marker": markers})
+        assert_looped(
+            tmp_path / "power.csv", "azimuth,elevation,power_norm,marker",
+            ([repr(a), repr(e), repr(p), m] for a, e, p, m in
+             zip(azimuth.tolist(), elevation.tolist(), power.tolist(), markers)))
 
 
 class TestPlotTables:

@@ -11,6 +11,7 @@ import multiprocessing
 import sys
 import threading
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -117,6 +118,27 @@ class TestEstimateOmega:
     def test_empty_moment_class(self):
         with pytest.raises(DomainError):
             estimate_omega(EnvelopeSet(np.ones(5), np.ones(5, bool)))
+
+    def test_all_zero_moment_set(self):
+        with pytest.raises(DomainError, match="moment set has zero mean power$"):
+            estimate_omega(EnvelopeSet(np.zeros(5), np.zeros(5, bool)))
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-160, 1e-170])
+    def test_power_beyond_the_normal_range_is_a_domain_error(self, scale):
+        # squared: an overflow, a subnormal and an underflow to zero
+        env = sample_twdp(FadingParams(10.0, 0.9, 1.0), 10 ** 5, 1).envelopes * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="outside the normal double range"):
+                fit_envelopes(partition_stride(env, 10), SMALL_GRID)
+
+    @pytest.mark.parametrize("power", [300, -300])
+    def test_dyadic_scale_moves_only_omega(self, power):
+        env = sample_twdp(FadingParams(10.0, 0.9, 1.0), 10 ** 5, 1).envelopes
+        base = asdict(fit_envelopes(partition_stride(env, 10), SMALL_GRID))
+        scaled = asdict(fit_envelopes(partition_stride(env * 2.0 ** power, 10), SMALL_GRID))
+        assert scaled.pop("omega_hat") == base.pop("omega_hat") * 2.0 ** (2 * power)
+        assert scaled == base
 
 
 class TestAicc:

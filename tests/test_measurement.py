@@ -6,6 +6,8 @@ closed form for a delayed plane wave whose per-tone phases cancel the
 finite-window cross term.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,7 @@ from twdpfit import (
     synth_field,
     tap_envelopes,
 )
+from twdpfit import measurement
 from twdpfit.measurement import SPEED_OF_LIGHT, SpatialGrid, _spectral_upsample, _windowed_corr
 
 
@@ -235,6 +238,29 @@ class TestAverageCorr:
         assert abs(cmap.values[cx, cy] - 1.0) < 1e-9
         assert np.max(np.abs(cmap.values - cmap.values[::-1, ::-1])) < 1e-9
         assert cmap.lag_x[1] - cmap.lag_x[0] == pytest.approx(0.35 / 20)
+
+    def test_lag_grid_past_the_cap_fails_before_allocating(self, monkeypatch):
+        # 4 * 9 * 9 * 2000**2 cells, about 10 GB per refined array
+        def no_fft(field):
+            raise AssertionError("an FFT ran")
+
+        monkeypatch.setattr(measurement, "_windowed_corr", no_fft)
+        grid = SpatialGrid(np.ones((9, 9, 1, 1), complex), spacing=0.35)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"interp_factor 2000 .* more than 1e\+07"):
+                average_corr(grid, interp_factor=2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e5
+
+    def test_lag_grid_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(measurement, "MAX_LAG_CELLS", 4 * 3 * 3 * 2 ** 2)
+        grid = SpatialGrid(np.random.default_rng(2).normal(size=(3, 3, 1, 1)) + 0j, 0.35)
+        assert average_corr(grid, interp_factor=2).values.shape == (9, 9)
+        with pytest.raises(DomainError, match="more than 144"):
+            average_corr(grid, interp_factor=3)
 
 
 class TestSpectralUpsample:
