@@ -10,7 +10,9 @@ the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
 one per density table's `log_rows` (k_max 30 and 100), one for the values
 of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed (K, Delta, r) grid, one
-for the fit report's schema and one per sidecar reader: the arrays
+for the values of `fading._i0e` on a fixed sweep and `chi2_quantile` at dof
+1-2000 and p 0.95 and 0.99, one for the fit report's schema and one per
+sidecar reader: the arrays
 `read_grid` parses from a grid written with a direction and a frequency
 axis, and those `read_scan` parses from the scan. Two source trees wrote
 byte-identical outputs exactly when their lines are equal:
@@ -32,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from twdpfit import cli, fileio
-from twdpfit.fading import FadingParams, marcum_q1, rice_cdf, twdp_cdf
-from twdpfit.inference import GridConfig
+from twdpfit.fading import FadingParams, _i0e, marcum_q1, rice_cdf, twdp_cdf
+from twdpfit.inference import GridConfig, chi2_quantile
 from twdpfit.likelihood import get_table
 from twdpfit.measurement import DirectionalScan, SpatialGrid
 from twdpfit.synth import sample_twdp
@@ -62,6 +64,14 @@ def cdf_values() -> bytes:
     values += [marcum_q1(math.sqrt(2.0 * k), CDF_R * math.sqrt(2.0 * (1.0 + k)))
                for k in CDF_KS]
     return parsed(*values)
+
+
+def special_values() -> bytes:
+    """The bytes of _i0e on a sweep across both of its expansions and far
+    out, then of chi2_quantile at p 0.95 and 0.99 for every dof 1-2000."""
+    z = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(1e-8, 1e6, 1001)])
+    quantiles = [chi2_quantile(p, dof) for p in (0.95, 0.99) for dof in range(1, 2001)]
+    return parsed(_i0e(z), quantiles)
 
 
 def write_inputs() -> None:
@@ -129,6 +139,7 @@ def main():
         table = get_table(grid.k_values, grid.delta_values)
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
     lines.append(f"{sha(cdf_values())}  rice_cdf twdp_cdf marcum_q1")
+    lines.append(f"{sha(special_values())}  i0e chi2_quantile")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
     grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
     grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)

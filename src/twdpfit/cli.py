@@ -29,7 +29,7 @@ from .errors import DomainError, EstimationError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
 from .inference import GridConfig, fit_envelopes, partition_stride
 from .linksim import simulate_ber
-from .measurement import power_map, average_corr
+from .measurement import average_corr, noise_mask, power_map
 from .synth import PlaneWave, PlaneWaveScene, sample_twdp, synth_field
 
 log = logging.getLogger("twdpfit")
@@ -104,7 +104,7 @@ def _cmd_fit(args) -> int:
 def _cmd_scan(args) -> int:
     scan = fileio.read_scan(args.scan)
     power = power_map(scan, args.margin_db, args.stride)
-    mask = ~np.isnan(power)  # power_map leaves directions below the margin NaN
+    mask = noise_mask(scan, args.margin_db)     # the power is NaN for a failed direction too
     grid = _grid_from_args(args)
     if not 0.0 < args.alpha < 1.0 or args.per_cell < 1:    # an option, not a direction, fails
         raise DomainError("--alpha must lie in (0, 1) and --per-cell be >= 1")

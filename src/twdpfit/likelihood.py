@@ -23,13 +23,14 @@ product against a per-dataset weight vector:
 * A node of the fold sits at (na - 1) sqrt((1 + Delta cos alpha) /
   (1 + max Delta)) on a grid of na nodes, whatever K, and na is one of a
   ladder 10 % apart, so the fold weights are built once per node count,
-  serially before the row pool (``np.add.at`` holds the GIL), and every
-  row with that count reads them: 12 counts for the 153 rows up to K = 30
-  (0.8 MB), 18 for the 215 up to K = 100 (1.7 MB) and 30 for the default
-  grid's 332 (6.2 MB).
-* Rows are independent, and the kernel's i0e and exp release the GIL, so
-  the build maps them over twdpfit's shared thread pool (``pool.executor``,
-  one thread per usable CPU), as the BER Monte Carlo maps its SNR points.
+  on the row pool before the rows (from numpy 2.4 ``np.add.at`` releases
+  the GIL), and every row with that count reads them: 12 counts for the
+  153 rows up to K = 30 (0.8 MB), 18 for the 215 up to K = 100 (1.7 MB)
+  and 30 for the default grid's 332 (6.2 MB).
+* Rows are independent, and the kernel's numpy passes (``fading._i0e``'s
+  Horner steps and exp) release the GIL, so the build maps them over
+  twdpfit's shared thread pool (``pool.executor``, one thread per usable
+  CPU), as the BER Monte Carlo maps its SNR points.
   The fold is numpy's own einsum loop on twdpfit's threads, not a BLAS GEMM,
   because OpenBLAS busy-waits: its worker threads spin after each GEMM and
   would take the cores the pool runs on. Its summation order differs from
@@ -48,7 +49,10 @@ product against a per-dataset weight vector:
   table row, so the whole grid evaluates as one GEMV. That GEMV is numpy's
   own einsum loop too, over row blocks of the table on the shared pool
   (``pool.map_row_blocks``): each surface row is the same dot product on any
-  number of threads, within 1e-12 relative of OpenBLAS's. Samples above r_max
+  number of threads, within 1e-12 relative of OpenBLAS's. It runs only over
+  the columns up to the data's last nonzero weight, rounded up to a multiple
+  of 32 (typical 1e5-envelope sets reach nodes 206-304 of 514), and gives
+  the same bits as the einsum over every column. Samples above r_max
   (spikes) add their row density at their exact value, through the same
   fold weights, at every tabulated K row instead, so the table never grows
   and a spike pays only for its kernel.
@@ -228,9 +232,9 @@ class PdfTable:
         self.workers = threads()
         # one set of fold matrices per amplitude node count, shared by every
         # row and every spiked surface with that count; the rows only read them
-        counts = {len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0}
-        self.folds = {n: self._fold_weights(n) for n in counts}
-        # i0e and exp release the GIL, so rows build in parallel
+        counts = sorted({len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0})
+        self.folds = dict(zip(counts, executor().map(self._fold_weights, counts)))
+        # the kernel's numpy passes release the GIL, so rows build in parallel
         for i, row in enumerate(executor().map(self._build_row, self.coarse_k,
                                                [self.x_grid] * nc)):
             self.log_rows[i] = row
@@ -323,8 +327,12 @@ class PdfTable:
         x_out = np.sort(x[beyond])
         w, const = self.sample_weights(x[~beyond])
         nc, nd, nr = self.log_rows.shape
-        coarse = map_row_blocks(lambda rows: np.einsum("ij,j->i", rows, w),
-                                self.log_rows.reshape(nc * nd, nr)).reshape(nc, nd)
+        # only the columns up to the data's last nonzero weight, rounded up to
+        # whole 32-column blocks, which leaves the einsum's sums the same bits
+        reach = np.flatnonzero(w)
+        cols = min(nr, -(-(reach[-1] + 1) // 32) * 32) if reach.size else 0
+        coarse = map_row_blocks(lambda rows: np.einsum("ij,j->i", rows, w[:cols]),
+                                self.log_rows.reshape(nc * nd, nr)[:, :cols]).reshape(nc, nd)
         # blocks of spikes bound the kernel matrix of a row
         for i in range(0, len(x_out), _SPIKE_BLOCK):
             block = x_out[i:i + _SPIKE_BLOCK]

@@ -150,12 +150,14 @@ class CorrelationMap:
 
 def noise_mask(scan: DirectionalScan, margin_db: float = 10.0) -> np.ndarray:
     """True where the mean received power sits at least margin_db above the
-    per-direction noise power (boundary inclusive)."""
+    per-direction noise power (boundary inclusive). A power that overflows
+    is inf, above any margin."""
     if np.any(~np.isfinite(scan.noise_power)):
         raise DomainError("missing noise power estimate")
     if np.any(scan.noise_power <= 0):
         raise DomainError("noise power must be positive")
-    mean_power = np.mean(np.abs(scan.samples) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        mean_power = np.mean(np.abs(scan.samples) ** 2, axis=1)
     return mean_power >= scan.noise_power * 10.0 ** (margin_db / 10.0)
 
 
@@ -165,8 +167,9 @@ def power_map(scan: DirectionalScan, margin_db: float = 10.0, stride: int = 10) 
     The per-direction power estimate uses the moment partition (every
     stride-th frequency sample is reserved for fitting, as in the decision
     pipeline) so power and shape estimates stay decoupled. Directions below
-    the noise margin are returned as NaN; the maximum over the evaluated
-    directions is 1.
+    the noise margin, and those whose mean power leaves the double range
+    (``estimate_omega``'s DomainError), are returned as NaN; the maximum
+    over the other directions is 1.
     """
     if scan.n_directions == 0:
         raise DomainError("empty scan")
@@ -175,9 +178,13 @@ def power_map(scan: DirectionalScan, margin_db: float = 10.0, stride: int = 10) 
         raise DomainError("no direction lies above the noise margin")
     out = np.full(scan.n_directions, np.nan)
     for i in np.nonzero(mask)[0]:
-        env = np.abs(scan.samples[i])
-        out[i] = estimate_omega(partition_stride(env, stride))
-    out /= np.nanmax(out)
+        env_set = partition_stride(np.abs(scan.samples[i]), stride)
+        try:
+            out[i] = estimate_omega(env_set)
+        except DomainError:
+            pass        # the direction's fit fails with the same message
+    if not np.isnan(out).all():
+        out /= np.nanmax(out)
     return out
 
 

@@ -1,8 +1,8 @@
 """The one thread pool of twdpfit's numeric stages.
 
-Independent tasks whose numpy and scipy kernels release the GIL (density
-table rows, BER SNR points, blocks of the TWDP CDF's pmf rows and row
-blocks of the likelihood GEMV) run on one process-wide
+Independent tasks whose numpy kernels release the GIL (density
+table rows and their fold weights, BER SNR points, blocks of the TWDP
+CDF's pmf rows and row blocks of the likelihood GEMV) run on one process-wide
 ``ThreadPoolExecutor`` with one thread per usable CPU. It is made on first
 use, so a command that never needs it starts no thread, and a forked child
 makes its own: the parent's threads do not exist there. A task must not

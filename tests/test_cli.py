@@ -189,6 +189,27 @@ class TestScan:
         assert [zero_rows[i] for i in (0, 1, 2, 4)] == [clean_rows[i] for i in (0, 1, 2, 4)]
         assert zero_out.endswith(".fits.json; 1 failed\n") and clean_out.endswith(".fits.json\n")
 
+    def test_overflowing_direction_is_marked_failed(self, tmp_path, capsys):
+        # the squared samples of a direction scaled by 1e160 overflow; the scan
+        # used to print numpy's overflow warning and exit 3 with no output
+        samples = np.stack([sample_twdp(FadingParams(k, d, 1.0), 1000, seed).samples
+                            for k, d, seed in ((8.0, 0.0, 41), (3.0, 0.7, 42))])
+        samples[1] *= 1e160
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, DirectionalScan([0.0, 90.0], [90.0] * 2, samples,
+                                                np.full(2, 1e-6)))
+        prefix = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["scan", str(path), "-o", str(prefix), "--k-max", "2"]) == 0
+        fits = json.loads(prefix.with_suffix(".fits.json").read_text())["directions"]
+        assert fits[0]["marker"] in ("rice", "twdp", "rejected") and fits[0]["report"]
+        assert fits[1]["marker"] == "failed" and fits[1]["report"] is None
+        assert "mean power inf" in fits[1]["error"]
+        rows = prefix.with_suffix(".power.csv").read_text().splitlines()
+        assert rows[1:] == [f"0.0,90.0,1.0,{fits[0]['marker']}", "90.0,90.0,nan,failed"]
+        assert "overflow" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--per-cell", "0"]])
     def test_bad_g_test_option_fails_the_command(self, tmp_path, capsys, option):
         # an option that no direction can be fitted with is not a direction's failure
@@ -631,30 +652,28 @@ print(heavy())
     assert lines[-1] == "[]"         # after the four commands
 
 
-def test_fresh_fit_loads_scipy_in_the_row_pool(tmp_path):
-    # records the thread of the first scipy import, then lets it proceed
+def test_fresh_fit_and_scan_load_no_scipy(tmp_path):
+    # only marcum_q1 uses scipy; the table, the CDF and the g-test threshold
+    # are numpy and math
     probe = """
-import sys, threading
-from twdpfit import FadingParams, fileio, sample_twdp
+import sys
+import numpy as np
+from twdpfit import DirectionalScan, FadingParams, fileio, sample_twdp
 from twdpfit.cli import main
 
-first = []
-
-class Spy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" and not first:
-            first.append(threading.current_thread().name)
-        return None
-
-sys.meta_path.insert(0, Spy())
 fileio.write_envelopes("env.csv", sample_twdp(FadingParams(5.0, 0.8, 1.0), 5000, 2).envelopes)
-print(main(["fit", "env.csv", "-o", "report.json", "--k-max", "3"]))
-print(first)
+fileio.write_scan("scan.csv", DirectionalScan(
+    [0.0, 90.0], [90.0, 90.0], np.stack([sample_twdp(FadingParams(k, 0.5, 1.0), 2000, 3).samples
+                                         for k in (2.0, 6.0)]), [1e-4, 1e-4]))
+codes = [main(["fit", "env.csv", "-o", "report.json", "--overlay", "overlay.csv", "--k-max", "3"]),
+         main(["scan", "scan.csv", "-o", "scan_out", "--k-max", "3"])]
+print(codes)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print("jsonschema" in sys.modules)
 """
     lines = fresh_python(probe, tmp_path).stdout.splitlines()
-    assert lines[-3] == "0"
-    assert lines[-2].startswith("['ThreadPoolExecutor")
+    assert lines[-3] == "[0, 0]"
+    assert lines[-2] == "[]"
     assert lines[-1] == "False"      # the report is checked without a validator library
     report = fileio.read_report(tmp_path / "report.json")     # validates the schema
     assert report.chosen in ("rice", "twdp")

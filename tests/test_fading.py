@@ -573,3 +573,34 @@ def test_stirlerr_table():
     want = [math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - 0.5 * math.log(2 * math.pi)
             for m in n]
     assert np.allclose(fading._stirlerr(n), want, rtol=0, atol=2e-14)
+
+
+def test_i0e_matches_scipy():
+    # Cephes's expansions in monomial form by Horner's rule, against scipy's
+    # Clenshaw sums of the same expansions
+    z = np.concatenate([np.linspace(0.0, 1e6, 100_001), np.linspace(0.0, 40.0, 40_001),
+                        np.geomspace(1e-300, 1e6, 2001), [0.0, 8.0, np.nextafter(8.0, 9.0)]])
+    assert np.all(np.abs(fading._i0e(z) / special.i0e(z) - 1.0) <= 5e-15)
+    edge = fading._i0e(np.array([np.inf, np.nan]))
+    assert edge[0] == 0.0 and np.isnan(edge[1])
+
+
+def test_beyond_support_term():
+    # P[M >= n] is 1 at y >= n, the ratio series (scipy's gammainc to
+    # rounding) where it can change a lower sum of at most 1/2, and 0 where
+    # adding gammainc would change no bit of that sum
+    n = 78
+    rng = np.random.default_rng(4)
+    y = rng.uniform(0.0, n + 5.0, 4000)
+    below = np.where(rng.random(4000) < 0.8, 10.0 ** rng.uniform(-300, math.log10(0.5), 4000),
+                     rng.uniform(0.5, 1.0, 4000))
+    tail = fading._beyond_support(below, y, n)
+    want = special.gammainc(n, y)
+    assert np.all(tail[y >= n] == 1.0)
+    inside = (y < n) & (below <= 0.5)
+    series = inside & (tail > 0.0)
+    assert series.sum() > 100
+    assert np.allclose(tail[series], want[series], rtol=1e-13, atol=0)
+    skipped = (y < n) & (tail == 0.0)
+    assert np.all((below + want == below)[skipped & inside])
+    assert np.all(tail[(y < n) & (below > 0.5)] == 0.0)

@@ -39,7 +39,7 @@ from twdpfit import (
     twdp_cdf,
     twdp_pdf,
 )
-from twdpfit import inference, likelihood, pool
+from twdpfit import fading, inference, likelihood, pool
 from twdpfit.inference import _g_statistic
 from twdpfit.likelihood import PdfTable, TableSpec, get_table
 
@@ -132,6 +132,18 @@ class TestEstimateOmega:
             with pytest.raises(DomainError, match="outside the normal double range"):
                 fit_envelopes(partition_stride(env, 10), SMALL_GRID)
 
+    @pytest.mark.parametrize("power", [511, -511])
+    def test_mean_power_at_the_ends_of_the_double_range(self, power):
+        # 2^1022 and 2^-1022 are normal doubles: the plain sum of 1000 squares
+        # of 2^511 overflows, and the mean is taken again on scaled values
+        inward = power - int(math.copysign(1, power))
+        for values in (np.full(1000, 2.0 ** power),
+                       np.tile([2.0 ** power, 2.0 ** inward], 500)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                omega = estimate_omega(EnvelopeSet(values, np.zeros(1000, bool)))
+            assert omega == np.mean((values * 2.0 ** -power) ** 2) * 2.0 ** (2 * power)
+
     @pytest.mark.parametrize("power", [300, -300])
     def test_dyadic_scale_moves_only_omega(self, power):
         env = sample_twdp(FadingParams(10.0, 0.9, 1.0), 10 ** 5, 1).envelopes
@@ -183,6 +195,14 @@ class TestChi2Quantile:
 
     def test_frozen_value(self):
         assert chi2_quantile(0.99, 1) == pytest.approx(6.6348966010212145, abs=1e-9)
+
+    def test_matches_scipy_gammaincinv(self):
+        # the Halley inversion in math against scipy, where the g-test reads it
+        levels = (1.0 - np.geomspace(0.5, 1e-6, 16)).tolist()
+        for dof in np.unique(np.geomspace(1, 1e5, 60).astype(int)).tolist():
+            for p in levels:
+                want = 2.0 * special.gammaincinv(0.5 * dof, p)
+                assert chi2_quantile(p, dof) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -421,7 +441,7 @@ class TestTableAccuracy:
         assert np.exp(-0.5 * likelihood._BAND ** 2) == 0.0
 
         def full_kernel(self, a, b, s2):
-            return s2 * special.i0e(a[:, None] * b) * np.exp(-0.5 * (a[:, None] - b) ** 2)
+            return s2 * fading._i0e(a[:, None] * b) * np.exp(-0.5 * (a[:, None] - b) ** 2)
 
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         monkeypatch.setattr(PdfTable, "_kernel", full_kernel)
@@ -459,6 +479,31 @@ class TestTableAccuracy:
         assert np.array_equal(got, surface(np.einsum("cdr,r->cd", table.log_rows, w)))
         blas = surface((table.log_rows.reshape(nc * nd, nr) @ w).reshape(nc, nd))
         assert np.allclose(got, blas, rtol=1e-12, atol=0)
+
+    def test_gemv_over_reached_columns_is_the_full_einsum(self):
+        # the GEMV stops at the 32-column block of the last nonzero sample
+        # weight; against the einsum over all 514 columns, with spikes
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        nr = table.log_rows.shape[2]
+        rng = np.random.default_rng(8)
+        trimmed = 0
+        for seed in range(12):
+            x = make_set(rng.uniform(0.0, 30.0), rng.uniform(), int(rng.integers(200, 20000)),
+                         seed).fit_values
+            x *= rng.uniform(0.3, 1.2) / np.sqrt(np.mean(x ** 2))
+            x[:seed % 3] = rng.uniform(4.05, 8.0, seed % 3)
+            beyond = x > TableSpec.r_max
+            w, const = table.sample_weights(x[~beyond])
+            trimmed += np.flatnonzero(w)[-1] < nr - 32
+            coarse = np.einsum("cdr,r->cd", table.log_rows, w)
+            spikes = np.sort(x[beyond])
+            if spikes.size:
+                coarse += np.array([table._build_row(k, spikes).sum(axis=1)
+                                    for k in table.coarse_k])
+            const += float(np.sum(np.log(spikes)))
+            want = np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
+            assert np.array_equal(table.loglik_surface(x), want)
+        assert trimmed >= 6
 
     def test_zero_sample_scores_minus_infinity_without_warning(self):
         # ln(0) is the exact score of a zero envelope; the pytest

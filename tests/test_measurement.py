@@ -7,6 +7,7 @@ finite-window cross term.
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestNoiseMaskAndPower:
         scan = self.make_scan([1.0, 0.01], [1e-3, 1e-3])
         out = power_map(scan)
         assert out[0] == 1.0 and np.isnan(out[1])
+
+    def test_overflowing_direction_nan(self):
+        # its squares overflow without a warning, so it passes the margin, and
+        # its mean power inf is no power: NaN, and the other direction is 1
+        scan = self.make_scan([1.0, 1e160], [1e-3, 1e-3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert noise_mask(scan).all()
+            out = power_map(scan)
+            alone = power_map(self.make_scan([1e160], [1e-3]))
+        assert out[0] == 1.0 and np.isnan(out[1])
+        assert np.isnan(alone).all()
 
     def test_synthetic_beam_peak_at_wave_direction(self):
         # emulate a directive sweep over a single incoming wave
