@@ -243,12 +243,12 @@ class PdfTable:
 
     def _kernel(self, a: np.ndarray, b: np.ndarray, s2: float) -> np.ndarray:
         """Rician density kernel over envelope, divided by x: rows of
-        ascending noncentrality amplitudes `a`, columns of ascending scaled
-        envelopes `b` = x*sqrt(s2). Entries outside the band are exactly 0."""
+        noncentrality amplitudes `a`, columns of ascending scaled envelopes
+        `b` = x*sqrt(s2). Entries outside the band are exactly 0."""
         kern = np.zeros((len(a), len(b)))
         for i in range(0, len(a), _BLOCK):
             ab = a[i:i + _BLOCK, None]
-            lo, hi = np.searchsorted(b, [ab[0, 0] - _BAND, ab[-1, 0] + _BAND])
+            lo, hi = np.searchsorted(b, [ab.min() - _BAND, ab.max() + _BAND])
             kern[i:i + _BLOCK, lo:hi] = _rice_kernel(ab, b[lo:hi], s2)
         return kern
 
@@ -258,12 +258,17 @@ class PdfTable:
         s2 = 2.0 * (1.0 + k)
         b = x * np.sqrt(s2)
         # the Delta = 0 column collapses to a single kernel, exact for every
-        # column at K = 0
-        single = self._kernel(np.full(1, np.sqrt(2.0 * k)), b, s2)
-        pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
+        # column at K = 0; for K > 0 its amplitude rides as one more row of the
+        # grid's kernel, since fewer and longer numpy passes hold the GIL less
+        a0 = np.sqrt(2.0 * k)
         if k > 0.0 and len(self.deltas) > 1:
             ag = self._amplitude_grid(k)
-            kern = self._kernel(ag, b, s2)
+            kern = self._kernel(np.append(ag, a0), b, s2)
+            single, kern = kern[-1:], kern[:-1]
+        else:
+            single = self._kernel(np.full(1, a0), b, s2)
+        pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
+        if k > 0.0 and len(self.deltas) > 1:
             # ln(kernel) grows by about (b - a) da per node beyond the amplitudes
             # [a_lo, a_hi] of a Delta column
             d = self.deltas[1:, None]
