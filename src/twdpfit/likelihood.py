@@ -89,8 +89,11 @@ log = logging.getLogger(__name__)
 # exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; blocks of _BLOCK a-nodes
 # evaluate the kernel only on the union of their bands |a - b| <= _BAND
 _BAND, _BLOCK = 38.61, 64
-# spikes per kernel matrix of a spiked surface
+# spikes per kernel matrix of a spiked surface. A row kernel over them of
+# fewer than _SHARED_KERNEL entries costs less than the ~45 us of numpy calls
+# of a kernel evaluation, so up to _SHARED_ROWS such rows share one.
 _SPIKE_BLOCK = 4096
+_SHARED_KERNEL, _SHARED_ROWS = 2048, 128
 # the fold's tilts, in growth of ln(kernel) per amplitude node. Growth reaches
 # 37.3 a_step = 4.66 at the 1e-300 floor; untilted cubic taps are 6e-3 off
 # in ln at 0.75 and 0.5 off at 2. Each entry takes the nearest tilt.
@@ -249,26 +252,34 @@ class PdfTable:
         for i in range(0, len(a), _BLOCK):
             ab = a[i:i + _BLOCK, None]
             lo, hi = np.searchsorted(b, [ab.min() - _BAND, ab.max() + _BAND])
-            kern[i:i + _BLOCK, lo:hi] = _rice_kernel(ab, b[lo:hi], s2)
+            if lo < hi:
+                kern[i:i + _BLOCK, lo:hi] = _rice_kernel(ab, b[lo:hi], s2)
         return kern
 
-    def _build_row(self, k: float, x: np.ndarray) -> np.ndarray:
+    def _amplitudes(self, k: float) -> np.ndarray:
+        """The kernel rows of row K: its amplitude grid, then the single
+        Delta = 0 amplitude sqrt(2K), alone at K = 0 or for a lone Delta
+        column. The Delta = 0 column collapses to that single kernel, exact
+        for every column at K = 0; as one more row of the grid's kernel it
+        costs no call of its own, since fewer and longer numpy passes hold
+        the GIL less."""
+        single = np.full(1, np.sqrt(2.0 * k))
+        if k > 0.0 and len(self.deltas) > 1:
+            return np.append(self._amplitude_grid(k), single)
+        return single
+
+    def _build_row(self, k: float, x: np.ndarray, kern: np.ndarray | None = None) -> np.ndarray:
         """ln(pdf(x)/x) at ascending envelopes `x`, for every Delta column of
-        row K, shape (len(deltas), len(x))."""
+        row K, shape (len(deltas), len(x)); `kern`, when given, is the kernel
+        of ``_amplitudes(k)`` over x."""
         s2 = 2.0 * (1.0 + k)
         b = x * np.sqrt(s2)
-        # the Delta = 0 column collapses to a single kernel, exact for every
-        # column at K = 0; for K > 0 its amplitude rides as one more row of the
-        # grid's kernel, since fewer and longer numpy passes hold the GIL less
-        a0 = np.sqrt(2.0 * k)
-        if k > 0.0 and len(self.deltas) > 1:
-            ag = self._amplitude_grid(k)
-            kern = self._kernel(np.append(ag, a0), b, s2)
-            single, kern = kern[-1:], kern[:-1]
-        else:
-            single = self._kernel(np.full(1, a0), b, s2)
-        pdf_over_x = np.repeat(single, len(self.deltas), axis=0)
-        if k > 0.0 and len(self.deltas) > 1:
+        amps = self._amplitudes(k)
+        if kern is None:
+            kern = self._kernel(amps, b, s2)
+        pdf_over_x = np.repeat(kern[-1:], len(self.deltas), axis=0)
+        if len(amps) > 1:
+            ag, kern = amps[:-1], kern[:-1]
             # ln(kernel) grows by about (b - a) da per node beyond the amplitudes
             # [a_lo, a_hi] of a Delta column
             d = self.deltas[1:, None]
@@ -288,6 +299,28 @@ class PdfTable:
                 part = np.einsum("da,ab->db", folds[lv], kern[:, lo:hi])
                 np.copyto(pdf_over_x[1:, lo:hi], part, where=level[:, lo:hi] == lv)
         return np.log(np.maximum(pdf_over_x, 1e-300))
+
+    def _spike_sums(self, x: np.ndarray) -> np.ndarray:
+        """Each tabulated row's ln(pdf/x) summed over the ascending spikes
+        `x`, shape (len(coarse_k), len(deltas)). Rows whose kernel over the
+        spikes is small evaluate it together, the others on their own with
+        the band skip."""
+        amps = [self._amplitudes(k) for k in self.coarse_k]
+        sums = np.empty((len(amps), len(self.deltas)))
+        shared = [r for r, am in enumerate(amps) if len(am) * len(x) < _SHARED_KERNEL]
+        for r in sorted(set(range(len(amps))) - set(shared)):
+            sums[r] = self._build_row(self.coarse_k[r], x).sum(axis=1)
+        for i in range(0, len(shared), _SHARED_ROWS):
+            rows = shared[i:i + _SHARED_ROWS]
+            s2 = 2.0 * (1.0 + self.coarse_k[rows])
+            sizes = [len(amps[r]) * len(x) for r in rows]
+            a = np.concatenate([np.repeat(amps[r], len(x)) for r in rows])
+            b = np.concatenate([np.tile(x * np.sqrt(s), len(amps[r])) for r, s in zip(rows, s2)])
+            kern = _rice_kernel(a, b, np.repeat(s2, sizes))
+            for r, part in zip(rows, np.split(kern, np.cumsum(sizes)[:-1])):
+                sums[r] = self._build_row(self.coarse_k[r], x,
+                                          part.reshape(-1, len(x))).sum(axis=1)
+        return sums
 
     def _amplitude_grid(self, k: float) -> np.ndarray:
         """Noncentrality amplitudes of row K > 0: na nodes from 0 to
@@ -340,8 +373,7 @@ class PdfTable:
                                 self.log_rows.reshape(nc * nd, nr)[:, :cols]).reshape(nc, nd)
         # blocks of spikes bound the kernel matrix of a row
         for i in range(0, len(x_out), _SPIKE_BLOCK):
-            block = x_out[i:i + _SPIKE_BLOCK]
-            coarse += np.array([self._build_row(k, block).sum(axis=1) for k in self.coarse_k])
+            coarse += self._spike_sums(x_out[i:i + _SPIKE_BLOCK])
         const += float(np.sum(np.log(x_out)))
         full = np.einsum("fj,fjd->fd", self._interp_w, coarse[self._interp_idx])
         return full + const

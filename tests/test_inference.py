@@ -505,6 +505,15 @@ class TestTableAccuracy:
             assert np.array_equal(table.loglik_surface(x), want)
         assert trimmed >= 6
 
+    @pytest.mark.parametrize("n_spikes", [1, 5, 40])
+    def test_spike_rows_share_kernels_bit_for_bit(self, high_k_table, n_spikes):
+        # rows whose kernel over the spikes is small evaluate it together;
+        # each must read the bits of its own build
+        x = np.sort(np.random.default_rng(n_spikes).uniform(4.05, 9.0, n_spikes))
+        for table in (get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values), high_k_table):
+            want = np.array([table._build_row(k, x).sum(axis=1) for k in table.coarse_k])
+            assert np.array_equal(table._spike_sums(x), want)
+
     def test_zero_sample_scores_minus_infinity_without_warning(self):
         # ln(0) is the exact score of a zero envelope; the pytest
         # configuration turns a divide-by-zero warning into a failure
