@@ -55,7 +55,8 @@ product against a per-dataset weight vector:
   the same bits as the einsum over every column. Samples above r_max
   (spikes) add their row density at their exact value, through the same
   fold weights, at every tabulated K row instead, so the table never grows
-  and a spike pays only for its kernel.
+  and a spike pays only for its kernel. Over a few spikes the rows' small
+  kernels share one evaluation.
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
@@ -307,9 +308,12 @@ class PdfTable:
         the band skip."""
         amps = [self._amplitudes(k) for k in self.coarse_k]
         sums = np.empty((len(amps), len(self.deltas)))
-        shared = [r for r, am in enumerate(amps) if len(am) * len(x) < _SHARED_KERNEL]
-        for r in sorted(set(range(len(amps))) - set(shared)):
-            sums[r] = self._build_row(self.coarse_k[r], x).sum(axis=1)
+        shared = []
+        for r, (k, am) in enumerate(zip(self.coarse_k, amps)):
+            if len(am) * len(x) < _SHARED_KERNEL:
+                shared.append(r)
+            else:
+                sums[r] = self._build_row(k, x).sum(axis=1)
         for i in range(0, len(shared), _SHARED_ROWS):
             rows = shared[i:i + _SHARED_ROWS]
             s2 = 2.0 * (1.0 + self.coarse_k[rows])
