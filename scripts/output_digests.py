@@ -8,7 +8,9 @@ table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
 samples), `scan` on three directions (clean, spiked and below
 the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
-one per density table's `log_rows` (k_max 30 and 100), one for the values
+one per density table's `log_rows` (k_max 30 and 100, and the default grid's
+332 rows up to K = 1000, most of whose kernels are evaluated in bands, so
+that the lines cover whole packed rows and banded ones), one for the values
 of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed (K, Delta, r) grid, one
 for the values of `fading._i0e` on a fixed sweep and `chi2_quantile` at dof
 1-2000 and p 0.95 and 0.99, one for the fit report's schema and one per
@@ -134,10 +136,11 @@ def main():
             raise SystemExit(f"{name} exited {code}")
         lines.append(f"{sha(stdout.getvalue().encode())}  {name}.stdout")
     lines += [f"{sha(p.read_bytes())}  {p.name}" for p in sorted(Path().iterdir())]
-    for k_max in (30, 100):
-        grid = GridConfig(k_max=k_max)
+    for k_max in (30, 100, None):
+        grid = GridConfig() if k_max is None else GridConfig(k_max=k_max)
         table = get_table(grid.k_values, grid.delta_values)
-        lines.append(f"{sha(table.log_rows.tobytes())}  log_rows k_max {k_max}")
+        name = "default grid" if k_max is None else f"k_max {k_max}"
+        lines.append(f"{sha(table.log_rows.tobytes())}  log_rows {name}")
     lines.append(f"{sha(cdf_values())}  rice_cdf twdp_cdf marcum_q1")
     lines.append(f"{sha(special_values())}  i0e chi2_quantile")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")

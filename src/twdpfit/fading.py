@@ -230,47 +230,88 @@ _I0E_LARGE = (
     0.40217650944500805)
 
 
-def _horner(y: np.ndarray, coefs) -> np.ndarray:
-    acc = np.full_like(y, coefs[0])
-    for c in coefs[1:]:
+def _horner(y: np.ndarray, coefs, out=None) -> np.ndarray:
+    """The polynomial with coefficients `coefs` (highest power first) at y,
+    by Horner's rule, into `out` when given. It starts as y c0 + c1, the
+    bits of c0 y + c1."""
+    acc = np.multiply(y, coefs[0], out=out)
+    acc += coefs[1]
+    for c in coefs[2:]:
         acc *= y
         acc += c
     return acc
 
 
-def _i0e(z) -> np.ndarray:
+def _i0e(z, out=None, work=None) -> np.ndarray:
     """Exponentially scaled modified Bessel function, e^-z I0(z), as an
     array, at z >= 0: Cephes's expansions by Horner's rule, within 9e-16
     relative of scipy.special.i0e on [0, 1e6] (two passes per power against
-    Clenshaw's three, and no scipy import). 0 at infinity, NaN at NaN."""
+    Clenshaw's three, and no scipy import). 0 at infinity, NaN at NaN.
+
+    The arguments of both expansions, gathered in `out` (z <= 8 first),
+    share each Horner step's multiply once the longer expansion has taken
+    its first steps alone; the values are then scattered back in place.
+    `out` (contiguous; it may be z itself) and the vector `work[0]` (at
+    least z.size long, for the sums) are allocated when not given. Only two
+    masks and each expansion's gathered z are allocated on every call."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = z <= 8.0
-    y = z[small]
-    y *= 0.5
-    y -= 2.0
-    out[small] = _horner(y, _I0E_SMALL)
+    if out is None:
+        out = np.empty_like(z)
+    flat, y = z.reshape(-1), out.reshape(-1)
+    acc = (np.empty(flat.size) if work is None else work[0])[:flat.size]
+    small = flat <= 8.0
     large = ~small
-    root = z[large]
-    y = np.divide(32.0, root)
-    y -= 2.0
-    y = _horner(y, _I0E_LARGE)
-    y /= np.sqrt(root, out=root)
-    out[large] = y
+    m = np.count_nonzero(small)
+    root = flat[large]
+    np.multiply(flat[small], 0.5, out=y[:m])
+    y[:m] -= 2.0
+    np.divide(32.0, root, out=y[m:])
+    y[m:] -= 2.0
+    lead = len(_I0E_SMALL) - len(_I0E_LARGE)
+    below = _horner(y[:m], _I0E_SMALL[:lead + 2], acc[:m])
+    above = _horner(y[m:], _I0E_LARGE[:2], acc[m:])
+    for c_below, c_above in zip(_I0E_SMALL[lead + 2:], _I0E_LARGE[2:]):
+        acc *= y
+        below += c_below
+        above += c_above
+    above /= np.sqrt(root, out=root)
+    y[small] = below
+    y[large] = above
     return out
 
 
-def _rice_kernel(a, b, prec):
-    """Rician envelope density over the envelope, prec I0(ab) exp(-(a^2 + b^2)/2),
-    for specular amplitude a and envelope b in units of sigma, prec = 1/sigma^2.
-    Exactly 0 where the exponential underflows."""
-    gauss = np.subtract(a, b)
+def _rice_kernel(a, b, prec, out=None, work=None):
+    """Rician envelope density over the envelope, prec I0(ab) exp(-(a^2 + b^2)/2)
+    as prec i0e(ab) exp(-(a - b)^2/2), for specular amplitude a and envelope
+    b in units of sigma, prec = 1/sigma^2, in the broadcast shape of a and b
+    (prec broadcasts into it). Exactly 0 where the exponential underflows.
+
+    With lists a, b and prec of equal length it evaluates one kernel per
+    triple, packed one after another into one flat vector: every entry has
+    the bits of its own kernel's evaluation, while each numpy pass but the
+    three per triple spans them all. `out` (a flat vector at least as long
+    as the result) receives the kernel and `work[0]` (another) is its
+    scratch; either is allocated when not given."""
+    pieces = isinstance(a, list)
+    if not pieces:
+        a, b, prec = [a], [b], [prec]
+    shapes = [np.broadcast_shapes(np.shape(p), np.shape(q)) for p, q in zip(a, b)]
+    ends = np.cumsum([math.prod(s) for s in shapes]).tolist()
+    n = ends[-1] if ends else 0
+    kern = (np.empty(n) if out is None else out)[:n]
+    gauss = (np.empty(n) if work is None else work[0])[:n]
+    spans = list(zip(shapes, [0] + ends, ends))
+    for p, q, (shape, start, end) in zip(a, b, spans):
+        np.multiply(p, q, out=kern[start:end].reshape(shape))
+    _i0e(kern, kern, [gauss])
+    for p, q, c, (shape, start, end) in zip(a, b, prec, spans):
+        part = kern[start:end].reshape(shape)
+        part *= c
+        np.subtract(p, q, out=gauss[start:end].reshape(shape))
     gauss *= gauss
     gauss *= -0.5
-    kern = _i0e(a * b)
-    kern *= prec
-    kern *= np.exp(gauss)
-    return kern
+    kern *= np.exp(gauss, out=gauss)
+    return kern if pieces else kern.reshape(shapes[0])
 
 
 def _trapezoid_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:

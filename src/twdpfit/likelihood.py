@@ -23,14 +23,27 @@ product against a per-dataset weight vector:
 * A node of the fold sits at (na - 1) sqrt((1 + Delta cos alpha) /
   (1 + max Delta)) on a grid of na nodes, whatever K, and na is one of a
   ladder 10 % apart, so the fold weights are built once per node count,
-  on the row pool before the rows (from numpy 2.4 ``np.add.at`` releases
-  the GIL), and every row with that count reads them: 12 counts for the
-  153 rows up to K = 30 (0.8 MB), 18 for the 215 up to K = 100 (1.7 MB)
-  and 30 for the default grid's 332 (6.2 MB).
-* Rows are independent, and the kernel's numpy passes (``fading._i0e``'s
-  Horner steps and exp) release the GIL, so the build maps them over
+  on the row pool before the rows, and every row with that count reads
+  them. A row's tilts rise with the envelope, so a count builds only the
+  tilts from the lowest any of its rows takes at x = 0 up to the top one,
+  which spikes read; a tilt below them is an error, never zeros. That is
+  51 of 84 tilt sets for the 12 counts of the 153 rows up to K = 30
+  (0.51 MB), 81 of 126 for the 18 counts up to K = 100 (1.16 MB) and 156 of
+  210 for the default grid's 30 counts (5.25 MB).
+* The kernel is evaluated in chunks of up to _CHUNK = 98,304 entries
+  (``_kernels``), one ``fading._rice_kernel`` call of about 100 numpy
+  passes each. A row whose band |a - b| <= 38.61 covers every (a, b) pair
+  (K <= 45) is one piece, and consecutive rows' pieces share a chunk;
+  above, the pieces are the bands of blocks of 64 amplitudes, assembled
+  into the row's kernel matrix. Every entry has the bits of the row's own
+  evaluation. Rows are independent and the kernel's passes release the
+  GIL, so tasks of rows filling about one chunk, largest first, run on
   twdpfit's shared thread pool (``pool.executor``, one thread per usable
-  CPU), as the BER Monte Carlo maps its SNR points.
+  CPU), as the BER Monte Carlo maps its SNR points. Each thread keeps two
+  chunk vectors (1.5 MB) and the assembly matrix for the whole build and
+  folds each row straight into ``log_rows``; only each chunk's masks and
+  gathered Bessel arguments are allocated. Fewer, longer passes hand the
+  GIL between the threads less often.
   The fold is numpy's own einsum loop on twdpfit's threads, not a BLAS GEMM,
   because OpenBLAS busy-waits: its worker threads spin after each GEMM and
   would take the cores the pool runs on. Its summation order differs from
@@ -55,14 +68,15 @@ product against a per-dataset weight vector:
   the same bits as the einsum over every column. Samples above r_max
   (spikes) add their row density at their exact value, through the same
   fold weights, at every tabulated K row instead, so the table never grows
-  and a spike pays only for its kernel. Over a few spikes the rows' small
-  kernels share one evaluation.
+  and a spike pays only for its kernel. The rows' kernels over the spikes
+  are packed into shared chunks as the table's rows are.
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
-rows, 28.7 MB) builds in about 0.6-0.7 s on 2 cores, after which each fit takes
+rows, 28.7 MB) builds in about 0.45 s on 2 cores, after which each fit takes
 well under a second. Builds are logged at info level with the table's and
-the fold weights' bytes, cache hits at debug.
+the fold weights' bytes, the tilt sets built and the kernel chunks, cache
+hits at debug.
 
 Accuracy of the tabulated log-density against the exact ``twdp_pdf`` (pinned
 by tests): read back through the cubic readout and the K stencil, within
@@ -74,6 +88,7 @@ within 8.2e-3 down to the 1e-300 floor (ln pdf/x = -690.8) up to K = 1000.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 
 import numpy as np
@@ -87,14 +102,20 @@ __all__ = ["TableSpec", "PdfTable", "MAX_TABLE_BYTES", "table_bytes", "get_table
 
 log = logging.getLogger(__name__)
 
-# exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; blocks of _BLOCK a-nodes
-# evaluate the kernel only on the union of their bands |a - b| <= _BAND
+# exp(-0.5 d^2) is exactly 0 for |d| > 38.6040; where the band |a - b| <=
+# _BAND does not cover a kernel matrix, blocks of _BLOCK a-nodes evaluate it
+# only on the union of their bands
 _BAND, _BLOCK = 38.61, 64
-# spikes per kernel matrix of a spiked surface. A row kernel over them of
-# fewer than _SHARED_KERNEL entries costs less than the ~45 us of numpy calls
-# of a kernel evaluation, so up to _SHARED_ROWS such rows share one.
+# kernel entries per packed evaluation (chunk): a whole row up to K = 45 (at
+# most 117 amplitudes x 514 envelopes) fits one, and each numpy pass of the
+# kernel spans one or more rows. A thread's two chunk vectors take 1.5 MB.
+# Fewer, longer passes hand the GIL between the pool's threads less often:
+# at k_max 30 a 2-thread build ran 1.36-1.42 times as fast as a 1-core one
+# with chunks of 65,536 entries (95 chunks) and 1.43-1.48 times with 98,304
+# (54); 131,072 added 1 MB of peak memory and no speed
+_CHUNK = 3 << 15
+# spikes per kernel matrix of a spiked surface
 _SPIKE_BLOCK = 4096
-_SHARED_KERNEL, _SHARED_ROWS = 2048, 128
 # the fold's tilts, in growth of ln(kernel) per amplitude node. Growth reaches
 # 37.3 a_step = 4.66 at the 1e-300 floor; untilted cubic taps are 6e-3 off
 # in ln at 0.75 and 0.5 off at 2. Each entry takes the nearest tilt.
@@ -208,6 +229,89 @@ def _lagrange_weights(fine: np.ndarray, coarse: np.ndarray) -> tuple[np.ndarray,
     return idx, w
 
 
+def _bands(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Pieces (i0, i1, lo, hi) of the kernel matrix over amplitudes `a` and
+    ascending scaled envelopes `b`, outside which every entry is exactly 0:
+    the whole matrix where the band covers every (a, b) pair, else the band
+    of each block of _BLOCK amplitudes. A piece of more than _CHUNK entries
+    is split into groups of whole rows; a matrix with no entry in its band
+    is one empty piece."""
+    starts = np.arange(0, len(a), _BLOCK)
+    lo = np.searchsorted(b, np.minimum.reduceat(a, starts) - _BAND).tolist()
+    hi = np.searchsorted(b, np.maximum.reduceat(a, starts) + _BAND).tolist()
+    if max(lo) == 0 and min(hi) == len(b):
+        blocks = [(0, len(a), 0, len(b))]
+    else:
+        blocks = [(i, min(i + _BLOCK, len(a)), l, h)
+                  for i, l, h in zip(starts.tolist(), lo, hi) if l < h]
+    pieces = []
+    for i0, i1, l, h in blocks:
+        step = max(1, _CHUNK // (h - l))
+        pieces += [(i, min(i + step, i1), l, h) for i in range(i0, i1, step)]
+    return pieces or [(0, 0, 0, 0)]
+
+
+class _Scratch:
+    """One thread's buffers for kernel chunks: two vectors, the chunk's
+    kernel and ``_rice_kernel``'s work, and the matrix that a row of several
+    pieces is assembled in. Each grows only when a chunk or row needs more;
+    `chunks` counts the evaluations."""
+
+    def __init__(self, size: int = 0):
+        self.vectors, self.flat, self.chunks = np.empty((2, size)), np.empty(0), 0
+
+    def chunk_vectors(self, size: int) -> np.ndarray:
+        if self.vectors.shape[1] < size:
+            self.vectors = np.empty((2, size))
+        return self.vectors
+
+    def matrix(self, rows: int, cols: int) -> np.ndarray:
+        if self.flat.size < rows * cols:
+            self.flat = np.empty(rows * cols)
+        mat = self.flat[:rows * cols].reshape(rows, cols)
+        mat.fill(0.0)
+        return mat
+
+
+def _kernels(rows, work: _Scratch):
+    """The kernel matrix (as ``PdfTable._kernel`` returns it) of each row
+    (a, b, s2) of `rows`, in turn. The rows' pieces (``_bands``) are packed
+    in order into chunks of up to _CHUNK entries, each one ``_rice_kernel``
+    call in `work`'s vectors. A row that is one whole piece comes as a view
+    of its chunk; any other is assembled in `work`'s matrix. Either is
+    valid only until the next row is taken."""
+    bands = [_bands(a, b) for a, b, _ in rows]
+    pieces = [(r, j, p) for r, band in enumerate(bands) for j, p in enumerate(band)]
+    sizes = [(i1 - i0) * (hi - lo) for _, _, (i0, i1, lo, hi) in pieces]
+    vectors = work.chunk_vectors(max(max(sizes), min(_CHUNK, sum(sizes))))
+    cap = vectors.shape[1]
+    first = 0
+    while first < len(pieces):
+        end, total = first + 1, sizes[first]
+        while end < len(pieces) and total + sizes[end] <= cap:
+            total += sizes[end]
+            end += 1
+        chunk = pieces[first:end]
+        kern = _rice_kernel([rows[r][0][i0:i1, None] for r, _, (i0, i1, _, _) in chunk],
+                            [rows[r][1][lo:hi] for r, _, (_, _, lo, hi) in chunk],
+                            [rows[r][2] for r, _, _ in chunk], vectors[0], vectors[1:])
+        work.chunks += 1
+        start = 0
+        for (r, j, (i0, i1, lo, hi)), size in zip(chunk, sizes[first:end]):
+            part = kern[start:start + size].reshape(i1 - i0, hi - lo)
+            start += size
+            shape = (len(rows[r][0]), len(rows[r][1]))
+            if part.shape == shape:
+                yield part
+                continue
+            if j == 0:
+                mat = work.matrix(*shape)
+            mat[i0:i1, lo:hi] = part
+            if j == len(bands[r]) - 1:
+                yield mat
+        first = end
+
+
 class PdfTable:
     """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid, whose Deltas
     start at 0 and lie in [0, 1]."""
@@ -228,6 +332,9 @@ class PdfTable:
         self._dx = TableSpec.r_max / (TableSpec.n_r - 1)
         self.x_grid = np.arange(TableSpec.n_r + 2) * self._dx
         self._cos_nodes, self._quad_w = _trapezoid_nodes(TableSpec.n_alpha)
+        # 1 -+ Delta of the Delta > 0 columns, whose amplitudes span
+        # sqrt(2K(1 - Delta)) to sqrt(2K(1 + Delta))
+        self._spread = 1.0 - self.deltas[1:, None], 1.0 + self.deltas[1:, None]
         self.coarse_idx = _coarse_k_indices(self.k_values)
         self.coarse_k = self.k_values[self.coarse_idx]
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
@@ -235,27 +342,57 @@ class PdfTable:
         self.log_rows = np.empty((nc, nd, nr))
         self.workers = threads()
         # one set of fold matrices per amplitude node count, shared by every
-        # row and every spiked surface with that count; the rows only read them
-        counts = sorted({len(self._amplitude_grid(k)) for k in self.coarse_k if k > 0.0})
-        self.folds = dict(zip(counts, executor().map(self._fold_weights, counts)))
-        # the kernel's numpy passes release the GIL, so rows build in parallel
-        for i, row in enumerate(executor().map(self._build_row, self.coarse_k,
-                                               [self.x_grid] * nc)):
-            self.log_rows[i] = row
+        # row and every spiked surface with that count; the rows only read
+        # them. Only the tilts from the lowest any row of the count takes (at
+        # b = 0, where each column's tilt is lowest) up to the top are built
+        folding = np.flatnonzero(self.coarse_k > 0.0) if nd > 1 else np.arange(0)
+        na, a_max = self._amplitude_nodes(self.coarse_k[folding])
+        lows = self._levels(self.coarse_k[folding, None, None], np.zeros(1),
+                            (a_max / (na - 1))[:, None, None]).min(axis=(1, 2))
+        lowest = {}
+        for n, low in zip((na + 2).tolist(), lows.tolist()):
+            lowest[n] = min(lowest.get(n, low), low)
+        self.folds = dict(zip(lowest, executor().map(self._fold_weights, lowest,
+                                                     lowest.values())))
+        # tasks of whole rows of about one chunk of kernel entries, largest
+        # first; each pool thread evaluates its tasks in one set of buffers
+        # and folds each row straight into log_rows
+        rows = [(i, self._row(k, self.x_grid)) for i, k in enumerate(self.coarse_k)]
+        tasks, size = [], _CHUNK
+        for i, row in rows:
+            entries = len(row[0]) * len(row[1])
+            if size + entries > _CHUNK:
+                tasks.append([])
+                size = 0
+            tasks[-1].append((i, row))
+            size += entries
+        tasks.sort(key=lambda task: -sum(len(a) * len(b) for _, (a, b, _) in task))
+        local = threading.local()
+
+        def build(task) -> int:
+            if not hasattr(local, "work"):
+                local.work = _Scratch(_CHUNK)
+            chunks = local.work.chunks
+            for (i, (a, b, _)), kern in zip(task, _kernels([row for _, row in task], local.work)):
+                self._fold_row(self.coarse_k[i], a, b, kern, self.log_rows[i])
+            return local.work.chunks - chunks
+
+        # the kernel's numpy passes release the GIL, so tasks build in parallel
+        self.chunks = sum(executor().map(build, tasks))
 
     # -- construction ------------------------------------------------------
+
+    def _row(self, k: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Row K's kernel rows ``_amplitudes(k)``, the envelopes x in units
+        of sigma, and 1/sigma^2."""
+        s2 = 2.0 * (1.0 + k)
+        return self._amplitudes(k), x * np.sqrt(s2), s2
 
     def _kernel(self, a: np.ndarray, b: np.ndarray, s2: float) -> np.ndarray:
         """Rician density kernel over envelope, divided by x: rows of
         noncentrality amplitudes `a`, columns of ascending scaled envelopes
         `b` = x*sqrt(s2). Entries outside the band are exactly 0."""
-        kern = np.zeros((len(a), len(b)))
-        for i in range(0, len(a), _BLOCK):
-            ab = a[i:i + _BLOCK, None]
-            lo, hi = np.searchsorted(b, [ab.min() - _BAND, ab.max() + _BAND])
-            if lo < hi:
-                kern[i:i + _BLOCK, lo:hi] = _rice_kernel(ab, b[lo:hi], s2)
-        return kern
+        return next(_kernels([(a, b, s2)], _Scratch()))
 
     def _amplitudes(self, k: float) -> np.ndarray:
         """The kernel rows of row K: its amplitude grid, then the single
@@ -269,81 +406,87 @@ class PdfTable:
             return np.append(self._amplitude_grid(k), single)
         return single
 
-    def _build_row(self, k: float, x: np.ndarray, kern: np.ndarray | None = None) -> np.ndarray:
+    def _levels(self, k: float, b: np.ndarray, step: float) -> np.ndarray:
+        """The tilt index (into _TILTS) of each Delta > 0 column of row K at
+        scaled envelopes `b`, on amplitude nodes `step` apart: the tilt
+        nearest ln(kernel)'s growth per node, which is about (b - a) step
+        beyond the amplitudes [a_lo, a_hi] of the column. It rises with b."""
+        a_lo, a_hi = np.sqrt(2.0 * k * self._spread[0]), np.sqrt(2.0 * k * self._spread[1])
+        growth = step * (np.maximum(b - a_hi, 0.0) + np.minimum(b - a_lo, 0.0))
+        level = np.clip(np.rint(growth / _TILT_STEP), -_TILT_TOP, _TILT_TOP).astype(np.int64)
+        return level + _TILT_TOP
+
+    def _build_row(self, k: float, x: np.ndarray) -> np.ndarray:
         """ln(pdf(x)/x) at ascending envelopes `x`, for every Delta column of
-        row K, shape (len(deltas), len(x)); `kern`, when given, is the kernel
-        of ``_amplitudes(k)`` over x."""
-        s2 = 2.0 * (1.0 + k)
-        b = x * np.sqrt(s2)
-        amps = self._amplitudes(k)
-        if kern is None:
-            kern = self._kernel(amps, b, s2)
-        pdf_over_x = np.repeat(kern[-1:], len(self.deltas), axis=0)
+        row K, shape (len(deltas), len(x))."""
+        amps, b, s2 = self._row(k, x)
+        return self._fold_row(k, amps, b, self._kernel(amps, b, s2))
+
+    def _fold_row(self, k: float, amps: np.ndarray, b: np.ndarray, kern: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """``_build_row`` from row K's kernel `kern` of amplitudes `amps`
+        over scaled envelopes `b`, into `out` when given."""
+        pdf_over_x = np.empty((len(self.deltas), len(b))) if out is None else out
+        pdf_over_x[:] = kern[-1]
         if len(amps) > 1:
             ag, kern = amps[:-1], kern[:-1]
-            # ln(kernel) grows by about (b - a) da per node beyond the amplitudes
-            # [a_lo, a_hi] of a Delta column
-            d = self.deltas[1:, None]
-            a_lo, a_hi = np.sqrt(2.0 * k * (1.0 - d)), np.sqrt(2.0 * k * (1.0 + d))
-            growth = ag[1] * (np.maximum(b - a_hi, 0.0) + np.minimum(b - a_lo, 0.0))
-            level = np.clip(np.rint(growth / _TILT_STEP), -_TILT_TOP, _TILT_TOP).astype(np.int64)
-            level += _TILT_TOP
+            level = self._levels(k, b, ag[1])
             # each column's levels rise with b, so a level's columns are one run
             low, high = level.min(axis=0), level.max(axis=0)
-            folds = self.folds[len(ag)]
             for lv in range(low[0], high[-1] + 1):
                 lo, hi = np.searchsorted(high, lv), np.searchsorted(low, lv, side="right")
                 if lo == hi:
                     continue
                 # numpy's own loop, not BLAS: OpenBLAS threads busy-wait after
                 # each GEMM and would take the cores the row pool runs on
-                part = np.einsum("da,ab->db", folds[lv], kern[:, lo:hi])
+                part = np.einsum("da,ab->db", self._fold(len(ag), lv), kern[:, lo:hi])
                 np.copyto(pdf_over_x[1:, lo:hi], part, where=level[:, lo:hi] == lv)
-        return np.log(np.maximum(pdf_over_x, 1e-300))
+        np.maximum(pdf_over_x, 1e-300, out=pdf_over_x)
+        return np.log(pdf_over_x, out=pdf_over_x)
 
     def _spike_sums(self, x: np.ndarray) -> np.ndarray:
         """Each tabulated row's ln(pdf/x) summed over the ascending spikes
-        `x`, shape (len(coarse_k), len(deltas)). Rows whose kernel over the
-        spikes is small evaluate it together, the others on their own with
-        the band skip."""
-        amps = [self._amplitudes(k) for k in self.coarse_k]
-        sums = np.empty((len(amps), len(self.deltas)))
-        shared = []
-        for r, (k, am) in enumerate(zip(self.coarse_k, amps)):
-            if len(am) * len(x) < _SHARED_KERNEL:
-                shared.append(r)
-            else:
-                sums[r] = self._build_row(k, x).sum(axis=1)
-        for i in range(0, len(shared), _SHARED_ROWS):
-            rows = shared[i:i + _SHARED_ROWS]
-            s2 = 2.0 * (1.0 + self.coarse_k[rows])
-            sizes = [len(amps[r]) * len(x) for r in rows]
-            a = np.concatenate([np.repeat(amps[r], len(x)) for r in rows])
-            b = np.concatenate([np.tile(x * np.sqrt(s), len(amps[r])) for r, s in zip(rows, s2)])
-            kern = _rice_kernel(a, b, np.repeat(s2, sizes))
-            for r, part in zip(rows, np.split(kern, np.cumsum(sizes)[:-1])):
-                sums[r] = self._build_row(self.coarse_k[r], x,
-                                          part.reshape(-1, len(x))).sum(axis=1)
+        `x`, shape (len(coarse_k), len(deltas)). The rows' kernels over the
+        spikes are packed into shared chunks, with the band skip."""
+        rows = [self._row(k, x) for k in self.coarse_k]
+        sums = np.empty((len(rows), len(self.deltas)))
+        for r, ((a, b, _), kern) in enumerate(zip(rows, _kernels(rows, _Scratch()))):
+            sums[r] = self._fold_row(self.coarse_k[r], a, b, kern).sum(axis=1)
         return sums
 
     def _amplitude_grid(self, k: float) -> np.ndarray:
         """Noncentrality amplitudes of row K > 0: na nodes from 0 to
         sqrt(2K(1 + max Delta)), at most a_step apart and na one of
         _NODE_COUNTS, then 2 guard nodes."""
-        a_max = np.sqrt(2.0 * k * (1.0 + self.deltas.max()))
-        need = int(np.ceil(a_max / TableSpec.a_step)) + 1
-        na = int(_NODE_COUNTS[np.searchsorted(_NODE_COUNTS, need)])
+        na, a_max = self._amplitude_nodes(k)
         return np.arange(na + 2) * (a_max / (na - 1))
 
-    def _fold_weights(self, n: int) -> np.ndarray:
+    def _amplitude_nodes(self, k):
+        """na and the top amplitude sqrt(2K(1 + max Delta)) of rows K > 0,
+        for a scalar or an array of K."""
+        a_max = np.sqrt(2.0 * k * (1.0 + self.deltas.max()))
+        need = np.ceil(a_max / TableSpec.a_step).astype(np.int64) + 1
+        return _NODE_COUNTS[np.searchsorted(_NODE_COUNTS, need)], a_max
+
+    def _fold_weights(self, n: int, first: int = 0) -> np.ndarray:
         """The phase-balance quadrature of every Delta > 0 column folded into
         cubic interpolation weights on an n-node amplitude grid, one matrix
-        per tilt, shape (len(_TILTS), len(deltas) - 1, n). The node of
-        sqrt(2K(1 + Delta cos alpha)) is (n - 3) sqrt((1 + Delta cos alpha) /
-        (1 + max Delta)), whatever K."""
+        per tilt from index `first` up, shape (len(_TILTS) - first,
+        len(deltas) - 1, n). The node of sqrt(2K(1 + Delta cos alpha)) is
+        (n - 3) sqrt((1 + Delta cos alpha) / (1 + max Delta)), whatever K."""
         pos = (n - 3) * np.sqrt((1.0 + self.deltas[1:, None] * self._cos_nodes)
                                 / (1.0 + self.deltas.max()))
-        return _interp_histogram(pos, self._quad_w, n, _TILTS)
+        return _interp_histogram(pos, self._quad_w, n, _TILTS[first:])
+
+    def _fold(self, n: int, level: int) -> np.ndarray:
+        """The fold weights of tilt index `level` on an n-node amplitude
+        grid; a tilt below those built is an error, never zeros."""
+        folds = self.folds[n]
+        built = level - (len(_TILTS) - len(folds))
+        if built < 0:
+            raise LookupError(f"tilt {_TILTS[level]:+g} of the {n}-node fold weights "
+                              "was not built")
+        return folds[built]
 
     # -- evaluation --------------------------------------------------------
 
@@ -396,10 +539,11 @@ def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None =
         return _TABLE_CACHE[key]
     start = time.perf_counter()
     tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas)
-    log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, fold weights %.2f MB, "
-             "%.2f s on %d threads", *tab.log_rows.shape, tab.log_rows.nbytes / 1e6,
-             sum(w.nbytes for w in tab.folds.values()) / 1e6, time.perf_counter() - start,
-             tab.workers)
+    log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, fold weights %.2f MB "
+             "in %d/%d tilt sets, %d kernel chunks, %.2f s on %d threads", *tab.log_rows.shape,
+             tab.log_rows.nbytes / 1e6, sum(w.nbytes for w in tab.folds.values()) / 1e6,
+             sum(map(len, tab.folds.values())), len(tab.folds) * len(_TILTS), tab.chunks,
+             time.perf_counter() - start, tab.workers)
     return tab
 
 

@@ -585,6 +585,35 @@ def test_i0e_matches_scipy():
     assert edge[0] == 0.0 and np.isnan(edge[1])
 
 
+def test_packed_kernels_have_the_bits_of_each_broadcast():
+    # rows' kernel pieces packed into one vector, in caller buffers that
+    # hold stale values, against each piece's own broadcast evaluation; the
+    # entries reach i0e at 0, 8 and just above, infinity and NaN
+    rng = np.random.default_rng(12)
+    eight = np.nextafter(8.0, 9.0)
+    a = [rng.uniform(0.0, 20.0, (7, 1)), np.array([[0.0], [2.0], [1.0], [1.0]]),
+         np.array([1.0, np.nan]), np.array(3.5)]
+    b = [np.sort(rng.uniform(0.0, 60.0, 300)), np.array([0.0, 4.0, eight, np.inf]),
+         np.array([np.inf, 2.0]), rng.uniform(0.0, 9.0, (3, 5))]
+    prec = [0.25, 2.0, 1.5, rng.uniform(0.5, 2.0, 5)]
+    with np.errstate(invalid="ignore"):        # 0 * inf
+        want = [fading._rice_kernel(p, q, c) for p, q, c in zip(a, b, prec)]
+        n = sum(w.size for w in want)
+        out, work = np.full(n + 9, np.pi), np.full((2, n + 9), -1.0)
+        packed = fading._rice_kernel(a, b, prec, out, work)
+    assert [w.shape for w in want] == [(7, 300), (4, 4), (2,), (3, 5)]
+    assert np.shares_memory(packed, out) and packed.size == n
+    parts = np.split(packed, np.cumsum([w.size for w in want])[:-1])
+    for part, w in zip(parts, want):
+        assert np.array_equal(part, w.ravel(), equal_nan=True)
+    # a * b of the second piece holds 0, 8, nextafter(8, 9) and inf
+    z = np.array([0.0, 8.0, eight, np.inf, np.nan, 7.5, 9.0, 1e3])
+    assert np.array_equal(fading._i0e(z.copy(), work=work), fading._i0e(z), equal_nan=True)
+    in_place = z.copy()
+    assert fading._i0e(in_place, in_place, work) is in_place
+    assert np.array_equal(in_place, fading._i0e(z), equal_nan=True)
+
+
 def test_beyond_support_term():
     # P[M >= n] is 1 at y >= n, the ratio series (scipy's gammainc to
     # rounding) where it can change a lower sum of at most 1/2, and 0 where

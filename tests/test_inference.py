@@ -8,11 +8,14 @@ import json
 import logging
 import math
 import multiprocessing
+import os
+import subprocess
 import sys
 import threading
 import time
 import warnings
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -700,7 +703,9 @@ class TestTablePool:
         # the fold sums in numpy's loop order, not OpenBLAS's; the reference
         # builds its own tilted 4-tap Keys weights per Delta with np.add.at,
         # on an amplitude grid from K alone, picks each entry's tilt itself
-        # and folds with a GEMM
+        # and folds with a GEMM. The table builds only the tilts from the
+        # lowest a row reads up, so only those are compared, and every tilt
+        # the reference picks must be among them
         tilts = 1.5 * np.arange(-3, 4)
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
         for table in (small, high_k_table):
@@ -727,7 +732,9 @@ class TestTablePool:
                             # the kernel is even in a: node -1 is node 1
                             share = tap * (np.exp(tilt * t) * np.exp(-tilt * j)) if tilt else tap
                             np.add.at(ref_w[ti, di], np.abs(i0 + j), quad_w * share)
-                assert np.array_equal(table.folds[na + 2], ref_w)
+                built = table.folds[na + 2]
+                assert 1 <= len(built) <= len(tilts)
+                assert np.array_equal(built, ref_w[len(tilts) - len(built):])
                 s2 = 2.0 * (1.0 + k)
                 b = table.x_grid * np.sqrt(s2)
                 kern = table._kernel(ag, b, s2)
@@ -736,6 +743,7 @@ class TestTablePool:
                 growth = ag[1] * (np.maximum(b - np.sqrt(2.0 * k * (1.0 + d)), 0.0)
                                   + np.minimum(b - np.sqrt(2.0 * k * (1.0 - d)), 0.0))
                 pick = np.abs(growth[None] - tilts[:, None, None]).argmin(axis=0)
+                assert pick.min() >= len(tilts) - len(built)
                 ref = np.log(np.maximum(np.take_along_axis(folded, pick[None], 0)[0], 1e-300))
                 row = table._build_row(k, table.x_grid)
                 assert np.max(np.abs(row[1:] - ref)) <= 1e-12
@@ -790,18 +798,82 @@ class TestTablePool:
         assert calls == [1]
 
     def test_worker_error_reaches_caller_and_caches_nothing(self, monkeypatch):
+        # an error in any kernel chunk of a row task reaches the caller
         monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
-        build_row = PdfTable._build_row
+        rice_kernel = likelihood._rice_kernel
 
-        def failing_row(self, k, x):
-            if k > 1.0:
-                raise FloatingPointError("row failed")
-            return build_row(self, k, x)
+        def failing_chunk(a, b, prec, out, work):
+            if max(prec) > 4.0:                 # a chunk with a row above K = 1
+                raise FloatingPointError("chunk failed")
+            return rice_kernel(a, b, prec, out, work)
 
-        monkeypatch.setattr(PdfTable, "_build_row", failing_row)
-        with pytest.raises(FloatingPointError, match="row failed"):
+        monkeypatch.setattr(likelihood, "_rice_kernel", failing_chunk)
+        with pytest.raises(FloatingPointError, match="chunk failed"):
             get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         assert likelihood._TABLE_CACHE == {}
+
+    def test_packed_and_banded_rows_equal_single_row_builds(self, high_k_table):
+        # the build packs several whole rows into each kernel chunk and
+        # assembles banded rows from their pieces; every stored row must have
+        # the bits of that row's kernel evaluated on its own
+        small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        assert small.chunks < len(small.coarse_k)
+        banded = [len(likelihood._bands(*table._row(k, table.x_grid)[:2])) > 1
+                  for table in (small, high_k_table) for k in table.coarse_k]
+        assert 0 < sum(banded) < len(banded)
+        for table in (small, high_k_table):
+            for i, k in enumerate(table.coarse_k):
+                assert np.array_equal(table._build_row(k, table.x_grid), table.log_rows[i])
+
+    def test_tilts_below_the_lowest_read_are_not_built(self):
+        # a row's tilts rise with the envelope, so each node count builds
+        # them from the lowest any of its rows takes at x = 0 up to the top;
+        # reading one below is an error, not a read of zeros
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        tilts = len(likelihood._TILTS)
+        assert sum(map(len, table.folds.values())) == 51 < tilts * len(table.folds) == 84
+        n, folds = next(iter(table.folds.items()))
+        first = tilts - len(folds)
+        assert first > 0
+        assert np.shares_memory(table._fold(n, first), folds)
+        with pytest.raises(LookupError, match="not built"):
+            table._fold(n, first - 1)
+
+    def test_fresh_build_memory_is_bounded(self, tmp_path):
+        """A fresh k_max 100 build on at most 2 CPUs raises the process's own
+        peak memory (VmHWM) over its value after import by at most the
+        table, its fold weights and 10 MiB of buffers: 8.0-8.9 MiB measured
+        on 2 threads, each pool thread's two kernel-chunk vectors taking
+        1.5 MiB, against 6.5-7.1 MiB with per-block temporaries. The pool
+        has one thread per usable CPU, so the probe keeps to two."""
+        try:
+            open("/proc/self/status").close()
+        except OSError:
+            pytest.skip("no /proc/self/status to read VmHWM from")
+        probe = """
+import os
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+from twdpfit.inference import GridConfig
+from twdpfit.likelihood import PdfTable
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+grid = GridConfig(k_max=100.0)
+before = peak()
+table = PdfTable(grid.k_values, grid.delta_values)
+print(peak() - before, table.log_rows.nbytes + sum(w.nbytes for w in table.folds.values()))
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        growth, stored = map(int, done.stdout.split())
+        assert growth <= stored + 10 * 2 ** 20
 
 
 class TestTableCache:
@@ -844,8 +916,8 @@ class TestTableCache:
             get_table(TINY_GRID.k_values, TINY_GRID.delta_values)
         (miss, hit) = [r for r in caplog.records if r.name == "twdpfit.likelihood"]
         assert miss.levelno == logging.INFO and hit.levelno == logging.DEBUG
-        assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.04 MB" \
-            in miss.getMessage()
+        assert "built: 41 K rows x 21 Delta x 514 r, 3.5 MB, fold weights 0.02 MB in 4/7 " \
+            "tilt sets, 8 kernel chunks, " in miss.getMessage()
         assert miss.getMessage().endswith(f" s on {pool.threads()} threads")
         assert "cache hit: 41 K rows" in hit.getMessage()
 
