@@ -10,11 +10,13 @@ the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
 "sha256  name" line per file in OUT_DIR, one per command's standard output,
 one per density table's `log_rows` (k_max 30 and 100, and the default grid's
 332 rows up to K = 1000, most of whose kernels are evaluated in bands, so
-that the lines cover whole packed rows and banded ones), one for the values
-of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed (K, Delta, r) grid, one
-for the values of `fading._i0e` on a fixed sweep and `chi2_quantile` at dof
-1-2000 and p 0.95 and 0.99, one for the fit report's schema and one per
-sidecar reader: the arrays
+that the lines cover whole packed rows and banded ones), one for the
+default grid's `loglik_surface` of a fixed set with spikes at 4.5, 6 and 9
+root powers (banded rows over spikes, which no k_max 30 fit reaches), one
+for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed
+(K, Delta, r) grid, one for the values of `fading._i0e` on a fixed sweep and
+`chi2_quantile` at dof 1-2000 and p 0.95 and 0.99, one for the fit report's
+schema and one per sidecar reader: the arrays
 `read_grid` parses from a grid written with a direction and a frequency
 axis, and those `read_scan` parses from the scan. Two source trees wrote
 byte-identical outputs exactly when their lines are equal:
@@ -74,6 +76,15 @@ def special_values() -> bytes:
     z = np.concatenate([np.linspace(0.0, 40.0, 4001), np.geomspace(1e-8, 1e6, 1001)])
     quantiles = [chi2_quantile(p, dof) for p in (0.95, 0.99) for dof in range(1, 2001)]
     return parsed(_i0e(z), quantiles)
+
+
+def spiked_surface(table) -> bytes:
+    """The bytes of `table`'s log-likelihood surface of 20,000 seeded
+    envelopes (K 10, Delta 0.9, omega 1), three of them replaced by spikes
+    at 4.5, 6 and 9 root powers, above the table's envelope range."""
+    x = sample_twdp(FadingParams(10.0, 0.9, 1.0), 20_000, 46).envelopes
+    x[[5, 50, 500]] = [4.5, 6.0, 9.0]
+    return parsed(table.loglik_surface(x))
 
 
 def write_inputs() -> None:
@@ -141,6 +152,7 @@ def main():
         table = get_table(grid.k_values, grid.delta_values)
         name = "default grid" if k_max is None else f"k_max {k_max}"
         lines.append(f"{sha(table.log_rows.tobytes())}  log_rows {name}")
+    lines.append(f"{sha(spiked_surface(table))}  loglik_surface default grid, spiked")
     lines.append(f"{sha(cdf_values())}  rice_cdf twdp_cdf marcum_q1")
     lines.append(f"{sha(special_values())}  i0e chi2_quantile")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")

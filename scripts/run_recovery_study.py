@@ -5,7 +5,7 @@ recovery statistics (bias, spread, selection rates). Output is a CSV ready
 for plotting.
 
 With the default 0..1000 search grid the density table build dominates the
-first fit (about 0.6-0.7 s on 2 cores, against ~0.02 s for each later fit of 1e5
+first fit (about 0.45 s on 2 cores, against ~0.02 s for each later fit of 1e5
 envelopes); pass --k-max to trade search range for speed.
 """
 

@@ -171,10 +171,12 @@ def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarra
         raise ParseError(f"{path}: expected {len(shape) + 2} columns {columns}")
     if data.shape[0] != np.prod(shape):
         raise ParseError(f"{path}: row count does not match the header shape")
-    idx = data[:, :-2].astype(int)
-    if (idx != data[:, :-2]).any() or (idx < 0).any() or (idx >= shape).any():
+    idx = data[:, :-2]
+    # checked before the cast, which warns on NaN, infinities and 1e300;
+    # NaN fails every comparison
+    if not np.all((idx >= 0) & (idx < shape) & (np.floor(idx) == idx)):
         raise ParseError(f"{path}: index not an integer inside the header shape")
-    flat = np.ravel_multi_index(tuple(idx.T), shape)
+    flat = np.ravel_multi_index(tuple(idx.astype(np.int64).T), shape)
     if np.any(np.bincount(flat) > 1):   # given the row count, also a missing cell
         raise ParseError(f"{path}: duplicate index rows")
     out = np.empty(len(flat), dtype=complex)       # every cell is filled once

@@ -39,11 +39,13 @@ product against a per-dataset weight vector:
   evaluation. Rows are independent and the kernel's passes release the
   GIL, so tasks of rows filling about one chunk, largest first, run on
   twdpfit's shared thread pool (``pool.executor``, one thread per usable
-  CPU), as the BER Monte Carlo maps its SNR points. Each thread keeps two
-  chunk vectors (1.5 MB) and the assembly matrix for the whole build and
-  folds each row straight into ``log_rows``; only each chunk's masks and
-  gathered Bessel arguments are allocated. Fewer, longer passes hand the
-  GIL between the threads less often.
+  CPU), as the BER Monte Carlo maps its SNR points. One greedy packer
+  (``_pack``) groups the rows into tasks and the pieces into chunks. A
+  task evaluates all its chunks in two chunk vectors of its own (1.5 MB)
+  and folds each row straight into ``log_rows``; only each chunk's masks
+  and gathered Bessel arguments, and each banded row's matrix, are
+  allocated besides. Fewer, longer passes hand the GIL between the
+  threads less often.
   The fold is numpy's own einsum loop on twdpfit's threads, not a BLAS GEMM,
   because OpenBLAS busy-waits: its worker threads spin after each GEMM and
   would take the cores the pool runs on. Its summation order differs from
@@ -88,7 +90,6 @@ within 8.2e-3 down to the 1e-300 floor (ln pdf/x = -690.8) up to K = 1000.
 from __future__ import annotations
 
 import logging
-import threading
 import time
 
 import numpy as np
@@ -108,7 +109,7 @@ log = logging.getLogger(__name__)
 _BAND, _BLOCK = 38.61, 64
 # kernel entries per packed evaluation (chunk): a whole row up to K = 45 (at
 # most 117 amplitudes x 514 envelopes) fits one, and each numpy pass of the
-# kernel spans one or more rows. A thread's two chunk vectors take 1.5 MB.
+# kernel spans one or more rows. A task's two chunk vectors take 1.5 MB.
 # Fewer, longer passes hand the GIL between the pool's threads less often:
 # at k_max 30 a 2-thread build ran 1.36-1.42 times as fast as a 1-core one
 # with chunks of 65,536 entries (95 chunks) and 1.43-1.48 times with 98,304
@@ -251,65 +252,49 @@ def _bands(a: np.ndarray, b: np.ndarray) -> list[tuple[int, int, int, int]]:
     return pieces or [(0, 0, 0, 0)]
 
 
-class _Scratch:
-    """One thread's buffers for kernel chunks: two vectors, the chunk's
-    kernel and ``_rice_kernel``'s work, and the matrix that a row of several
-    pieces is assembled in. Each grows only when a chunk or row needs more;
-    `chunks` counts the evaluations."""
-
-    def __init__(self, size: int = 0):
-        self.vectors, self.flat, self.chunks = np.empty((2, size)), np.empty(0), 0
-
-    def chunk_vectors(self, size: int) -> np.ndarray:
-        if self.vectors.shape[1] < size:
-            self.vectors = np.empty((2, size))
-        return self.vectors
-
-    def matrix(self, rows: int, cols: int) -> np.ndarray:
-        if self.flat.size < rows * cols:
-            self.flat = np.empty(rows * cols)
-        mat = self.flat[:rows * cols].reshape(rows, cols)
-        mat.fill(0.0)
-        return mat
+def _pack(sizes, cap: int) -> list[slice]:
+    """Consecutive groups of the items of `sizes`, as slices, each filled in
+    order until the next item would take its sum past `cap`. An item larger
+    than `cap` is a group alone, and every item, even of size 0, is in one."""
+    starts, total = [], 0
+    for i, size in enumerate(sizes):
+        if not starts or total + size > cap:
+            starts.append(i)
+            total = 0
+        total += size
+    return [slice(*ends) for ends in zip(starts, starts[1:] + [len(sizes)])]
 
 
-def _kernels(rows, work: _Scratch):
+def _kernels(rows):
     """The kernel matrix (as ``PdfTable._kernel`` returns it) of each row
-    (a, b, s2) of `rows`, in turn. The rows' pieces (``_bands``) are packed
-    in order into chunks of up to _CHUNK entries, each one ``_rice_kernel``
-    call in `work`'s vectors. A row that is one whole piece comes as a view
-    of its chunk; any other is assembled in `work`'s matrix. Either is
-    valid only until the next row is taken."""
+    (a, b, s2) of `rows`, in turn, with the number of chunks evaluated so
+    far. The rows' pieces (``_bands``) are packed in order into chunks of up
+    to _CHUNK entries, each one ``_rice_kernel`` call in the two vectors of
+    this call. A row that is one whole piece comes as a view of its chunk,
+    valid only until the next row is taken; any other is assembled in a
+    matrix of its own."""
     bands = [_bands(a, b) for a, b, _ in rows]
     pieces = [(r, j, p) for r, band in enumerate(bands) for j, p in enumerate(band)]
     sizes = [(i1 - i0) * (hi - lo) for _, _, (i0, i1, lo, hi) in pieces]
-    vectors = work.chunk_vectors(max(max(sizes), min(_CHUNK, sum(sizes))))
-    cap = vectors.shape[1]
-    first = 0
-    while first < len(pieces):
-        end, total = first + 1, sizes[first]
-        while end < len(pieces) and total + sizes[end] <= cap:
-            total += sizes[end]
-            end += 1
-        chunk = pieces[first:end]
+    vectors = np.empty((2, max(max(sizes), min(_CHUNK, sum(sizes)))))
+    for n, group in enumerate(_pack(sizes, _CHUNK), 1):
+        chunk = pieces[group]
         kern = _rice_kernel([rows[r][0][i0:i1, None] for r, _, (i0, i1, _, _) in chunk],
                             [rows[r][1][lo:hi] for r, _, (_, _, lo, hi) in chunk],
                             [rows[r][2] for r, _, _ in chunk], vectors[0], vectors[1:])
-        work.chunks += 1
         start = 0
-        for (r, j, (i0, i1, lo, hi)), size in zip(chunk, sizes[first:end]):
+        for (r, j, (i0, i1, lo, hi)), size in zip(chunk, sizes[group]):
             part = kern[start:start + size].reshape(i1 - i0, hi - lo)
             start += size
             shape = (len(rows[r][0]), len(rows[r][1]))
             if part.shape == shape:
-                yield part
+                yield part, n
                 continue
             if j == 0:
-                mat = work.matrix(*shape)
+                mat = np.zeros(shape)
             mat[i0:i1, lo:hi] = part
             if j == len(bands[r]) - 1:
-                yield mat
-        first = end
+                yield mat, n
 
 
 class PdfTable:
@@ -355,27 +340,16 @@ class PdfTable:
         self.folds = dict(zip(lowest, executor().map(self._fold_weights, lowest,
                                                      lowest.values())))
         # tasks of whole rows of about one chunk of kernel entries, largest
-        # first; each pool thread evaluates its tasks in one set of buffers
-        # and folds each row straight into log_rows
-        rows = [(i, self._row(k, self.x_grid)) for i, k in enumerate(self.coarse_k)]
-        tasks, size = [], _CHUNK
-        for i, row in rows:
-            entries = len(row[0]) * len(row[1])
-            if size + entries > _CHUNK:
-                tasks.append([])
-                size = 0
-            tasks[-1].append((i, row))
-            size += entries
-        tasks.sort(key=lambda task: -sum(len(a) * len(b) for _, (a, b, _) in task))
-        local = threading.local()
+        # first; each task folds its rows straight into log_rows
+        rows = [self._row(k, self.x_grid) for k in self.coarse_k]
+        sizes = [len(a) * len(b) for a, b, _ in rows]
+        tasks = sorted(_pack(sizes, _CHUNK), key=lambda task: -sum(sizes[task]))
 
-        def build(task) -> int:
-            if not hasattr(local, "work"):
-                local.work = _Scratch(_CHUNK)
-            chunks = local.work.chunks
-            for (i, (a, b, _)), kern in zip(task, _kernels([row for _, row in task], local.work)):
-                self._fold_row(self.coarse_k[i], a, b, kern, self.log_rows[i])
-            return local.work.chunks - chunks
+        def build(task: slice) -> int:
+            chunks = 0
+            for i, (kern, chunks) in enumerate(_kernels(rows[task]), task.start):
+                self._fold_row(self.coarse_k[i], *rows[i][:2], kern, self.log_rows[i])
+            return chunks
 
         # the kernel's numpy passes release the GIL, so tasks build in parallel
         self.chunks = sum(executor().map(build, tasks))
@@ -392,7 +366,7 @@ class PdfTable:
         """Rician density kernel over envelope, divided by x: rows of
         noncentrality amplitudes `a`, columns of ascending scaled envelopes
         `b` = x*sqrt(s2). Entries outside the band are exactly 0."""
-        return next(_kernels([(a, b, s2)], _Scratch()))
+        return next(_kernels([(a, b, s2)]))[0]
 
     def _amplitudes(self, k: float) -> np.ndarray:
         """The kernel rows of row K: its amplitude grid, then the single
@@ -450,7 +424,7 @@ class PdfTable:
         spikes are packed into shared chunks, with the band skip."""
         rows = [self._row(k, x) for k in self.coarse_k]
         sums = np.empty((len(rows), len(self.deltas)))
-        for r, ((a, b, _), kern) in enumerate(zip(rows, _kernels(rows, _Scratch()))):
+        for r, ((a, b, _), (kern, _)) in enumerate(zip(rows, _kernels(rows))):
             sums[r] = self._fold_row(self.coarse_k[r], a, b, kern).sum(axis=1)
         return sums
 

@@ -6,9 +6,11 @@ The SNR points of a curve map over twdpfit's shared thread pool
 (``pool.executor``, one thread per usable CPU); numpy's random fills and
 ufuncs release the GIL. Each point holds three complex buffers of
 n_symbols (channel, noise, and symbols turned into the equalized
-estimates) plus the sampler's scratch. On 2 cores, a fresh ``twdpfit ber``
-of 4 x 1e6 symbols takes ~1.2 s and peaks at ~175 MB RSS with two
-points in flight.
+estimates) plus the sampler's scratch, 58 bytes per symbol at its peak.
+``synth.MAX_DRAW_BYTES`` caps the symbols of all points in flight at once:
+15.6 M per point with two in flight. On 2 cores, a fresh ``twdpfit ber``
+of 4 x 1e6 symbols takes ~1.2 s and peaks at ~175 MB RSS with two points
+in flight.
 ``TWDPFIT_LOG=info`` logs each curve's points, symbols per point, seconds
 and threads.
 """
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import DomainError
 from .fading import FadingParams
 from .pool import executor, threads
-from .synth import _rng, sample_twdp
+from .synth import _DRAW_BYTES, MAX_DRAW_BYTES, _rng, sample_twdp
 
 __all__ = ["BerCurve", "simulate_ber", "capacity_loss"]
 
@@ -98,6 +100,10 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
     if not np.all(np.isfinite(snr_db)):
         raise DomainError("snr_db must be finite")
     workers = min(threads(), len(snr_db))
+    if n_symbols * workers * _DRAW_BYTES > MAX_DRAW_BYTES:
+        raise DomainError(f"{n_symbols} symbols on {workers} points in flight would take about "
+                          f"{n_symbols * workers * _DRAW_BYTES:.3g} bytes, "
+                          f"more than {MAX_DRAW_BYTES:.3g}")
     start = time.perf_counter()
     ber = np.fromiter(executor().map(lambda i: _ber_point(params, snr_db[i], n_symbols, seed, i),
                                      range(len(snr_db))), float, len(snr_db))

@@ -19,12 +19,24 @@ from .fading import FadingParams, specular_amplitudes
 from .measurement import SPEED_OF_LIGHT, SpatialGrid
 
 __all__ = [
+    "MAX_DRAW_BYTES",
     "ComplexSampleSet",
     "PlaneWave",
     "PlaneWaveScene",
     "sample_twdp",
     "synth_field",
 ]
+
+
+# Bytes a Monte Carlo draw may hold at its peak, 2e9: a quarter of an 8 GB
+# host. sample_twdp holds 56 bytes per sample (two phases, the Gaussian pair,
+# a term vector and the complex output) and a BER point 58 per symbol (the
+# channel, noise and estimate buffers and the bits), counted as _DRAW_BYTES
+# each, so a draw takes at most 31.25 M samples, or 31.25 M symbols summed
+# over the BER points in flight; a larger one is refused before any array
+# is made.
+MAX_DRAW_BYTES = 2 * 10 ** 9
+_DRAW_BYTES = 64
 
 
 def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -68,6 +80,9 @@ def sample_twdp(params: FadingParams, n: int,
     """
     if n < 1:
         raise DomainError("need at least one sample")
+    if n * _DRAW_BYTES > MAX_DRAW_BYTES:
+        raise DomainError(f"{n} samples would take about {n * _DRAW_BYTES:.3g} bytes, "
+                          f"more than {MAX_DRAW_BYTES:.3g}")
     rng = _rng(seed)
     v1, v2 = specular_amplitudes(params.k, params.delta, params.omega)
     sigma = np.sqrt(params.sigma2)

@@ -282,6 +282,12 @@ class TestSpatialAndSynth:
         assert report.chosen == "twdp"
         assert abs(report.twdp.delta_hat - 0.9) <= 0.1
 
+    def test_synth_envelopes_beyond_the_draw_budget_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "env.csv"
+        assert run(["synth", "envelopes", "-o", str(out), "--n", "10000000000000"]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synth_grid_requires_wave(self, tmp_path):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv")]) == 3
 
@@ -310,6 +316,12 @@ class TestBer:
         out = tmp_path / "ber.csv"
         assert run(["ber", "--k", "1", "--snr-db", "nan", "--n-symbols", "10000",
                     "-o", str(out)]) == 3
+        assert not out.exists()
+
+    def test_symbols_beyond_the_draw_budget_exit_3(self, tmp_path, capsys):
+        out = tmp_path / "ber.csv"
+        assert run(["ber", "--k", "1", "--n-symbols", "10000000000000", "-o", str(out)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
     def test_failed_point_exits_4_without_output(self, tmp_path, monkeypatch, capsys):

@@ -216,6 +216,19 @@ class TestGrid:
         with pytest.raises(ParseError, match="not an integer"):
             fileio.read_grid(path)
 
+    @pytest.mark.parametrize("index", ["nan", "inf", "1e300"])
+    def test_non_finite_or_huge_index_rejected_without_warning(self, tmp_path, index):
+        # the cast to int used to warn before the ParseError; the pytest
+        # configuration turns that warning into a failure
+        grid = self.make_grid()
+        path = tmp_path / "grid.csv"
+        fileio.write_grid(path, grid)
+        lines = path.read_text().splitlines()
+        lines[1] = f"{index},{lines[1].split(',', 1)[1]}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match="not an integer inside the header shape"):
+            fileio.read_grid(path)
+
 
 class TestScan:
     def test_round_trip(self, tmp_path):
@@ -255,6 +268,17 @@ class TestScan:
         fileio.write_scan(path, scan)
         path.write_text("idir,ifreq,re,im\n0.9,0,1.0,0.0\n1.9,0,2.0,0.0\n2.9,0,3.0,0.0\n")
         with pytest.raises(ParseError, match="not an integer"):
+            fileio.read_scan(path)
+
+    @pytest.mark.parametrize("index", ["nan", "inf", "1e300"])
+    def test_non_finite_or_huge_index_rejected_without_warning(self, tmp_path, index):
+        scan = DirectionalScan(
+            azimuth=np.zeros(3), elevation=np.full(3, 90.0),
+            samples=np.ones((3, 1), dtype=complex), noise_power=np.full(3, 1e-6))
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, scan)
+        path.write_text(f"idir,ifreq,re,im\n0,0,1.0,0.0\n{index},0,2.0,0.0\n2,0,3.0,0.0\n")
+        with pytest.raises(ParseError, match="not an integer inside the header shape"):
             fileio.read_scan(path)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])

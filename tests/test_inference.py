@@ -825,6 +825,20 @@ class TestTablePool:
             for i, k in enumerate(table.coarse_k):
                 assert np.array_equal(table._build_row(k, table.x_grid), table.log_rows[i])
 
+    @given(sizes=st.lists(st.integers(0, 12), max_size=40), cap=st.integers(0, 30))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_groups_cover_every_item_in_order_under_the_cap(self, sizes, cap):
+        # the one greedy packer of row tasks and kernel chunks: consecutive
+        # groups, each filled until the next item would pass the cap, with
+        # size-0 items (a spike band that misses every row) grouped too
+        groups = likelihood._pack(sizes, cap)
+        assert [i for group in groups for i in range(len(sizes))[group]] == list(range(len(sizes)))
+        for group, after in zip(groups, groups[1:] + [None]):
+            assert group.stop > group.start
+            assert sum(sizes[group]) <= cap or group.stop - group.start == 1
+            if after is not None:
+                assert sum(sizes[group]) + sizes[after.start] > cap
+
     def test_tilts_below_the_lowest_read_are_not_built(self):
         # a row's tilts rise with the envelope, so each node count builds
         # them from the lowest any of its rows takes at x = 0 up to the top;
@@ -842,10 +856,11 @@ class TestTablePool:
     def test_fresh_build_memory_is_bounded(self, tmp_path):
         """A fresh k_max 100 build on at most 2 CPUs raises the process's own
         peak memory (VmHWM) over its value after import by at most the
-        table, its fold weights and 10 MiB of buffers: 8.0-8.9 MiB measured
-        on 2 threads, each pool thread's two kernel-chunk vectors taking
-        1.5 MiB, against 6.5-7.1 MiB with per-block temporaries. The pool
-        has one thread per usable CPU, so the probe keeps to two."""
+        table, its fold weights and 10 MiB of buffers: 7.1-7.6 MiB measured
+        on 2 threads, each row task's two kernel-chunk vectors taking
+        1.5 MiB, against 7.9-8.7 MiB with the vectors kept by each pool
+        thread for the whole build. The pool has one thread per usable CPU,
+        so the probe keeps to two."""
         try:
             open("/proc/self/status").close()
         except OSError:

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,19 @@ def mc_sigma(p, n_bits):
 
 
 class TestSimulateBer:
+    def test_symbols_beyond_the_draw_budget_are_refused_before_any_array(self):
+        # 64 bytes a symbol for each point in flight at once
+        in_flight = min(pool.threads(), 4)
+        tracemalloc.start()
+        try:
+            for n in (linksim.MAX_DRAW_BYTES // (64 * in_flight) + 1, 10 ** 13):
+                with pytest.raises(DomainError, match="bytes"):
+                    simulate_ber(FadingParams(1.0), [0.0, 10.0, 20.0, 30.0], n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
     def test_awgn_limit(self):
         snr = [0.0, 10.0]
         curve = simulate_ber(FadingParams(1e6, 0.0, 1.0), snr, 200_000, seed=3)

@@ -1,6 +1,7 @@
 """Sampler and plane-wave field generators."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from twdpfit import (
     sample_twdp,
     synth_field,
 )
+from twdpfit import synth
 
 
 class TestSampleTwdp:
@@ -53,6 +55,24 @@ class TestSampleTwdp:
     def test_rejects_zero_count(self):
         with pytest.raises(DomainError):
             sample_twdp(FadingParams(1.0), 0, 1)
+
+    def test_count_beyond_the_draw_budget_is_refused_before_any_array(self, monkeypatch):
+        # 64 bytes a sample: one sample past the budget is a typed error,
+        # raised before any array is made; under a small budget its last
+        # sample is still drawn
+        tracemalloc.start()
+        try:
+            for n in (synth.MAX_DRAW_BYTES // 64 + 1, 10 ** 13):
+                with pytest.raises(DomainError, match="bytes"):
+                    sample_twdp(FadingParams(1.0), n, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        monkeypatch.setattr(synth, "MAX_DRAW_BYTES", 64 * 1000)
+        assert len(sample_twdp(FadingParams(1.0), 1000, 1).samples) == 1000
+        with pytest.raises(DomainError, match="bytes"):
+            sample_twdp(FadingParams(1.0), 1001, 1)
 
 
 def bits_digest(values: np.ndarray) -> str:
