@@ -6,13 +6,18 @@ Runs, in one process and inside OUT_DIR: `synth envelopes`, `fit` with an
 overlay on that set and on a second set with two fit-class spikes above the
 table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
 samples), `scan` on three directions (clean, spiked and below
-the noise floor), `synth grid`, `spatial` and `ber`. It then prints one
-"sha256  name" line per file in OUT_DIR, one per command's standard output,
-one per density table's `log_rows` (k_max 30 and 100, and the default grid's
-332 rows up to K = 1000, most of whose kernels are evaluated in bands, so
-that the lines cover whole packed rows and banded ones), one for the
-default grid's `loglik_surface` of a fixed set with spikes at 4.5, 6 and 9
-root powers (banded rows over spikes, which no k_max 30 fit reaches), one
+the noise floor), `synth grid`, `spatial` and `ber`. Those fits build
+only the envelope columns of their tables that their data read. It then
+prints one "sha256  name" line per file in OUT_DIR, one per command's
+standard output, one for the k_max 30 `loglik_surface` of a fixed set that
+reaches 3.9 root powers, on a fresh table that a fit of a set reaching
+about 1.3 root powers built only part of the way (so the surface extends
+it), one per density table's `log_rows` (k_max 30 and 100, and the default
+grid's 332 rows up to K = 1000, most of whose kernels are evaluated in
+bands, so that the lines cover whole packed rows and banded ones; each
+line first extends its table to full width), one for the default grid's
+`loglik_surface` of a fixed set with spikes at 4.5, 6 and 9 root powers
+(banded rows over spikes, which no k_max 30 fit reaches), one
 for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed
 (K, Delta, r) grid, one for the values of `fading._i0e` on a fixed sweep and
 `chi2_quantile` at dof 1-2000 and p 0.95 and 0.99, one for the fit report's
@@ -37,9 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from twdpfit import cli, fileio
+from twdpfit import cli, fileio, likelihood
 from twdpfit.fading import FadingParams, _i0e, marcum_q1, rice_cdf, twdp_cdf
-from twdpfit.inference import GridConfig, chi2_quantile
+from twdpfit.inference import GridConfig, chi2_quantile, fit_envelopes, partition_stride
 from twdpfit.likelihood import get_table
 from twdpfit.measurement import DirectionalScan, SpatialGrid
 from twdpfit.synth import sample_twdp
@@ -84,6 +89,21 @@ def spiked_surface(table) -> bytes:
     at 4.5, 6 and 9 root powers, above the table's envelope range."""
     x = sample_twdp(FadingParams(10.0, 0.9, 1.0), 20_000, 46).envelopes
     x[[5, 50, 500]] = [4.5, 6.0, 9.0]
+    return parsed(table.loglik_surface(x))
+
+
+def extended_surface() -> bytes:
+    """The bytes of the k_max 30 log-likelihood surface of 20,000 seeded
+    envelopes (K 4, Delta 0.5, omega 1), one of them replaced by 3.9, on a
+    fresh table that a fit of 2e4 envelopes with Rician truth K = 100 (whose
+    fit class reaches about 1.3 root powers) built first."""
+    likelihood.clear_table_cache()
+    grid = GridConfig(k_max=30)
+    low = sample_twdp(FadingParams(100.0, 0.0, 1.0), 20_000, 47).envelopes
+    fit_envelopes(partition_stride(low, 10), grid)
+    x = sample_twdp(FadingParams(4.0, 0.5, 1.0), 20_000, 48).envelopes
+    x[77] = 3.9
+    (table,) = likelihood._TABLE_CACHE.values()        # as the fit left it
     return parsed(table.loglik_surface(x))
 
 
@@ -147,6 +167,7 @@ def main():
             raise SystemExit(f"{name} exited {code}")
         lines.append(f"{sha(stdout.getvalue().encode())}  {name}.stdout")
     lines += [f"{sha(p.read_bytes())}  {p.name}" for p in sorted(Path().iterdir())]
+    lines.append(f"{sha(extended_surface())}  loglik_surface k_max 30, extended")
     for k_max in (30, 100, None):
         grid = GridConfig() if k_max is None else GridConfig(k_max=k_max)
         table = get_table(grid.k_values, grid.delta_values)

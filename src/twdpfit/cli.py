@@ -27,7 +27,8 @@ import numpy as np
 from . import fileio
 from .errors import DomainError, EstimationError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
-from .inference import GridConfig, fit_envelopes, partition_stride
+from .inference import GridConfig, estimate_omega, fit_envelopes, partition_stride
+from .likelihood import get_table, table_reach
 from .linksim import simulate_ber
 from .measurement import average_corr, noise_mask, power_map
 from .synth import PlaneWave, PlaneWaveScene, sample_twdp, synth_field
@@ -108,6 +109,18 @@ def _cmd_scan(args) -> int:
     grid = _grid_from_args(args)
     if not 0.0 < args.alpha < 1.0 or args.per_cell < 1:    # an option, not a direction, fails
         raise DomainError("--alpha must lie in (0, 1) and --per-cell be >= 1")
+    # build the table once, as far as the furthest direction reads it: each
+    # later extension would cost a fixed pass of its own. A direction that
+    # fails here fails again, with its message, in the loop below
+    reaches = []
+    for i in np.flatnonzero(mask):
+        try:
+            env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
+            reaches.append(table_reach(env_set.fit_values / math.sqrt(estimate_omega(env_set))))
+        except (DomainError, EstimationError):
+            continue
+    if reaches:
+        get_table(grid.k_values, grid.delta_values, x_max=max(reaches))
     records = []
     for i in range(scan.n_directions):
         az, el = float(scan.azimuth[i]), float(scan.elevation[i])

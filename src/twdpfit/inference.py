@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, EstimationError, NumericalError
 from .fading import K_MAX_SUPPORTED, FadingParams, _check_r, twdp_cdf
-from .likelihood import MAX_TABLE_BYTES, get_table, table_bytes
+from .likelihood import MAX_TABLE_BYTES, get_table, table_bytes, table_reach
 
 __all__ = [
     "EnvelopeSet",
@@ -252,7 +252,8 @@ def ml_fit(
         raise EstimationError(
             "fit sample with zero envelope has zero density at every grid cell")
     x = fit / math.sqrt(omega_hat)
-    table = get_table(grid.k_values, grid.delta_values)
+    # only the envelope columns x reads are built
+    table = get_table(grid.k_values, grid.delta_values, x_max=table_reach(x))
     surface = table.loglik_surface(x)
 
     i_rice = int(np.argmax(surface[:, 0]))
@@ -394,6 +395,13 @@ def chi2_quantile(p: float, dof: int) -> float:
     raise NumericalError(f"chi-square quantile not converged for p={p}, dof={dof}")
 
 
+def _check_test_options(alpha: float, per_cell: int) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DomainError("alpha must lie in (0, 1)")
+    if per_cell < 1:
+        raise DomainError("per_cell must be >= 1")
+
+
 def g_test(
     envelope_set: EnvelopeSet,
     model_fit: ModelFit,
@@ -414,10 +422,7 @@ def g_test(
     (Rice) or e = 3 (TWDP) degrees of freedom for the estimated
     (omega, K[, Delta]); fewer than e + 2 cells raise ``DomainError``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError("alpha must lie in (0, 1)")
-    if per_cell < 1:
-        raise DomainError("per_cell must be >= 1")
+    _check_test_options(alpha, per_cell)
     e = 2 if model_fit.model == "rice" else 3
     fit = envelope_set.fit_values
     n = len(fit)
@@ -463,7 +468,9 @@ def fit_envelopes(
     alpha: float = 0.01,
     per_cell: int = 10,
 ) -> FitReport:
-    """Full decision pipeline on a pre-partitioned envelope set."""
+    """Full decision pipeline on a pre-partitioned envelope set. The g-test
+    options are checked first, before the density table is built."""
+    _check_test_options(alpha, per_cell)
     grid = grid or GridConfig()
     omega_hat = estimate_omega(envelope_set)
     rice, twdp = ml_fit(envelope_set, omega_hat, grid)

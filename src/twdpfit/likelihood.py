@@ -54,6 +54,15 @@ product against a per-dataset weight vector:
   r_max = 4 and 2 guard nodes above it (the division by x removes the
   r -> 0 log singularity and makes the function even in x, so the readout
   reflects at 0 as the fold does).
+* The envelope columns are built on demand, as a prefix that grows in
+  whole 32-column blocks (``PdfTable.cover``): a fit builds only the
+  columns its in-range samples read (normalized sets typically stop at
+  1.3-2.3 root powers, 192-320 columns), and a later request extends the
+  same table in place, under the table's lock. Each range, of at least 2
+  columns, gives the bits of a whole-table build; a range of 1 column
+  would not, since numpy's einsum sums a one-column kernel in its
+  contiguous-dot order. An extension costs a fixed pass over every row
+  besides its columns, so a scan asks once for its furthest direction.
 * Rows are tabulated exactly on a K subgrid: every grid step below K = 2,
   0.2 apart up to K = 20 and 2 % of K apart above, which holds the
   density-weighted interpolation error at its K = 20 level. 4-point Lagrange
@@ -67,18 +76,21 @@ product against a per-dataset weight vector:
   number of threads, within 1e-12 relative of OpenBLAS's. It runs only over
   the columns up to the data's last nonzero weight, rounded up to a multiple
   of 32 (typical 1e5-envelope sets reach nodes 206-304 of 514), and gives
-  the same bits as the einsum over every column. Samples above r_max
-  (spikes) add their row density at their exact value, through the same
-  fold weights, at every tabulated K row instead, so the table never grows
-  and a spike pays only for its kernel. The rows' kernels over the spikes
-  are packed into shared chunks as the table's rows are.
+  the same bits as the einsum over every column; those are the columns
+  the table must have built. Samples above r_max (spikes) read no column:
+  they add their row density at their exact value, through the same fold
+  weights, at every tabulated K row instead, so the table's range never
+  grows and a spike pays only for its kernel. The rows' kernels over the
+  spikes are packed into shared chunks as the table's rows are.
 
 There is one table per (K, Delta) grid, keyed by its values and cached in
 module scope, at one fixed resolution (``TableSpec``); the default one (332 K
-rows, 28.7 MB) builds in about 0.45 s on 2 cores, after which each fit takes
-well under a second. Builds are logged at info level with the table's and
-the fold weights' bytes, the tilt sets built and the kernel chunks, cache
-hits at debug.
+rows, 28.7 MB) builds in full in about 0.44 s on 2 cores and its first 288
+columns in about 0.33 s, after which each fit takes well under a second.
+``log_rows`` is allocated at full width whatever is built. Builds are
+logged at info level with the table's and the fold weights' bytes, the
+tilt sets built, the kernel chunks and the columns built, extensions with
+their columns and seconds, cache hits at debug.
 
 Accuracy of the tabulated log-density against the exact ``twdp_pdf`` (pinned
 by tests): read back through the cubic readout and the K stencil, within
@@ -90,6 +102,7 @@ within 8.2e-3 down to the 1e-300 floor (ln pdf/x = -690.8) up to K = 1000.
 from __future__ import annotations
 
 import logging
+import threading
 import time
 
 import numpy as np
@@ -98,8 +111,8 @@ from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
 from .pool import executor, map_row_blocks, threads
 
-__all__ = ["TableSpec", "PdfTable", "MAX_TABLE_BYTES", "table_bytes", "get_table",
-           "clear_table_cache"]
+__all__ = ["TableSpec", "PdfTable", "MAX_TABLE_BYTES", "table_bytes", "table_reach",
+           "get_table", "clear_table_cache"]
 
 log = logging.getLogger(__name__)
 
@@ -190,20 +203,27 @@ def _interp_histogram(pos: np.ndarray, weight, n: int, tilts=(0.0,)) -> np.ndarr
     back exactly, so a function growing by about e^mu per node is read as if
     it were flat. The tilts share the taps and node indices; each node adds
     its shares in the order of taps -1, 0, 1, 2."""
+    # each temporary goes as soon as it is read: the pool builds the fold
+    # weights of two node counts at once
     i = pos.astype(np.int64)
     t = pos - i
     t2 = t * t
     t3 = t2 * t
     taps = (-0.5 * t3 + t2 - 0.5 * t, 1.5 * t3 - 2.5 * t2 + 1.0,
             -1.5 * t3 + 2.0 * t2 + 0.5 * t, 0.5 * (t3 - t2))
+    del t2, t3
     row = np.arange(len(pos))[:, None] * n
+    nodes = [(row + np.abs(i + j)).ravel() for j in (-1, 0, 1, 2)]
+    del i
     hist = np.zeros((len(tilts), len(pos) * n))
-    grow = [np.exp(mu * t) if mu else 1.0 for mu in tilts]
-    for j, tap in zip((-1, 0, 1, 2), taps):
-        node = (row + np.abs(i + j)).ravel()
-        for h, mu, g in zip(hist, tilts, grow):
+    # one growth factor and one array of shares alive at a time
+    for h, mu in zip(hist, tilts):
+        g = np.exp(mu * t) if mu else 1.0
+        for j, tap, node in zip((-1, 0, 1, 2), taps, nodes):
+            share = tap * (g * np.exp(-mu * j))
+            share *= weight
             # faster than one np.bincount over all four taps (numpy 2.4)
-            np.add.at(h, node, (weight * (tap * (g * np.exp(-mu * j)))).ravel())
+            np.add.at(h, node, share.ravel())
     return hist.reshape(len(tilts), len(pos), n)
 
 
@@ -299,9 +319,10 @@ def _kernels(rows):
 
 class PdfTable:
     """Tabulated ln(pdf(x)/x) over the (K, Delta) search grid, whose Deltas
-    start at 0 and lie in [0, 1]."""
+    start at 0 and lie in [0, 1]. Only the first ``columns`` envelope
+    columns of ``log_rows`` are built; ``cover`` builds more in place."""
 
-    def __init__(self, k_values: np.ndarray, deltas: np.ndarray):
+    def __init__(self, k_values: np.ndarray, deltas: np.ndarray, columns: int | None = None):
         self.k_values = np.asarray(k_values, dtype=float)
         # the 4-point K stencil needs distinct ascending rows; ascending from
         # k[0] >= 0 up to a finite k[-1] also rules out NaN and infinities
@@ -325,6 +346,8 @@ class PdfTable:
         self._interp_idx, self._interp_w = _lagrange_weights(self.k_values, self.coarse_k)
         nc, nd, nr = len(self.coarse_idx), len(self.deltas), len(self.x_grid)
         self.log_rows = np.empty((nc, nd, nr))
+        self.columns = self.chunks = 0
+        self._lock = threading.Lock()
         self.workers = threads()
         # one set of fold matrices per amplitude node count, shared by every
         # row and every spiked surface with that count; the rows only read
@@ -339,22 +362,48 @@ class PdfTable:
             lowest[n] = min(lowest.get(n, low), low)
         self.folds = dict(zip(lowest, executor().map(self._fold_weights, lowest,
                                                      lowest.values())))
-        # tasks of whole rows of about one chunk of kernel entries, largest
-        # first; each task folds its rows straight into log_rows
-        rows = [self._row(k, self.x_grid) for k in self.coarse_k]
+        self._build(nr if columns is None else columns)
+
+    # -- construction ------------------------------------------------------
+
+    def cover(self, columns: int) -> None:
+        """Build ``log_rows`` up to at least `columns` envelope columns, in
+        place, and log the extension. It takes the table's lock, and must not
+        run on a pool thread: the build waits on the pool."""
+        if columns <= self.columns:
+            return
+        with self._lock:
+            start = time.perf_counter()
+            if self._build(columns):
+                log.info("density table extended: %d K rows x %d Delta to %d/%d columns, "
+                         "%.2f s", *self.log_rows.shape[:2], self.columns,
+                         self.log_rows.shape[2], time.perf_counter() - start)
+
+    def _build(self, columns: int) -> bool:
+        """Build columns [self.columns, c) of every row, c being `columns`
+        rounded up to whole 32-column blocks (or all): the rows' kernels over
+        those envelopes, folded into that slice of ``log_rows``; False if
+        they are built already. The range is never 1 column wide, on which
+        numpy's einsum sums in another order. Whole rows of about one chunk
+        of kernel entries make a task, largest first; each task folds its
+        rows straight into log_rows."""
+        c0, c1 = self.columns, min(len(self.x_grid), -(-int(columns) // 32) * 32)
+        if c1 <= c0:
+            return False
+        rows = [self._row(k, self.x_grid[c0:c1]) for k in self.coarse_k]
         sizes = [len(a) * len(b) for a, b, _ in rows]
         tasks = sorted(_pack(sizes, _CHUNK), key=lambda task: -sum(sizes[task]))
 
         def build(task: slice) -> int:
             chunks = 0
             for i, (kern, chunks) in enumerate(_kernels(rows[task]), task.start):
-                self._fold_row(self.coarse_k[i], *rows[i][:2], kern, self.log_rows[i])
+                self._fold_row(self.coarse_k[i], *rows[i][:2], kern, self.log_rows[i, :, c0:c1])
             return chunks
 
         # the kernel's numpy passes release the GIL, so tasks build in parallel
-        self.chunks = sum(executor().map(build, tasks))
-
-    # -- construction ------------------------------------------------------
+        self.chunks += sum(executor().map(build, tasks))
+        self.columns = c1
+        return True
 
     def _row(self, k: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """Row K's kernel rows ``_amplitudes(k)``, the envelopes x in units
@@ -480,7 +529,8 @@ class PdfTable:
         Returns an array of shape (len(k_values), len(deltas)); values are
         the exact sums for the piecewise-cubic tabulated density, with
         samples above ``TableSpec.r_max`` scored on the row density at their
-        exact value.
+        exact value. The table is first extended to the columns the samples
+        read, so it must not be called on a pool thread.
         """
         beyond = x > TableSpec.r_max
         x_out = np.sort(x[beyond])
@@ -490,6 +540,7 @@ class PdfTable:
         # whole 32-column blocks, which leaves the einsum's sums the same bits
         reach = np.flatnonzero(w)
         cols = min(nr, -(-(reach[-1] + 1) // 32) * 32) if reach.size else 0
+        self.cover(cols)
         coarse = map_row_blocks(lambda rows: np.einsum("ij,j->i", rows, w[:cols]),
                                 self.log_rows.reshape(nc * nd, nr)[:, :cols]).reshape(nc, nd)
         # blocks of spikes bound the kernel matrix of a row
@@ -500,23 +551,46 @@ class PdfTable:
         return full + const
 
 
+def table_reach(x: np.ndarray) -> float:
+    """The largest of the normalized envelopes `x` that a table scores, those
+    up to ``TableSpec.r_max``, or -inf when there is none: the `x_max` of
+    ``get_table`` for a fit of x. Samples above r_max read no column."""
+    # most sets lie in range, and the plain max takes a quarter of the masked one's time
+    top = float(np.max(x, initial=-np.inf))
+    if top <= TableSpec.r_max:
+        return top
+    return float(np.max(x, where=x <= TableSpec.r_max, initial=-np.inf))
+
+
 _TABLE_CACHE: dict[tuple[bytes, bytes], PdfTable] = {}
 
 
-def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None) -> PdfTable:
+def get_table(k_values: np.ndarray, deltas: np.ndarray, spec: TableSpec | None = None, *,
+              x_max: float | None = None) -> PdfTable:
     """Build-or-fetch the density table of a (K, Delta) grid, keyed by the
-    bytes of its K and Delta values; `spec` is unused."""
+    bytes of its K and Delta values, with at least the envelope columns that
+    normalized envelopes up to `x_max` read: all 514 when it is None, none
+    when it is negative. A cached table is extended in place as far as
+    needed; it must not be called on a pool thread. `spec` is unused."""
+    if x_max is None:
+        columns = TableSpec.n_r + 2
+    elif x_max < 0.0:
+        columns = 0
+    else:       # through tap 2 of the highest envelope's node, as sample_weights
+        columns = int(min(x_max, TableSpec.r_max) / (TableSpec.r_max / (TableSpec.n_r - 1))) + 3
     key = (np.asarray(k_values, dtype=float).tobytes(), np.asarray(deltas, dtype=float).tobytes())
-    if key in _TABLE_CACHE:
-        log.debug("density table cache hit: %d K rows x %d Delta x %d r",
-                  *_TABLE_CACHE[key].log_rows.shape)
-        return _TABLE_CACHE[key]
+    tab = _TABLE_CACHE.get(key)
+    if tab is not None:
+        log.debug("density table cache hit: %d K rows x %d Delta x %d r", *tab.log_rows.shape)
+        tab.cover(columns)
+        return tab
     start = time.perf_counter()
-    tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas)
+    tab = _TABLE_CACHE[key] = PdfTable(k_values, deltas, columns)
     log.info("density table built: %d K rows x %d Delta x %d r, %.1f MB, fold weights %.2f MB "
-             "in %d/%d tilt sets, %d kernel chunks, %.2f s on %d threads", *tab.log_rows.shape,
-             tab.log_rows.nbytes / 1e6, sum(w.nbytes for w in tab.folds.values()) / 1e6,
-             sum(map(len, tab.folds.values())), len(tab.folds) * len(_TILTS), tab.chunks,
+             "in %d/%d tilt sets, %d kernel chunks, %d/%d columns, %.2f s on %d threads",
+             *tab.log_rows.shape, tab.log_rows.nbytes / 1e6,
+             sum(w.nbytes for w in tab.folds.values()) / 1e6, sum(map(len, tab.folds.values())),
+             len(tab.folds) * len(_TILTS), tab.chunks, tab.columns, tab.log_rows.shape[2],
              time.perf_counter() - start, tab.workers)
     return tab
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
-from twdpfit import cli, fileio, linksim
+from twdpfit import cli, fileio, likelihood, linksim
 from twdpfit.cli import main
 from twdpfit.errors import DomainError, EstimationError, ParseError, TwdpfitError
 from twdpfit.inference import FitReport, GTestResult, ModelFit
@@ -81,6 +81,23 @@ class TestFit:
         assert run(["fit", str(src), "-o", str(out), "--k-max", "30"]) == 0
         report = fileio.read_report(out)
         assert report.chosen == "rice" and report.gtest.verdict == "accepted"
+
+    @pytest.mark.parametrize("option, message", [(["--alpha", "1.5"], "alpha must lie"),
+                                                 (["--per-cell", "0"], "per_cell must be")])
+    def test_bad_g_test_option_fails_before_the_table(self, tmp_path, capsys, monkeypatch,
+                                                      option, message):
+        env = sample_twdp(FadingParams(3.0, 0.5, 1.0), 2000, 13).envelopes
+        src = tmp_path / "env.csv"
+        fileio.write_envelopes(src, env)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("density table built")
+
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        monkeypatch.setattr(likelihood, "PdfTable", no_table)
+        assert run(["fit", str(src), "-o", str(tmp_path / "r.json"), *option]) == 3
+        assert message in one_error_line(capsys)
+        assert not (tmp_path / "r.json").exists()
 
     def test_unknown_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -217,6 +234,37 @@ class TestScan:
         assert run(["scan", str(path), "-o", str(tmp_path / "out"), *GRID_ARGS, *option]) == 3
         assert "--alpha" in one_error_line(capsys)
         assert not (tmp_path / "out.fits.json").exists()
+
+    def test_table_is_built_once_as_far_as_the_furthest_direction(self, tmp_path, monkeypatch):
+        # directions of different reach, one with a spike above the table's
+        # range, one below the noise floor and one whose mean power
+        # overflows: a single build before the fits, never extended
+        samples = np.stack([sample_twdp(FadingParams(k, d, 1.0), 2000, seed).samples
+                            for k, d, seed in ((8.0, 0.0, 41), (0.5, 0.0, 42), (3.0, 0.7, 43),
+                                               (1.0, 0.0, 44), (2.0, 0.5, 45))])
+        samples[2, [9, 29]] *= 12.0
+        samples[3] *= 1e-4
+        samples[4] *= 1e160
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, DirectionalScan([0.0, 60.0, 120.0, 180.0, 240.0], [90.0] * 5,
+                                                samples, np.full(5, 1e-6)))
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        builds, build = [], likelihood.PdfTable._build
+
+        def recorded(table, columns):
+            builds.append((table.columns, columns))
+            return build(table, columns)
+
+        monkeypatch.setattr(likelihood.PdfTable, "_build", recorded)
+        prefix = tmp_path / "out"
+        assert run(["scan", str(path), "-o", str(prefix), "--k-max", "2"]) == 0
+        markers = [d["marker"] for d in
+                   json.loads(prefix.with_suffix(".fits.json").read_text())["directions"]]
+        assert markers[3:] == ["not_evaluated", "failed"]
+        assert all(m in ("rice", "twdp", "rejected") for m in markers[:3])
+        (table,) = likelihood._TABLE_CACHE.values()
+        assert len(builds) == 1 and builds[0][0] == 0
+        assert 0 < table.columns < likelihood.TableSpec.n_r + 2
 
     def test_output_bytes(self, tmp_path, monkeypatch):
         # constant-envelope directions and hand-built reports: no fit runs

@@ -937,6 +937,130 @@ class TestTableCache:
         assert "cache hit: 41 K rows" in hit.getMessage()
 
 
+class TestPartialTable:
+    """Tables build their envelope columns as a prefix that grows in place."""
+
+    @pytest.mark.parametrize("grid", [SMALL_GRID, GridConfig(k_max=100.0), GridConfig()],
+                             ids=["k_max 30", "k_max 100", "default grid"])
+    def test_stepwise_build_equals_the_full_build(self, monkeypatch, grid):
+        # the last step, 512 -> 514, is 2 columns wide: the guard nodes
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        full = get_table(grid.k_values, grid.delta_values)
+        assert full.columns == TableSpec.n_r + 2
+        table = PdfTable(grid.k_values, grid.delta_values, 0)
+        assert table.columns == table.chunks == 0
+        for columns in (64, 288, 512, 514):
+            table.cover(columns)
+            assert table.columns == columns
+            assert np.array_equal(table.log_rows[:, :, :columns], full.log_rows[:, :, :columns])
+        assert np.array_equal(table.log_rows, full.log_rows)
+
+    def test_columns_cover_the_readout_in_whole_blocks(self, monkeypatch):
+        # up to tap 2 of the highest node, rounded up to 32 columns; a
+        # request within the built prefix builds nothing
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        k, d = TINY_GRID.k_values, TINY_GRID.delta_values
+        dx = TableSpec.r_max / (TableSpec.n_r - 1)
+        for x_max, columns in ((-math.inf, 0), (1.0, 160), (29 * dx, 32), (3.0, 416),
+                               (3.9, 512), (TableSpec.r_max, 514), (7.5, 514)):
+            likelihood.clear_table_cache()
+            table = get_table(k, d, x_max=x_max)
+            assert table.columns == columns
+            x = np.array([0.5 * x_max, x_max]) if 0.0 < x_max <= TableSpec.r_max else np.array([5.0])
+            chunks = table.chunks
+            table.loglik_surface(x)
+            assert table.columns == columns and table.chunks == chunks
+        table = PdfTable(k, d, 0)
+        table.cover(33)
+        assert table.columns == 64
+
+    def test_spiked_surface_on_a_partial_table_equals_the_full_one(self, monkeypatch):
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        k, d = SMALL_GRID.k_values, SMALL_GRID.delta_values
+        full = get_table(k, d)
+        x = sample_twdp(FadingParams(4.0, 0.5, 1.0), 3000, 21).envelopes
+        x[[7, 70]] = [2.2, 6.5]                 # the top in-range sample, a spike
+        table = PdfTable(k, d, 64)
+        assert np.array_equal(table.loglik_surface(x), full.loglik_surface(x))
+        assert table.columns == 288             # node 281 of 2.2, taps up to 283
+
+    def test_fit_above_the_envelope_range_builds_no_column(self, monkeypatch):
+        # every fit-class sample is a spike: the table is only fold weights,
+        # and the report is the one fitted on a full table
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        rng = np.random.default_rng(7)
+        values = rng.uniform(0.95, 1.05, 500)
+        values[9::10] = rng.uniform(4.05, 4.8, 50)
+        es = partition_stride(values, 10)
+        assert es.fit_values.min() / math.sqrt(estimate_omega(es)) > TableSpec.r_max
+        report = fit_envelopes(es, TINY_GRID)
+        (table,) = likelihood._TABLE_CACHE.values()
+        assert table.columns == table.chunks == 0
+        likelihood.clear_table_cache()
+        assert get_table(TINY_GRID.k_values, TINY_GRID.delta_values).columns == 514
+        assert fit_envelopes(es, TINY_GRID) == report
+        assert report.gtest.verdict == "rejected" and report.rice.k_hat == 0.0
+
+    def test_concurrent_extensions_equal_the_full_build(self, monkeypatch, pool_threads):
+        # callers extend one cached table at once, on an oversubscribed pool
+        # switching every microsecond; the lock lets one build at a time, and
+        # a later one builds only what is left. A lost extension would leave
+        # fewer columns, and a skipped range np.empty garbage
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        k, d = SMALL_GRID.k_values, SMALL_GRID.delta_values
+        full = PdfTable(k, d)
+        pool_threads(8)
+        table = get_table(k, d, x_max=-1.0)
+        reaches = (1.0, 2.0, 3.0, TableSpec.r_max)
+        barrier, errors, built = threading.Barrier(len(reaches)), [], []
+        build = PdfTable._build
+
+        def recorded(self, columns):
+            start = self.columns
+            done = build(self, columns)
+            if done:
+                built.append((start, self.columns))
+            return done
+
+        def extend(x_max):
+            try:
+                barrier.wait()
+                assert get_table(k, d, x_max=x_max) is table
+            except BaseException as exc:       # reported on the main thread
+                errors.append(exc)
+
+        monkeypatch.setattr(PdfTable, "_build", recorded)
+        callers = [threading.Thread(target=extend, args=(x,)) for x in reaches]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(caller.is_alive() for caller in callers)
+        assert table.columns == 514
+        # the extensions tile the columns: each starts where the last stopped
+        assert [b for b, _ in sorted(built)] == [0] + [e for _, e in sorted(built)][:-1]
+        assert np.array_equal(table.log_rows, full.log_rows)
+
+    def test_extensions_are_logged(self, monkeypatch, caplog):
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        caplog.set_level(logging.DEBUG, logger="twdpfit.likelihood")
+        for x_max in (1.0, 0.5, 3.0):
+            get_table(TINY_GRID.k_values, TINY_GRID.delta_values, x_max=x_max)
+        built, hit, hit_again, extended = [
+            r for r in caplog.records if r.name == "twdpfit.likelihood"]
+        assert "kernel chunks, 160/514 columns, " in built.getMessage()
+        assert hit.levelno == hit_again.levelno == logging.DEBUG
+        assert extended.levelno == logging.INFO
+        assert extended.getMessage().startswith(
+            "density table extended: 41 K rows x 21 Delta to 416/514 columns, ")
+        assert extended.getMessage().endswith(" s")
+
+
 def recorded_rice_edges(monkeypatch) -> list:
     """The envelopes every later g-test of a Rice fit evaluates the CDF at:
     the TWDP CDF at Delta = 0, which is the Rician one."""
