@@ -6,9 +6,10 @@ command that fails leaves none of its output files.
 
 Exit codes: 0 success, 2 input/parse error or a file that cannot be read or
 written, 3 domain/estimation error, 4 internal numerical error. A ``scan``
-direction whose data cannot be fitted (a domain or estimation error) does not
-fail the command: it gets the marker ``failed``, its error message and a null
-report, and the other directions are still written (exit 0). The only
+direction whose data cannot be fitted (a domain, estimation or numerical
+error, such as a g-test cell whose expected count is zero) does not fail the
+command: it gets the marker ``failed``, its error message and a null report,
+and the other directions are still written (exit 0). The only
 environment variable honoured is TWDPFIT_LOG (debug|info|warning) for log
 verbosity; any value that is not a logging level name means warning.
 """
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import DomainError, EstimationError, ParseError, TwdpfitError
+from .errors import DomainError, EstimationError, NumericalError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
 from .inference import GridConfig, estimate_omega, fit_envelopes, partition_stride
 from .likelihood import get_table, table_reach
@@ -34,6 +35,9 @@ from .measurement import average_corr, noise_mask, power_map
 from .synth import PlaneWave, PlaneWaveScene, sample_twdp, synth_field
 
 log = logging.getLogger("twdpfit")
+
+# the errors that mark one scan direction failed instead of failing the scan
+_DIRECTION_ERRORS = (DomainError, EstimationError, NumericalError)
 
 
 def _k_db(k: float) -> str:
@@ -117,7 +121,7 @@ def _cmd_scan(args) -> int:
         try:
             env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
             reaches.append(table_reach(env_set.fit_values / math.sqrt(estimate_omega(env_set))))
-        except (DomainError, EstimationError):
+        except _DIRECTION_ERRORS:
             continue
     if reaches:
         get_table(grid.k_values, grid.delta_values, x_max=max(reaches))
@@ -130,7 +134,7 @@ def _cmd_scan(args) -> int:
                 env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
                 report = fit_envelopes(env_set, grid=grid,
                                        alpha=args.alpha, per_cell=args.per_cell)
-            except (DomainError, EstimationError) as exc:
+            except _DIRECTION_ERRORS as exc:
                 record.update(marker="failed", error=str(exc))
                 log.warning("direction (%.1f, %.1f) failed: %s", az, el, exc)
             else:

@@ -227,6 +227,28 @@ class TestScan:
         assert rows[1:] == [f"0.0,90.0,1.0,{fits[0]['marker']}", "90.0,90.0,nan,failed"]
         assert "overflow" not in capsys.readouterr().err
 
+    def test_direction_with_a_degenerate_g_test_is_marked_failed(self, tmp_path, capsys):
+        # ten fit-class samples at 50 times the envelope leave a g-test cell
+        # with an expected count of zero (a numerical error); the scan used
+        # to exit 4 and write neither output
+        samples = np.stack([sample_twdp(FadingParams(10.0, 0.9, 1.0), 20_000, seed).samples
+                            for seed in (51, 52, 53, 54)])
+        samples[2, 9:100:10] *= 50.0
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, DirectionalScan([0.0, 90.0, 180.0, 270.0], [90.0] * 4,
+                                                samples, np.full(4, 1e-6)))
+        prefix = tmp_path / "out"
+        assert run(["scan", str(path), "-o", str(prefix), "--k-max", "30"]) == 0
+        fits = json.loads(prefix.with_suffix(".fits.json").read_text())["directions"]
+        assert len(fits) == 4
+        assert fits[2]["marker"] == "failed" and fits[2]["report"] is None
+        assert "expected cell count of zero" in fits[2]["error"]
+        assert all(fits[i]["marker"] in ("rice", "twdp", "rejected") and fits[i]["report"]
+                   for i in (0, 1, 3))
+        rows = prefix.with_suffix(".power.csv").read_text().splitlines()
+        assert len(rows) == 5 and rows[3].endswith(",failed")
+        assert capsys.readouterr().out.endswith(".fits.json; 1 failed\n")
+
     @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--per-cell", "0"]])
     def test_bad_g_test_option_fails_the_command(self, tmp_path, capsys, option):
         # an option that no direction can be fitted with is not a direction's failure
@@ -712,9 +734,31 @@ print(heavy())
     assert lines[-1] == "[]"         # after the four commands
 
 
+def test_marcum_q1_loads_no_scipy(tmp_path):
+    # Q1 is the survival of the CDF's own Poisson mixture, not scipy's chndtr
+    probe = """
+import sys
+import numpy as np
+from twdpfit import marcum_q1
+
+q = marcum_q1(np.array([[0.0], [1.0], [20.0]]), np.linspace(0.0, 30.0, 7))
+print(q.shape)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    lines = fresh_python(probe, tmp_path).stdout.splitlines()
+    assert lines[-2:] == ["(3, 7)", "[]"]
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")        # Python 3.11 and later
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert [d.split(">")[0].split("=")[0] for d in project["dependencies"]] == ["numpy"]
+
+
 def test_fresh_fit_and_scan_load_no_scipy(tmp_path):
-    # only marcum_q1 uses scipy; the table, the CDF and the g-test threshold
-    # are numpy and math
+    # the package imports no scipy: the table, the CDF and the g-test
+    # threshold are numpy and math
     probe = """
 import sys
 import numpy as np

@@ -10,6 +10,7 @@ import math
 import re
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -63,6 +64,27 @@ def scaled_series_oracle_q1(a: float, b: float, n_terms: int = 20_000) -> float:
     with np.errstate(divide="ignore"):
         logs = n * math.log(a / b) + np.log(special.ive(n, z)) + z - 0.5 * (a * a + b * b)
     return math.fsum(np.exp(logs))
+
+
+def poisson_oracle_q1(a: float, b: float) -> float:
+    """Q1(a, b) = P[M <= N] for M ~ Poisson(b^2/2) and N ~ Poisson(a^2/2),
+    summed over N in 60-digit arithmetic, term by term, until the terms
+    fall below 1e-40 of the sum past the peak of both pmf(n; a^2/2) and
+    the product, near n = a b / 2: every term is positive, so both tails
+    keep their digits."""
+    with mpmath.workdps(60):
+        lam_n, lam_m = mpmath.mpf(a) ** 2 / 2, mpmath.mpf(b) ** 2 / 2
+        pmf_n, pmf_m = mpmath.exp(-lam_n), mpmath.exp(-lam_m)
+        cdf_m, total, n = pmf_m, mpmath.mpf(0), 0
+        while True:
+            term = pmf_n * cdf_m
+            total += term
+            if n > max(lam_n, a * b / 2) and term < total * mpmath.mpf(10) ** -40:
+                return float(total)
+            n += 1
+            pmf_n *= lam_n / n
+            pmf_m *= lam_m / n
+            cdf_m += pmf_m
 
 
 def quad_oracle_q1(a: float, b: float) -> float:
@@ -183,8 +205,8 @@ class TestMarcumQ:
         assert marcum_q1(a, b) == pytest.approx(series_oracle_q1(a, b), abs=1e-10)
 
     def test_against_ncx2_sweep(self):
-        # marcum_q1 is the ncx2 identity through scipy's chndtr; the
-        # reference is the quadratured Rician tail, which shares no code
+        # marcum_q1 is the Rician survival of the package's Poisson mixture;
+        # the reference is the quadratured Rician tail, which shares no code
         # with it
         rng = np.random.default_rng(11)
         a = rng.uniform(0, 60, 300)
@@ -215,6 +237,45 @@ class TestMarcumQ:
     @settings(max_examples=60, deadline=None)
     def test_bounds_property(self, a, b):
         assert 0.0 <= marcum_q1(a, b) <= 1.0
+
+    @pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0])
+    def test_upper_tail_against_poisson_oracle(self, a):
+        # scipy's chndtr is 4.5e-5 relative off at Q1(1, 8) = 3.7e-12 and
+        # 5.9e-4 at Q1(20, 27) = 1.5e-12; the mixture's upper sum keeps
+        # relative digits down to its support's cut-off (2.6e-6 relative
+        # at Q1(10, 19) = 1.6e-19)
+        b = a + np.array([3.0, 5.0, 7.0, 9.0])
+        got = marcum_q1(a, b)
+        want = np.array([poisson_oracle_q1(a, bi) for bi in b])
+        assert np.all(np.abs(got - want) <= 1e-13)
+        big = want >= 1e-12
+        assert np.all(np.abs(got - want)[big] <= 1e-8 * want[big])
+
+    def test_broadcast_shapes(self):
+        b = np.linspace(0.0, 6.0, 7)
+        row = marcum_q1(2.0, b)
+        assert row.shape == (7,)
+        assert np.array_equal(row, [marcum_q1(2.0, bi) for bi in b])
+        a = np.array([[0.0], [1.0], [2.0]])
+        grid = marcum_q1(a, b)
+        assert grid.shape == (3, 7)
+        assert np.array_equal(grid[2], row)
+        assert np.array_equal(grid, [[marcum_q1(ai, bi) for bi in b] for ai in a[:, 0]])
+        assert marcum_q1(np.array([]), 1.0).shape == (0,)
+        assert marcum_q1(np.zeros((2, 0)), np.array([])).shape == (2, 0)
+
+    def test_scalar_input_gives_float(self):
+        assert type(marcum_q1(1.0, 2.0)) is float
+        assert type(marcum_q1(np.float64(1.0), 2)) is float
+
+    def test_amplitude_cap(self):
+        # a = 200 = sqrt(4 K_MAX_SUPPORTED), the largest noncentrality
+        # amplitude of the supported TWDP family; cost grows with a^2
+        assert 0.0 <= marcum_q1(200.0, 200.0) <= 1.0
+        with pytest.raises(DomainError, match="cap 200"):
+            marcum_q1(np.nextafter(200.0, np.inf), 1.0)
+        with pytest.raises(DomainError, match="cap 200"):
+            marcum_q1(np.array([1.0, 1000.0]), 1.0)
 
 
 class TestParamConversions:
@@ -505,9 +566,9 @@ class TestTwdpPdf:
 
 @pytest.mark.parametrize("a2", [5e-324, 1e-320, 1e-315, 4.4e-313])
 def test_subnormal_noncentrality_equals_zero(a2):
-    # scipy's chndtr errs at a subnormal noncentrality (by 3.6e-4 at 1e-320),
-    # so marcum_q1 takes it as 0; to double precision Q1 and the mixture
-    # CDFs there are their K = 0 values
+    # to double precision Q1 and the mixture CDFs at a subnormal
+    # noncentrality are their K = 0 values (scipy's chndtr errs there, by
+    # 3.6e-4 at 1e-320)
     r = np.linspace(0.0, 4.0, 41)
     assert np.array_equal(rice_cdf(r, a2 / 2), rice_cdf(r, 0.0))
     for delta in (0.0, 0.5, 1.0):
