@@ -5,20 +5,23 @@ input set.
 Runs, in one process and inside OUT_DIR: `synth envelopes`, `fit` with an
 overlay on that set and on a second set with two fit-class spikes above the
 table's envelope range, `fit` on a set rounded to 0.01 of its rms (tied
-samples), `scan` on three directions (clean, spiked and below
-the noise floor), `synth grid`, `spatial` and `ber`. Those fits build
-only the envelope columns of their tables that their data read. It then
-prints one "sha256  name" line per file in OUT_DIR, one per command's
-standard output, one for the k_max 30 `loglik_surface` of a fixed set that
-reaches 3.9 root powers, on a fresh table that a fit of a set reaching
-about 1.3 root powers built only part of the way (so the surface extends
-it), one per density table's `log_rows` (k_max 30 and 100, and the default
-grid's 332 rows up to K = 1000, most of whose kernels are evaluated in
-bands, so that the lines cover whole packed rows and banded ones; each
-line first extends its table to full width), one for the default grid's
-`loglik_surface` of a fixed set with spikes at 4.5, 6 and 9 root powers
-(banded rows over spikes, which no k_max 30 fit reaches), one
-for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed
+samples), `scan` on four directions (clean, spiked, below the noise floor
+and one whose mean power overflows, so marked failed with a NaN power),
+`synth grid`, `spatial` and `ber`. Those fits build only the envelope
+columns of their tables that their data read. Then three commands that
+must fail: `scan --alpha 1.5`, `scan --per-cell 0` and `synth grid` with no
+`--wave`. It then prints one "sha256  name" line per file in OUT_DIR, one
+per command's standard output, one per failing command's exit code and
+standard error (its `error:` line), one for the k_max 30 `loglik_surface`
+of a fixed set that reaches 3.9 root powers, on a fresh table that a fit
+of a set reaching about 1.3 root powers built only part of the way (so the
+surface extends it), one per density table's `log_rows` (k_max 30 and
+100, and the default grid's 332 rows up to K = 1000, most of whose kernels
+are evaluated in bands, so that the lines cover whole packed rows and
+banded ones; each line first extends its table to full width), one for
+the default grid's `loglik_surface` of a fixed set with spikes at 4.5, 6
+and 9 root powers (banded rows over spikes, which no k_max 30 fit
+reaches), one for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed
 (K, Delta, r) grid, one for the values of `fading._i0e` on a fixed sweep and
 `chi2_quantile` at dof 1-2000 and p 0.95 and 0.99, one for the fit report's
 schema and one per sidecar reader: the arrays
@@ -108,7 +111,7 @@ def extended_surface() -> bytes:
 
 
 def write_inputs() -> None:
-    """The spiked and the quantized envelope file, the three-direction scan, a
+    """The spiked and the quantized envelope file, the four-direction scan, a
     small grid with a direction and a frequency axis and a 9 x 9 x 9 x 100
     grid, whose 72,900 rows span several of the CSV writer's blocks."""
     values = sample_twdp(FadingParams(4.0, 0.5, 1.0), 20_000, 40).envelopes
@@ -122,9 +125,10 @@ def write_inputs() -> None:
     spiked = sample_twdp(FadingParams(3.0, 0.7, 1.0), n_freq, 42).samples
     spiked[[9, 29]] *= 12.0
     weak = 1e-4 * sample_twdp(FadingParams(0.0), n_freq, 43).samples
+    huge = 1e160 * sample_twdp(FadingParams(2.0, 0.5, 1.0), n_freq, 49).samples
     fileio.write_scan("scan.csv", DirectionalScan(
-        azimuth=[10.0, 120.0, 200.0], elevation=[90.0, 80.0, 90.0],
-        samples=np.stack([clean, spiked, weak]), noise_power=np.full(3, 1e-4)))
+        azimuth=[10.0, 120.0, 200.0, 300.0], elevation=[90.0, 80.0, 90.0, 70.0],
+        samples=np.stack([clean, spiked, weak, huge]), noise_power=np.full(4, 1e-4)))
     h = np.random.default_rng(44).normal(size=(3, 4, 2, 5, 2)) @ [1, 1j]
     fileio.write_grid("grid_dir.csv", SpatialGrid(
         h, spacing=0.3, freq_axis=6e10 + 1e6 * np.arange(5), direction=(30.0, 60.0)))
@@ -157,6 +161,11 @@ def main():
         "ber": ["ber", "--k", "10", "--delta", "0.5", "--snr-db", "0,10,20,30",
                 "--n-symbols", "200000", "--seed", "9", "-o", "ber.csv"],
     }
+    failing = {
+        "scan_alpha": ["scan", "scan.csv", "-o", "scan_bad", *K30, "--alpha", "1.5"],
+        "scan_per_cell": ["scan", "scan.csv", "-o", "scan_bad", *K30, "--per-cell", "0"],
+        "synth_grid_no_wave": ["synth", "grid", "-o", "grid_bad.csv"],
+    }
     write_inputs()
     lines = []
     for name, argv in commands.items():
@@ -166,6 +175,13 @@ def main():
         if code != 0:
             raise SystemExit(f"{name} exited {code}")
         lines.append(f"{sha(stdout.getvalue().encode())}  {name}.stdout")
+    for name, argv in failing.items():
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        if code == 0:
+            raise SystemExit(f"{name} exited 0")
+        lines.append(f"{sha(f'{code} {stderr.getvalue()}'.encode())}  {name}.stderr")
     lines += [f"{sha(p.read_bytes())}  {p.name}" for p in sorted(Path().iterdir())]
     lines.append(f"{sha(extended_surface())}  loglik_surface k_max 30, extended")
     for k_max in (30, 100, None):

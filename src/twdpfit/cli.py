@@ -28,7 +28,8 @@ import numpy as np
 from . import fileio
 from .errors import DomainError, EstimationError, NumericalError, ParseError, TwdpfitError
 from .fading import FadingParams, rayleigh_cdf, rice_cdf, twdp_cdf
-from .inference import GridConfig, estimate_omega, fit_envelopes, partition_stride
+from .inference import (GridConfig, _check_test_options, estimate_omega, fit_envelopes,
+                        partition_stride)
 from .likelihood import get_table, table_reach
 from .linksim import simulate_ber
 from .measurement import average_corr, noise_mask, power_map
@@ -108,21 +109,18 @@ def _cmd_fit(args) -> int:
 
 def _cmd_scan(args) -> int:
     scan = fileio.read_scan(args.scan)
+    # power_map raises if an above-margin direction cannot be partitioned; its
+    # power is NaN below the margin and where estimate_omega fails
     power = power_map(scan, args.margin_db, args.stride)
-    mask = noise_mask(scan, args.margin_db)     # the power is NaN for a failed direction too
+    mask = noise_mask(scan, args.margin_db)
     grid = _grid_from_args(args)
-    if not 0.0 < args.alpha < 1.0 or args.per_cell < 1:    # an option, not a direction, fails
-        raise DomainError("--alpha must lie in (0, 1) and --per-cell be >= 1")
-    # build the table once, as far as the furthest direction reads it: each
-    # later extension would cost a fixed pass of its own. A direction that
-    # fails here fails again, with its message, in the loop below
-    reaches = []
-    for i in np.flatnonzero(mask):
-        try:
-            env_set = partition_stride(np.abs(scan.samples[i]), args.stride)
-            reaches.append(table_reach(env_set.fit_values / math.sqrt(estimate_omega(env_set))))
-        except _DIRECTION_ERRORS:
-            continue
+    _check_test_options(args.alpha, args.per_cell)     # an option, not a direction, fails
+    # build the table once, as far as the furthest direction with a power reads
+    # it: each later extension would cost a fixed pass of its own. The NaN
+    # directions fail, with their messages, in the loop below
+    sets = (partition_stride(np.abs(scan.samples[i]), args.stride)
+            for i in np.flatnonzero(~np.isnan(power)))
+    reaches = [table_reach(s.fit_values / math.sqrt(estimate_omega(s))) for s in sets]
     if reaches:
         get_table(grid.k_values, grid.delta_values, x_max=max(reaches))
     records = []
@@ -144,7 +142,7 @@ def _cmd_scan(args) -> int:
         records.append(record)
     prefix = Path(args.out_prefix)
     power_table = {"azimuth": scan.azimuth, "elevation": scan.elevation,
-                   "power_norm": power,         # NaN where masked
+                   "power_norm": power,     # NaN where masked or estimate_omega fails
                    "marker": [r["marker"] for r in records]}
     fileio.write_together(
         (fileio.write_power_map, prefix.with_suffix(".power.csv"), power_table),
@@ -205,9 +203,7 @@ def _cmd_synth(args) -> int:
         print(f"{args.n} envelopes (K={args.k:g}, Delta={args.delta:g}, "
               f"Omega={args.omega:g}, seed={args.seed}) -> {args.output}")
         return 0
-    # grid
-    if not args.wave:
-        raise DomainError("synth grid requires at least one --wave")
+    # grid: synth_field refuses a scene with no wave
     waves = [_parse_wave(w) for w in args.wave]
     try:
         nx, ny, nz = map(int, args.shape.split(","))

@@ -166,9 +166,10 @@ def power_map(scan: DirectionalScan, margin_db: float = 10.0, stride: int = 10) 
 
     The per-direction power estimate uses the moment partition (every
     stride-th frequency sample is reserved for fitting, as in the decision
-    pipeline) so power and shape estimates stay decoupled. Directions below
-    the noise margin, and those whose mean power leaves the double range
-    (``estimate_omega``'s DomainError), are returned as NaN; the maximum
+    pipeline) so power and shape estimates stay decoupled. It raises if any
+    direction above the noise margin cannot be partitioned. NaN marks
+    exactly the directions below the margin and those whose mean power
+    leaves the double range (``estimate_omega``'s DomainError); the maximum
     over the other directions is 1.
     """
     if scan.n_directions == 0:

@@ -249,13 +249,41 @@ class TestScan:
         assert len(rows) == 5 and rows[3].endswith(",failed")
         assert capsys.readouterr().out.endswith(".fits.json; 1 failed\n")
 
-    @pytest.mark.parametrize("option", [["--alpha", "1.5"], ["--per-cell", "0"]])
-    def test_bad_g_test_option_fails_the_command(self, tmp_path, capsys, option):
+    @pytest.mark.parametrize("option, message", [(["--alpha", "1.5"], "alpha must lie"),
+                                                 (["--per-cell", "0"], "per_cell must be")])
+    def test_bad_g_test_option_fails_the_command(self, tmp_path, capsys, option, message):
         # an option that no direction can be fitted with is not a direction's failure
         path = self.make_scan_file(tmp_path)
         assert run(["scan", str(path), "-o", str(tmp_path / "out"), *GRID_ARGS, *option]) == 3
-        assert "--alpha" in one_error_line(capsys)
+        assert message in one_error_line(capsys)
         assert not (tmp_path / "out.fits.json").exists()
+
+    def test_no_direction_with_a_power_builds_no_table(self, tmp_path, monkeypatch):
+        # every direction above the noise floor overflows, so none has a power
+        # to normalize by or a reach to build the table for
+        samples = np.stack([sample_twdp(FadingParams(k, d, 1.0), 1000, seed).samples
+                            for k, d, seed in ((8.0, 0.0, 41), (3.0, 0.7, 42), (0.0, 0.0, 43))])
+        samples[:2] *= 1e160
+        samples[2] *= 1e-4
+        path = tmp_path / "scan.csv"
+        fileio.write_scan(path, DirectionalScan([0.0, 120.0, 240.0], [90.0] * 3, samples,
+                                                np.full(3, 1e-6)))
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        builds, build = [], likelihood.PdfTable._build
+
+        def recorded(table, columns):
+            builds.append(columns)
+            return build(table, columns)
+
+        monkeypatch.setattr(likelihood.PdfTable, "_build", recorded)
+        prefix = tmp_path / "out"
+        assert run(["scan", str(path), "-o", str(prefix), "--k-max", "2"]) == 0
+        fits = json.loads(prefix.with_suffix(".fits.json").read_text())["directions"]
+        assert [d["marker"] for d in fits] == ["failed", "failed", "not_evaluated"]
+        assert all("mean power inf" in d["error"] and d["report"] is None for d in fits[:2])
+        rows = prefix.with_suffix(".power.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in rows[1:]] == ["nan"] * 3
+        assert builds == [] and likelihood._TABLE_CACHE == {}
 
     def test_table_is_built_once_as_far_as_the_furthest_direction(self, tmp_path, monkeypatch):
         # directions of different reach, one with a spike above the table's
@@ -358,8 +386,9 @@ class TestSpatialAndSynth:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
-    def test_synth_grid_requires_wave(self, tmp_path):
+    def test_synth_grid_requires_wave(self, tmp_path, capsys):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv")]) == 3
+        assert "scene needs at least one wave" in one_error_line(capsys)
 
     def test_synth_grid_bad_shape_exits_2(self, tmp_path):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv"),
