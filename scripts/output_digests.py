@@ -10,9 +10,14 @@ and one whose mean power overflows, so marked failed with a NaN power),
 `synth grid`, `spatial` and `ber`. Those fits build only the envelope
 columns of their tables that their data read. Then three commands that
 must fail: `scan --alpha 1.5`, `scan --per-cell 0` and `synth grid` with no
-`--wave`. It then prints one "sha256  name" line per file in OUT_DIR, one
-per command's standard output, one per failing command's exit code and
-standard error (its `error:` line), one for the k_max 30 `loglik_surface`
+`--wave`; and `spatial` on three copies of the synthesized grid: one whose
+tone 1 is all zero (a dead tone, which exited 3 before it was averaged in),
+and two scaled by 2^600 and by 1e160 (which gave an all-NaN map before the
+grid was scaled by a power of two; the 2^600 map equals `corr.csv`). It
+then prints one "sha256  name" line per file in OUT_DIR, one per
+command's standard output, one per failing or `spatial` copy command's
+exit code, standard output and standard error (a failing command's
+`error:` line), one for the k_max 30 `loglik_surface`
 of a fixed set that reaches 3.9 root powers, on a fresh table that a fit
 of a set reaching about 1.3 root powers built only part of the way (so the
 surface extends it), one per density table's `log_rows` (k_max 30 and
@@ -136,6 +141,19 @@ def write_inputs() -> None:
     fileio.write_grid("grid_big.csv", SpatialGrid(h, spacing=0.35))
 
 
+def write_spatial_copies() -> list[str]:
+    """Copies of the grid `synth grid` wrote: with its tone 1 set to zero,
+    and scaled by 2^600 and by 1e160; returns their names."""
+    grid = fileio.read_grid("grid.csv")
+    dead = grid.h.copy()
+    dead[:, :, :, 1] = 0.0
+    copies = {"dead_tone": dead, "2p600": grid.h * 2.0 ** 600, "1e160": grid.h * 1e160}
+    for name, h in copies.items():
+        fileio.write_grid(f"grid_{name}.csv",
+                          SpatialGrid(h, grid.spacing, grid.freq_axis, grid.direction))
+    return list(copies)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -175,13 +193,17 @@ def main():
         if code != 0:
             raise SystemExit(f"{name} exited {code}")
         lines.append(f"{sha(stdout.getvalue().encode())}  {name}.stdout")
-    for name, argv in failing.items():
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
+    spatial_copies = {f"spatial_{name}": ["spatial", f"grid_{name}.csv", "-o",
+                                          f"corr_{name}.csv", "--interp-factor", "4"]
+                      for name in write_spatial_copies()}
+    for name, argv in {**failing, **spatial_copies}.items():
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
-        if code == 0:
+        if code == 0 and name in failing:
             raise SystemExit(f"{name} exited 0")
-        lines.append(f"{sha(f'{code} {stderr.getvalue()}'.encode())}  {name}.stderr")
+        run = f"{code} {stdout.getvalue()}{stderr.getvalue()}"
+        lines.append(f"{sha(run.encode())}  {name}.stderr")
     lines += [f"{sha(p.read_bytes())}  {p.name}" for p in sorted(Path().iterdir())]
     lines.append(f"{sha(extended_surface())}  loglik_surface k_max 30, extended")
     for k_max in (30, 100, None):

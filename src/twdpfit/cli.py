@@ -294,11 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    # this call's level and stderr, on a package handler for this call only
     level = logging.getLevelName(os.environ.get("TWDPFIT_LOG", "warning").upper())
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    previous = log.level
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    log.addHandler(handler)
     try:
         return args.func(args)
     except TwdpfitError as exc:
@@ -307,6 +310,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:      # readers raise ParseError: an output cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(previous)
 
 
 if __name__ == "__main__":

@@ -73,7 +73,8 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Above this K the quadrature accuracy targets are not validated.
+# Above this K the quadrature accuracy targets are not validated, so the
+# distributions refuse it (the conversions and the sampler stay exact).
 K_MAX_SUPPORTED = 1.0e4
 
 # Phase-balance quadrature of the TWDP density and of the CDF's mixing
@@ -87,16 +88,11 @@ _CDF_NODES_CAP = 2 ** 15
 _CDF_TOL = 1e-13
 
 
-def _validate_k_delta_omega(k: float, delta: float, omega: float,
-                            enforce_cap: bool = False) -> None:
+def _validate_k_delta_omega(k: float, delta: float, omega: float) -> None:
     if not (np.isfinite(k) and np.isfinite(delta) and np.isfinite(omega)):
         raise DomainError("k, delta, omega must be finite")
     if k < 0:
         raise DomainError(f"k must be nonnegative, got {k}")
-    if enforce_cap and k > K_MAX_SUPPORTED:
-        # cap applies to distribution evaluation only; the parameter
-        # conversions and the sampler are elementary and stay exact
-        raise DomainError(f"k={k} exceeds the supported cap {K_MAX_SUPPORTED:g}")
     if not 0.0 <= delta <= 1.0:
         raise DomainError(f"delta must lie in [0, 1], got {delta}")
     if omega <= 0:
@@ -365,7 +361,6 @@ def rice_cdf(r, k: float, omega: float = 1.0):
 def rice_pdf(r, k: float, omega: float = 1.0):
     """Closed-form Rician envelope density."""
     arr = _check_r(r)
-    _validate_k_delta_omega(k, 0.0, omega)
     s2 = sigma2_from_k(k, omega)
     return _shaped_like(r, arr * _rice_kernel(math.sqrt(2.0 * k), arr / math.sqrt(s2), 1.0 / s2))
 
@@ -599,10 +594,10 @@ def twdp_cdf(r, params: FadingParams):
     lower sum of ``_cdf_sums`` where it is at most 1/2, one minus the upper
     sum elsewhere."""
     arr = _check_r(r)
-    _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
+    if params.k > K_MAX_SUPPORTED:      # params passed every other check when built
+        raise DomainError(f"k={params.k} exceeds the supported cap {K_MAX_SUPPORTED:g}")
     start = time.perf_counter()
-    below, above, nodes, blocks = _cdf_sums(arr.ravel(), params.k, params.delta,
-                                            sigma2_from_k(params.k, params.omega))
+    below, above, nodes, blocks = _cdf_sums(arr.ravel(), params.k, params.delta, params.sigma2)
     out = np.where(below <= 0.5, below, 1.0 - above)
     log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", below.size, nodes,
               1e3 * (time.perf_counter() - start), max(1, min(threads(), blocks)))
@@ -615,8 +610,9 @@ def twdp_pdf(r, params: FadingParams):
     to 1e-13 relative at every envelope: the density spans too many decades
     for an absolute bound."""
     arr = _check_r(r)
-    _validate_k_delta_omega(params.k, params.delta, params.omega, enforce_cap=True)
-    s2 = sigma2_from_k(params.k, params.omega)
+    if params.k > K_MAX_SUPPORTED:      # params passed every other check when built
+        raise DomainError(f"k={params.k} exceeds the supported cap {K_MAX_SUPPORTED:g}")
+    s2 = params.sigma2
     b = arr.ravel() / math.sqrt(s2)
 
     def kernel_sum(a, w):

@@ -286,13 +286,13 @@ def _pack(sizes, cap: int) -> list[slice]:
 
 
 def _kernels(rows):
-    """The kernel matrix (as ``PdfTable._kernel`` returns it) of each row
-    (a, b, s2) of `rows`, in turn, with the number of chunks evaluated so
-    far. The rows' pieces (``_bands``) are packed in order into chunks of up
-    to _CHUNK entries, each one ``_rice_kernel`` call in the two vectors of
-    this call. A row that is one whole piece comes as a view of its chunk,
-    valid only until the next row is taken; any other is assembled in a
-    matrix of its own."""
+    """The kernel matrix (Rician density over x, divided by x, at amplitudes a
+    and ascending envelopes b = x sqrt(s2)) of each row (a, b, s2) of `rows`,
+    in turn, with the number of chunks evaluated so far. The rows' pieces
+    (``_bands``) are packed in order into chunks of up to _CHUNK entries, each
+    one ``_rice_kernel`` call in the two vectors of this call. A row that is
+    one whole piece comes as a view of its chunk, valid only until the next row
+    is taken; any other is assembled in a matrix of its own."""
     bands = [_bands(a, b) for a, b, _ in rows]
     pieces = [(r, j, p) for r, band in enumerate(bands) for j, p in enumerate(band)]
     sizes = [(i1 - i0) * (hi - lo) for _, _, (i0, i1, lo, hi) in pieces]
@@ -411,12 +411,6 @@ class PdfTable:
         s2 = 2.0 * (1.0 + k)
         return self._amplitudes(k), x * np.sqrt(s2), s2
 
-    def _kernel(self, a: np.ndarray, b: np.ndarray, s2: float) -> np.ndarray:
-        """Rician density kernel over envelope, divided by x: rows of
-        noncentrality amplitudes `a`, columns of ascending scaled envelopes
-        `b` = x*sqrt(s2). Entries outside the band are exactly 0."""
-        return next(_kernels([(a, b, s2)]))[0]
-
     def _amplitudes(self, k: float) -> np.ndarray:
         """The kernel rows of row K: its amplitude grid, then the single
         Delta = 0 amplitude sqrt(2K), alone at K = 0 or for a lone Delta
@@ -439,16 +433,10 @@ class PdfTable:
         level = np.clip(np.rint(growth / _TILT_STEP), -_TILT_TOP, _TILT_TOP).astype(np.int64)
         return level + _TILT_TOP
 
-    def _build_row(self, k: float, x: np.ndarray) -> np.ndarray:
-        """ln(pdf(x)/x) at ascending envelopes `x`, for every Delta column of
-        row K, shape (len(deltas), len(x))."""
-        amps, b, s2 = self._row(k, x)
-        return self._fold_row(k, amps, b, self._kernel(amps, b, s2))
-
     def _fold_row(self, k: float, amps: np.ndarray, b: np.ndarray, kern: np.ndarray,
                   out: np.ndarray | None = None) -> np.ndarray:
-        """``_build_row`` from row K's kernel `kern` of amplitudes `amps`
-        over scaled envelopes `b`, into `out` when given."""
+        """Row K's ln(pdf(x)/x) per Delta column at scaled envelopes `b`, from
+        its kernel `kern` (``_kernels``) of amplitudes `amps`, into `out` when given."""
         pdf_over_x = np.empty((len(self.deltas), len(b))) if out is None else out
         pdf_over_x[:] = kern[-1]
         if len(amps) > 1:

@@ -138,9 +138,9 @@ class CorrelationMap:
 
     def __post_init__(self):
         cx, cy = len(self.lag_x) // 2, len(self.lag_y) // 2
-        if abs(self.values[cx, cy] - 1.0) > 1e-9:
+        if not abs(self.values[cx, cy] - 1.0) <= 1e-9:
             raise DomainError("correlation must equal 1 at zero lag")
-        if np.nanmax(np.abs(self.values - self.values[::-1, ::-1])) > 1e-9:
+        if not np.max(np.abs(self.values - self.values[::-1, ::-1])) <= 1e-9:
             raise DomainError("correlation must be point-symmetric")
 
 
@@ -193,6 +193,12 @@ def power_map(scan: DirectionalScan, margin_db: float = 10.0, stride: int = 10) 
 # spatial correlation
 # ---------------------------------------------------------------------------
 
+def _unit_scaled(re: np.ndarray) -> np.ndarray:
+    """`re` times the power of two that brings max |re| into [0.5, 1): exact, so
+    a normalized correlation keeps its bits, and no FFT square leaves the double range."""
+    return np.ldexp(re, -np.frexp(np.max(np.abs(re)))[1])
+
+
 def _windowed_corr(field: np.ndarray) -> np.ndarray:
     """Unnormalized windowed autocorrelation of a real 2-D field on the
     doubled circular grid (zero padding mimics the linear correlation)."""
@@ -228,7 +234,7 @@ def autocorr2d(field: np.ndarray) -> np.ndarray:
     constant field correlate to exactly 1 everywhere.
     """
     arr = _check_slice(field)
-    return _compensated(_windowed_corr(arr), *arr.shape, 1)
+    return _compensated(_windowed_corr(_unit_scaled(arr)), *arr.shape, 1)
 
 
 def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
@@ -278,12 +284,15 @@ def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
     if 4 * nx * ny * q * q > MAX_LAG_CELLS:
         raise DomainError(f"interp_factor {q} refines the {nx}x{ny} window to "
                           f"{4 * nx * ny * q * q:g} lag cells, more than {MAX_LAG_CELLS:g}")
-    acc = None
-    for iz in range(nz):
-        for jf in range(nf):
-            c_w = _windowed_corr(_check_slice(np.real(grid.h[:, :, iz, jf])))
-            acc = c_w if acc is None else acc + c_w
+    if nx < 2 or ny < 2:
+        raise DomainError("field slice must be at least 2x2")
+    slices = _unit_scaled(np.real(grid.h)).reshape(nx, ny, nz * nf)
+    acc = _windowed_corr(slices[:, :, 0])
+    for j in range(1, nz * nf):
+        acc += _windowed_corr(slices[:, :, j])
     acc /= nz * nf
+    if not acc[0, 0] > 0.0:     # a dead tone adds nothing; only a zero grid fails
+        raise DomainError("all-zero grid; correlation normalization undefined")
     fine = _compensated(acc, nx, ny, q)
     cx, cy = (nx - 1) * q, (ny - 1) * q
     lag_x = np.arange(-cx, cx + 1) * (grid.spacing / q)

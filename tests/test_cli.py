@@ -370,6 +370,24 @@ class TestSpatialAndSynth:
         cut = np.asarray(header["cut_x"])
         assert (cut > 0.05).any() and (cut < -0.05).any()  # oscillating cut
 
+    def test_spatial_maps_any_finite_grid_but_a_zero_one(self, tmp_path, capsys):
+        # a dead tone made spatial exit 3 ("all-zero slice"), and a x1e160
+        # grid wrote an all-NaN map with numpy warnings and exit 0
+        h = np.random.default_rng(13).normal(size=(9, 9, 2, 3, 2)) @ [1, 1j]
+        h[:, :, :, 1] = 0.0
+        for name, grid, code in (("dead", h, 0), ("huge", 1e160 * h, 0), ("zero", 0 * h, 3)):
+            path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}_corr.csv"
+            fileio.write_grid(path, SpatialGrid(grid, spacing=0.35))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert run(["spatial", str(path), "-o", str(out), "--interp-factor", "2"]) == code
+            err = capsys.readouterr().err
+            if code:
+                assert "all-zero grid" in err and not out.exists()
+            else:
+                assert err == ""
+                assert np.all(np.isfinite(np.loadtxt(out, delimiter=",")))
+
     def test_synth_envelopes_then_fit_round_trip(self, tmp_path):
         env_path = tmp_path / "env.csv"
         assert run(["synth", "envelopes", "-o", str(env_path), "--k", "10",
@@ -861,6 +879,25 @@ def test_spatial_past_the_lag_cap_exits_3(tmp_path, capsys):
     assert run(["spatial", str(path), "-o", str(out), "--interp-factor", "2000"]) == 3
     assert "lag cells, more than 1e+07" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_each_call_logs_at_its_own_level_to_its_own_stderr(tmp_path, monkeypatch):
+    # logging.basicConfig acted on the first call in a process only, so a
+    # later call kept that call's stderr and ignored its own TWDPFIT_LOG
+    env = tmp_path / "env.csv"
+    fileio.write_envelopes(env, sample_twdp(FadingParams(4.0, 0.5), 20_000, 7).envelopes)
+    errs = []
+    for level in ("warning", "info"):
+        monkeypatch.setenv("TWDPFIT_LOG", level)
+        monkeypatch.setattr(likelihood, "_TABLE_CACHE", {})
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert run(["fit", str(env), "-o", str(tmp_path / f"{level}.json"),
+                        "--k-max", "2"]) == 0
+        errs.append(err.getvalue())
+    assert "density table built" not in errs[0]
+    assert "INFO twdpfit.likelihood: density table built" in errs[1]
+    assert not cli.log.handlers
 
 
 def test_unknown_log_level_falls_back_to_warning(tmp_path):

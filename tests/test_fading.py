@@ -509,6 +509,10 @@ class TestTwdpCdf:
 
 
 class TestTwdpPdf:
+    def test_k_cap_enforced(self):
+        with pytest.raises(DomainError, match="supported cap"):
+            twdp_pdf(1.0, FadingParams(2e4, 0.5, 1.0))
+
     def test_normalization(self):
         p = FadingParams(5.0, 0.5, 1.0)
         upper = 6.0 * math.sqrt(p.omega) * (1.0 + math.sqrt(p.k))

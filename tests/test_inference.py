@@ -62,6 +62,21 @@ def high_k_table():
     return PdfTable(np.array([50.0, 200.0, 500.0, 1000.0]), SMALL_GRID.delta_values)
 
 
+def row_kernel(a, b, s2):
+    """One table row's Rician density kernel over x, divided by x, evaluated
+    on its own: amplitudes `a` by ascending scaled envelopes `b` =
+    x sqrt(s2), exactly 0 outside the band."""
+    return next(likelihood._kernels([(a, b, s2)]))[0]
+
+
+def build_row(table, k, x, kernel=row_kernel):
+    """ln(pdf(x)/x) of every Delta column of `table`'s row K at ascending
+    envelopes `x`, shape (len(deltas), len(x)): the one-row reference that
+    the table's packed, banded and pooled builds must reproduce."""
+    amps, b, s2 = table._row(k, x)
+    return table._fold_row(k, amps, b, kernel(amps, b, s2))
+
+
 def make_set(k, delta, n_total, seed, omega=1.0, stride=10):
     env = sample_twdp(FadingParams(k, delta, omega), n_total, seed).envelopes
     return partition_stride(env, stride)
@@ -362,7 +377,7 @@ class TestTableAccuracy:
         x = table.x_grid[1:TableSpec.n_r]
         worst, checked = 0.0, 0
         for k in table.coarse_k[1::5]:
-            row = table._build_row(k, x)
+            row = build_row(table, k, x)
             for di, d in enumerate(table.deltas):
                 with np.errstate(divide="ignore"):
                     want = np.log(twdp_pdf(x, FadingParams(k, d, 1.0)) / x)
@@ -434,23 +449,22 @@ class TestTableAccuracy:
         nodes = np.array([0, 1, 257, 511, 513])
         for table in (small, high_k_table):
             for i in range(0, len(table.coarse_k), 7):
-                row = table._build_row(table.coarse_k[i], table.x_grid[nodes])
+                row = build_row(table, table.coarse_k[i], table.x_grid[nodes])
                 assert np.max(np.abs(row - table.log_rows[i][:, nodes])) <= 1e-12
 
-    def test_banded_kernel_rows_are_bit_identical(self, high_k_table, monkeypatch):
+    def test_banded_kernel_rows_are_bit_identical(self, high_k_table):
         # beyond the band exp(-0.5 (a - b)^2) underflows to exactly 0, so
         # skipping those entries must not change a single bit against the
         # kernel evaluated on the whole (a, b) plane
         assert np.exp(-0.5 * likelihood._BAND ** 2) == 0.0
 
-        def full_kernel(self, a, b, s2):
+        def full_kernel(a, b, s2):
             return s2 * fading._i0e(a[:, None] * b) * np.exp(-0.5 * (a[:, None] - b) ** 2)
 
         small = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
-        monkeypatch.setattr(PdfTable, "_kernel", full_kernel)
         for table in (small, high_k_table):
             for i in range(0, len(table.coarse_k), 3):
-                row = table._build_row(table.coarse_k[i], table.x_grid)
+                row = build_row(table, table.coarse_k[i], table.x_grid, full_kernel)
                 assert np.array_equal(row, table.log_rows[i])
 
     def test_far_spike_floors_every_row(self):
@@ -501,7 +515,7 @@ class TestTableAccuracy:
             coarse = np.einsum("cdr,r->cd", table.log_rows, w)
             spikes = np.sort(x[beyond])
             if spikes.size:
-                coarse += np.array([table._build_row(k, spikes).sum(axis=1)
+                coarse += np.array([build_row(table, k, spikes).sum(axis=1)
                                     for k in table.coarse_k])
             const += float(np.sum(np.log(spikes)))
             want = np.einsum("fj,fjd->fd", table._interp_w, coarse[table._interp_idx]) + const
@@ -514,7 +528,7 @@ class TestTableAccuracy:
         # each must read the bits of its own build
         x = np.sort(np.random.default_rng(n_spikes).uniform(4.05, 9.0, n_spikes))
         for table in (get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values), high_k_table):
-            want = np.array([table._build_row(k, x).sum(axis=1) for k in table.coarse_k])
+            want = np.array([build_row(table, k, x).sum(axis=1) for k in table.coarse_k])
             assert np.array_equal(table._spike_sums(x), want)
 
     def test_zero_sample_scores_minus_infinity_without_warning(self):
@@ -676,7 +690,7 @@ class TestCubicHistogram:
 
 class TestTablePool:
     def rows_on_main_thread(self, table):
-        return np.array([table._build_row(k, table.x_grid) for k in table.coarse_k])
+        return np.array([build_row(table, k, table.x_grid) for k in table.coarse_k])
 
     def test_pooled_rows_equal_main_thread_rows(self):
         table = PdfTable(TINY_GRID.k_values, TINY_GRID.delta_values)
@@ -737,7 +751,7 @@ class TestTablePool:
                 assert np.array_equal(built, ref_w[len(tilts) - len(built):])
                 s2 = 2.0 * (1.0 + k)
                 b = table.x_grid * np.sqrt(s2)
-                kern = table._kernel(ag, b, s2)
+                kern = row_kernel(ag, b, s2)
                 folded = (ref_w.reshape(-1, na + 2) @ kern).reshape(len(tilts), len(deltas) - 1, -1)
                 d = deltas[1:, None]
                 growth = ag[1] * (np.maximum(b - np.sqrt(2.0 * k * (1.0 + d)), 0.0)
@@ -745,7 +759,7 @@ class TestTablePool:
                 pick = np.abs(growth[None] - tilts[:, None, None]).argmin(axis=0)
                 assert pick.min() >= len(tilts) - len(built)
                 ref = np.log(np.maximum(np.take_along_axis(folded, pick[None], 0)[0], 1e-300))
-                row = table._build_row(k, table.x_grid)
+                row = build_row(table, k, table.x_grid)
                 assert np.max(np.abs(row[1:] - ref)) <= 1e-12
 
     def test_rows_with_one_node_count_share_one_fold(self, monkeypatch):
@@ -823,7 +837,7 @@ class TestTablePool:
         assert 0 < sum(banded) < len(banded)
         for table in (small, high_k_table):
             for i, k in enumerate(table.coarse_k):
-                assert np.array_equal(table._build_row(k, table.x_grid), table.log_rows[i])
+                assert np.array_equal(build_row(table, k, table.x_grid), table.log_rows[i])
 
     @given(sizes=st.lists(st.integers(0, 12), max_size=40), cap=st.integers(0, 30))
     @settings(max_examples=200, deadline=None)

@@ -189,6 +189,36 @@ class TestAutocorr2d:
             autocorr2d(np.ones((1, 9)))
 
 
+@pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -700, 1e160, 1e-200])
+def test_huge_or_tiny_fields_give_the_unscaled_map(scale):
+    # x1e160 overflowed the windowed correlation's square and x1e-200
+    # underflowed it, each into an all-NaN map; a power of two moves no bit
+    h = np.random.default_rng(12).normal(size=(9, 9, 2, 3, 2)) @ [1, 1j]
+    want = average_corr(SpatialGrid(h, 0.35), interp_factor=4).values
+    want_slice = autocorr2d(h[:, :, 0, 0].real)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = average_corr(SpatialGrid(h * scale, 0.35), interp_factor=4).values
+        got_slice = autocorr2d(h[:, :, 0, 0].real * scale)
+    if np.frexp(scale)[0] == 0.5:
+        assert np.array_equal(got, want) and np.array_equal(got_slice, want_slice)
+    else:
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.max(np.abs(got_slice - want_slice)) <= 1e-12
+
+
+def test_correlation_map_checks_fail_on_nan():
+    # abs(NaN - 1) > 1e-9 is False, and nanmax skips NaN
+    lags = np.arange(-2.0, 3.0)
+    values = np.ones((5, 5))
+    values[2, 2] = np.nan
+    with pytest.raises(DomainError, match="zero lag"):
+        measurement.CorrelationMap(lags, lags, values, values[:, 2], values[2])
+    values[2, 2], values[0, 0] = 1.0, np.nan
+    with pytest.raises(DomainError, match="point-symmetric"):
+        measurement.CorrelationMap(lags, lags, values, values[:, 2], values[2])
+
+
 class TestAverageCorr:
     def test_single_slice_identity(self):
         rng = np.random.default_rng(9)
@@ -251,6 +281,17 @@ class TestAverageCorr:
         assert abs(cmap.values[cx, cy] - 1.0) < 1e-9
         assert np.max(np.abs(cmap.values - cmap.values[::-1, ::-1])) < 1e-9
         assert cmap.lag_x[1] - cmap.lag_x[0] == pytest.approx(0.35 / 20)
+
+    def test_dead_tone_adds_nothing(self):
+        # an all-zero slice failed the grid with "all-zero slice", though the
+        # average over the slices is well defined
+        h = np.random.default_rng(11).normal(size=(9, 9, 1, 2, 2)) @ [1, 1j]
+        h[:, :, :, 1] = 0.0
+        got = average_corr(SpatialGrid(h, 0.35), interp_factor=4).values
+        want = average_corr(SpatialGrid(h[:, :, :, :1], 0.35), interp_factor=4).values
+        assert np.max(np.abs(got - want)) <= 1e-12
+        with pytest.raises(DomainError, match="all-zero grid"):
+            average_corr(SpatialGrid(np.zeros((9, 9, 2, 3), complex), 0.35))
 
     def test_lag_grid_past_the_cap_fails_before_allocating(self, monkeypatch):
         # 4 * 9 * 9 * 2000**2 cells, about 10 GB per refined array
