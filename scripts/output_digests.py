@@ -29,7 +29,9 @@ and 9 root powers (banded rows over spikes, which no k_max 30 fit
 reaches), one for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixed
 (K, Delta, r) grid, one for the values of `fading._i0e` on a fixed sweep and
 `chi2_quantile` at dof 1-2000 and p 0.95 and 0.99, one for the fit report's
-schema and one per sidecar reader: the arrays
+schema, one per `autocorr2d` map of a fixed seeded 9 x 11 field and of its
+copies scaled by 2^600 (the same map) and by 1e160, which no command
+reads, and one per sidecar reader: the arrays
 `read_grid` parses from a grid written with a direction and a frequency
 axis, and those `read_scan` parses from the scan. Two source trees wrote
 byte-identical outputs exactly when their lines are equal:
@@ -54,7 +56,7 @@ from twdpfit import cli, fileio, likelihood
 from twdpfit.fading import FadingParams, _i0e, marcum_q1, rice_cdf, twdp_cdf
 from twdpfit.inference import GridConfig, chi2_quantile, fit_envelopes, partition_stride
 from twdpfit.likelihood import get_table
-from twdpfit.measurement import DirectionalScan, SpatialGrid
+from twdpfit.measurement import DirectionalScan, SpatialGrid, autocorr2d
 from twdpfit.synth import sample_twdp
 
 K30 = ["--k-max", "30"]
@@ -215,6 +217,9 @@ def main():
     lines.append(f"{sha(cdf_values())}  rice_cdf twdp_cdf marcum_q1")
     lines.append(f"{sha(special_values())}  i0e chi2_quantile")
     lines.append(f"{sha(json.dumps(fileio.REPORT_SCHEMA).encode())}  REPORT_SCHEMA")
+    field = np.random.default_rng(50).normal(size=(9, 11))
+    for name, scale in (("", 1.0), (" x2^600", 2.0 ** 600), (" x1e160", 1e160)):
+        lines.append(f"{sha(autocorr2d(field * scale).tobytes())}  autocorr2d{name}")
     grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
     grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)
     big = fileio.read_grid("grid_big.csv")

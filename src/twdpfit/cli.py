@@ -33,7 +33,7 @@ from .inference import (GridConfig, _check_test_options, estimate_omega, fit_env
 from .likelihood import get_table, table_reach
 from .linksim import simulate_ber
 from .measurement import average_corr, noise_mask, power_map
-from .synth import PlaneWave, PlaneWaveScene, sample_twdp, synth_field
+from .synth import PlaneWave, PlaneWaveScene, _check_field_bytes, sample_twdp, synth_field
 
 log = logging.getLogger("twdpfit")
 
@@ -203,7 +203,7 @@ def _cmd_synth(args) -> int:
         print(f"{args.n} envelopes (K={args.k:g}, Delta={args.delta:g}, "
               f"Omega={args.omega:g}, seed={args.seed}) -> {args.output}")
         return 0
-    # grid: synth_field refuses a scene with no wave
+    # grid: the scene refuses one with no wave
     waves = [_parse_wave(w) for w in args.wave]
     try:
         nx, ny, nz = map(int, args.shape.split(","))
@@ -214,9 +214,11 @@ def _cmd_synth(args) -> int:
     if args.freqs:
         try:
             f0, df, n = args.freqs.split(",")
-            freq_axis = float(f0) + float(df) * np.arange(int(n))
+            f0, df, n = float(f0), float(df), int(n)
         except ValueError:
             raise ParseError("--freqs must be f0,df,count")
+        _check_field_bytes(shape, n)        # the scene's rule, before the axis is made
+        freq_axis = f0 + df * np.arange(n)
     scene = PlaneWaveScene(
         waves=waves, wavelength=args.wavelength, shape=shape, spacing=args.spacing,
         freq_axis=freq_axis, diffuse_sigma2=args.diffuse_sigma2,

@@ -35,6 +35,7 @@ import itertools
 import json
 import os
 import secrets
+import warnings
 from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Iterator, get_type_hints
@@ -164,13 +165,15 @@ def _write_indexed(path: str | Path, header: dict, arr: np.ndarray, columns: str
 def _read_indexed(path: Path, shape: tuple[int, ...], columns: str) -> np.ndarray:
     """Complex array of `shape` from CSV rows of its indices, re and im."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():     # no data rows: the row count below says so
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}")
-    if data.shape[1] != len(shape) + 2:
-        raise ParseError(f"{path}: expected {len(shape) + 2} columns {columns}")
     if data.shape[0] != np.prod(shape):
         raise ParseError(f"{path}: row count does not match the header shape")
+    if data.shape[1] != len(shape) + 2:
+        raise ParseError(f"{path}: expected {len(shape) + 2} columns {columns}")
     idx = data[:, :-2]
     # checked before the cast, which warns on NaN, infinities and 1e300;
     # NaN fails every comparison

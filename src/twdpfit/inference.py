@@ -48,7 +48,16 @@ __all__ = [
 ]
 
 
-@dataclass
+def _freeze(obj, **converted) -> None:
+    """Set a frozen dataclass's converted fields; arrays as read-only views (no copies)."""
+    for name, value in converted.items():
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
+@dataclass(frozen=True)
 class EnvelopeSet:
     """Nonnegative envelope samples with a moment/fit partition.
 
@@ -60,8 +69,8 @@ class EnvelopeSet:
     fit_mask: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.fit_mask = np.asarray(self.fit_mask, dtype=bool)
+        _freeze(self, values=np.asarray(self.values, dtype=float),
+                fit_mask=np.asarray(self.fit_mask, dtype=bool))
         if self.values.ndim != 1 or self.values.shape != self.fit_mask.shape:
             raise DomainError("values and fit_mask must be 1-D arrays of equal length")
         _check_r(self.values)

@@ -1,9 +1,9 @@
 """Directional-scan and spatial-sampling post-processing.
 
 Covers noise-floor masking, normalized receive-power maps, the windowed 2-D
-spatial autocorrelation with rectangular-window compensation, delay-domain
-conversion of frequency sweeps, and extraction of per-tap envelope sets for
-the fading pipeline.
+spatial autocorrelation with rectangular-window compensation (``autocorr2d``
+is the single-slice case of ``average_corr``), delay-domain conversion of
+frequency sweeps, and per-tap envelope sets for the fading pipeline.
 
 Correlation conventions: fields are sampled on a uniform grid measured in
 wavelengths; only the real part of the complex samples enters the spatial
@@ -15,12 +15,13 @@ compensation exact at every computed lag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DomainError
-from .inference import EnvelopeSet, estimate_omega, partition_chequerboard, partition_stride
+from .inference import (EnvelopeSet, _freeze, estimate_omega, partition_chequerboard,
+                        partition_stride)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -59,7 +60,7 @@ def _frequencies(freq_axis, n_freq: int) -> np.ndarray | None:
     return freq_axis
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpatialGrid:
     """Complex channel samples on a uniform spatial lattice.
 
@@ -75,7 +76,7 @@ class SpatialGrid:
     direction: tuple[float, float] | None = None
 
     def __post_init__(self):
-        self.h = np.asarray(self.h, dtype=complex)
+        _freeze(self, h=np.asarray(self.h, dtype=complex))
         if self.h.ndim != 4 or min(self.h.shape) < 1:
             raise DomainError("grid must be a 4-D array (ix, iy, iz, ifreq) with dims >= 1")
         if not np.all(np.isfinite(self.h)):
@@ -83,9 +84,9 @@ class SpatialGrid:
         # correlation lags reach (n - 1) spacings on the longer side; n leaves room to round
         if not 0 < self.spacing < np.finfo(float).max / max(self.h.shape[:2]):
             raise DomainError("spacing must be positive, with a finite largest lag")
-        self.freq_axis = _frequencies(self.freq_axis, self.h.shape[3])
+        _freeze(self, freq_axis=_frequencies(self.freq_axis, self.h.shape[3]))
         if self.direction is not None:
-            self.direction = tuple(map(float, self.direction))
+            _freeze(self, direction=tuple(map(float, self.direction)))
             if len(self.direction) != 2 or not _on_sphere(*self.direction):
                 raise DomainError("direction must be (azimuth in [0, 360), "
                                   "elevation in [0, 180]) degrees")
@@ -95,7 +96,7 @@ class SpatialGrid:
         return self.h.shape
 
 
-@dataclass
+@dataclass(frozen=True)
 class DirectionalScan:
     """Per-direction frequency-domain records of a directional sweep."""
 
@@ -106,16 +107,16 @@ class DirectionalScan:
     freq_axis: np.ndarray | None = None
 
     def __post_init__(self):
-        self.azimuth = np.asarray(self.azimuth, dtype=float)
-        self.elevation = np.asarray(self.elevation, dtype=float)
-        self.samples = np.asarray(self.samples, dtype=complex)
-        self.noise_power = np.asarray(self.noise_power, dtype=float)
+        _freeze(self, azimuth=np.asarray(self.azimuth, dtype=float),
+                elevation=np.asarray(self.elevation, dtype=float),
+                samples=np.asarray(self.samples, dtype=complex),
+                noise_power=np.asarray(self.noise_power, dtype=float))
         nd = len(self.azimuth)
         if self.samples.ndim != 2 or self.samples.shape[0] != nd:
             raise DomainError("samples must be (n_directions, n_freq)")
         if not np.all(np.isfinite(self.samples)):
             raise DomainError("scan samples must be finite")
-        self.freq_axis = _frequencies(self.freq_axis, self.samples.shape[1])
+        _freeze(self, freq_axis=_frequencies(self.freq_axis, self.samples.shape[1]))
         if self.elevation.shape != (nd,) or self.noise_power.shape != (nd,):
             raise DomainError("per-direction arrays must have equal length")
         if not np.all(_on_sphere(self.azimuth, self.elevation)):
@@ -126,7 +127,7 @@ class DirectionalScan:
         return len(self.azimuth)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelationMap:
     """Real spatial correlation on an interpolated lag grid (wavelengths)."""
 
@@ -137,6 +138,8 @@ class CorrelationMap:
     cut_y: np.ndarray            # values along lag_y at zero x-lag
 
     def __post_init__(self):
+        _freeze(self, **{f.name: np.asarray(getattr(self, f.name), dtype=float)
+                         for f in fields(self)})
         cx, cy = len(self.lag_x) // 2, len(self.lag_y) // 2
         if not abs(self.values[cx, cy] - 1.0) <= 1e-9:
             raise DomainError("correlation must equal 1 at zero lag")
@@ -214,27 +217,19 @@ def _center_crop(arr: np.ndarray, nx: int, ny: int) -> np.ndarray:
     return rolled[: 2 * nx - 1, : 2 * ny - 1]
 
 
-def _check_slice(field: np.ndarray) -> np.ndarray:
-    arr = np.asarray(field, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2 or arr.shape[1] < 2:
-        raise DomainError("field slice must be at least 2x2")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("field slice must be finite")
-    if np.all(arr == 0):
-        raise DomainError("all-zero slice; correlation normalization undefined")
-    return arr
-
-
 def autocorr2d(field: np.ndarray) -> np.ndarray:
-    """Window-compensated spatial autocorrelation of one real 2-D slice.
+    """Window-compensated spatial autocorrelation of one real 2-D slice, as
+    ``average_corr`` of its one-slice grid at interp_factor 1.
 
     Returns the correlation at integer lags -(n-1)..(n-1) per axis (zero
     lag centered), normalized to 1 at zero lag. Lags where the window
     correlation vanishes are dropped by the crop; the compensation makes a
     constant field correlate to exactly 1 everywhere.
     """
-    arr = _check_slice(field)
-    return _compensated(_windowed_corr(_unit_scaled(arr)), *arr.shape, 1)
+    arr = np.asarray(field, dtype=float)
+    if arr.ndim != 2:
+        raise DomainError("field slice must be a 2-D array")
+    return average_corr(SpatialGrid(arr[:, :, None, None]), 1).values
 
 
 def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
@@ -248,22 +243,6 @@ def _spectral_upsample(arr: np.ndarray, q: int) -> np.ndarray:
             spec[(slice(None),) * axis + (n // 2,)] *= 0.5
         arr = np.fft.irfft(spec / (n / (n * q)), n * q, axis=axis)
     return arr
-
-
-def _compensated(c_w: np.ndarray, nx: int, ny: int, q: int) -> np.ndarray:
-    """Windowed correlation `c_w` of an nx x ny window, refined q-fold,
-    divided by the all-ones window's (computed and refined identically),
-    centered, cropped, symmetrized and normalized to 1 at zero lag."""
-    s_w = _windowed_corr(np.ones((nx, ny)))
-    if q > 1:       # skipped at q = 1: an upsampling round trip is not bit-exact
-        c_w, s_w = _spectral_upsample(c_w, q), _spectral_upsample(s_w, q)
-    valid = s_w > 1e-9 * s_w[0, 0]
-    fine = np.zeros_like(c_w)
-    fine[valid] = c_w[valid] / s_w[valid]
-    fine = _center_crop(fine, (nx - 1) * q + 1, (ny - 1) * q + 1)
-    # numerical symmetrization (inputs are symmetric to rounding)
-    fine = 0.5 * (fine + fine[::-1, ::-1])
-    return fine / fine[(nx - 1) * q, (ny - 1) * q]
 
 
 def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
@@ -293,11 +272,20 @@ def average_corr(grid: SpatialGrid, interp_factor: int = 20) -> CorrelationMap:
     acc /= nz * nf
     if not acc[0, 0] > 0.0:     # a dead tone adds nothing; only a zero grid fails
         raise DomainError("all-zero grid; correlation normalization undefined")
-    fine = _compensated(acc, nx, ny, q)
+    s_w = _windowed_corr(np.ones((nx, ny)))
+    if q > 1:       # skipped at q = 1: an upsampling round trip is not bit-exact
+        acc, s_w = _spectral_upsample(acc, q), _spectral_upsample(s_w, q)
+    valid = s_w > 1e-9 * s_w[0, 0]
+    fine = np.zeros_like(acc)
+    fine[valid] = acc[valid] / s_w[valid]
     cx, cy = (nx - 1) * q, (ny - 1) * q
+    fine = _center_crop(fine, cx + 1, cy + 1)
+    # numerical symmetrization (inputs are symmetric to rounding)
+    fine = 0.5 * (fine + fine[::-1, ::-1])
+    fine = fine / fine[cx, cy]
     lag_x = np.arange(-cx, cx + 1) * (grid.spacing / q)
     lag_y = np.arange(-cy, cy + 1) * (grid.spacing / q)
-    return CorrelationMap(lag_x, lag_y, fine, fine[:, cy].copy(), fine[cx, :].copy())
+    return CorrelationMap(lag_x, lag_y, fine, fine[:, cy], fine[cx, :])
 
 
 # ---------------------------------------------------------------------------
@@ -329,15 +317,6 @@ def excess_distance(delay_axis: np.ndarray, los_delay: float) -> np.ndarray:
     return (np.asarray(delay_axis, dtype=float) - los_delay) * SPEED_OF_LIGHT
 
 
-def _uniform_spacing(freq_axis: np.ndarray) -> float:
-    df = np.diff(freq_axis)
-    if len(df) == 0:
-        raise DomainError("need at least two frequencies")
-    if np.any(np.abs(df - df[0]) > 1e-6 * abs(df[0])) or df[0] <= 0:
-        raise DomainError("frequency axis must be uniform and increasing")
-    return float(df[0])
-
-
 def tap_envelopes(grid: SpatialGrid, tap_index: int) -> EnvelopeSet:
     """Envelope of one delay tap at every spatial point, chequerboard split.
 
@@ -349,7 +328,9 @@ def tap_envelopes(grid: SpatialGrid, tap_index: int) -> EnvelopeSet:
     if nf < 2:
         raise DomainError("need at least two frequencies to form an impulse response")
     if grid.freq_axis is not None:
-        _uniform_spacing(grid.freq_axis)
+        df = np.diff(grid.freq_axis)
+        if np.any(np.abs(df - df[0]) > 1e-6 * abs(df[0])) or df[0] <= 0:
+            raise DomainError("frequency axis must be uniform and increasing")
     if not 0 <= tap_index < nf:
         raise DomainError(f"tap index {tap_index} outside 0..{nf - 1}")
     taps = np.fft.ifft(grid.h, axis=3)[:, :, :, tap_index]

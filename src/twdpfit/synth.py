@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fading import FadingParams, specular_amplitudes
+from .inference import _freeze
 from .measurement import SPEED_OF_LIGHT, SpatialGrid
 
 __all__ = [
@@ -34,9 +35,24 @@ __all__ = [
 # channel, noise and estimate buffers and the bits), counted as _DRAW_BYTES
 # each, so a draw takes at most 31.25 M samples, or 31.25 M symbols summed
 # over the BER points in flight; a larger one is refused before any array
-# is made.
+# is made. synth_field holds up to 96 bytes per lattice point (coordinates,
+# positions, jitter and one tone's phase terms) and 48 per (point, tone)
+# entry (the field and its diffuse Gaussian pairs), counted as _POINT_BYTES
+# and _ENTRY_BYTES: a larger scene is refused when it is built.
 MAX_DRAW_BYTES = 2 * 10 ** 9
 _DRAW_BYTES = 64
+_POINT_BYTES, _ENTRY_BYTES = 128, 64
+
+
+def _check_field_bytes(shape, n_freq: int) -> None:
+    """Refuse a lattice of `shape` points at n_freq tones whose synth_field
+    evaluation would hold more than MAX_DRAW_BYTES, counted in Python ints;
+    a dimension below 1 is left to the scene's own check."""
+    points = math.prod(map(int, shape)) if min(shape) >= 1 else 0
+    need = points * (_POINT_BYTES + n_freq * _ENTRY_BYTES)
+    if need > MAX_DRAW_BYTES:
+        raise DomainError(f"a {'x'.join(map(str, (*shape, n_freq)))} grid would take about "
+                          f"{need:.3g} bytes, more than {MAX_DRAW_BYTES:.3g}")
 
 
 def _rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
@@ -98,7 +114,7 @@ def sample_twdp(params: FadingParams, n: int,
     return ComplexSampleSet(samples, seed, params)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneWave:
     """One deterministic plane wave: amplitude, unit propagation direction,
     phase offset (rad) and an optional propagation delay (s) that rotates
@@ -118,9 +134,10 @@ class PlaneWave:
         d = np.asarray(self.direction, dtype=float)
         if d.shape != (3,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-12:
             raise DomainError("direction must be a 3-D unit vector (tol 1e-12)")
+        _freeze(self, direction=tuple(d.tolist()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlaneWaveScene:
     """Superposition scene evaluated on a spatial lattice.
 
@@ -131,10 +148,12 @@ class PlaneWaveScene:
     frequency. ``position_jitter`` perturbs each lattice coordinate by a
     uniform offset within +-jitter wavelengths (repeat-accuracy emulation,
     off by default). A scene whose extent in metres or whose largest phase
-    argument is not a finite double is refused before any arithmetic on it.
+    argument is not a finite double is refused before any arithmetic on it,
+    and so is one with no wave or whose evaluation would hold more than
+    ``MAX_DRAW_BYTES``.
     """
 
-    waves: list[PlaneWave]
+    waves: tuple[PlaneWave, ...]
     wavelength: float
     shape: tuple[int, int, int] = (9, 9, 9)
     spacing: float = 0.35
@@ -144,6 +163,8 @@ class PlaneWaveScene:
     seed: int = 0
 
     def __post_init__(self):
+        _freeze(self, waves=tuple(self.waves), freq_axis=None if self.freq_axis is None
+                else np.asarray(self.freq_axis, dtype=float))
         # each check is written so that NaN and inf fail it
         if not (0 < self.wavelength < np.inf and 0 < self.spacing < np.inf):
             raise DomainError("wavelength and spacing must be positive and finite")
@@ -151,6 +172,7 @@ class PlaneWaveScene:
             raise DomainError("diffuse_sigma2 and position_jitter must be finite and >= 0")
         if min(self.shape) < 1:
             raise DomainError("grid dimensions must be >= 1")
+        _check_field_bytes(self.shape, 1 if self.freq_axis is None else self.freq_axis.size)
         # in Python floats, which overflow to inf without a warning: the
         # extent bounds every coordinate, sqrt(3) extent every projection
         extent = ((float(self.spacing) * float(max(self.shape)) + 2.0 * float(self.position_jitter))
@@ -162,6 +184,8 @@ class PlaneWaveScene:
         phase = 2.0 * math.pi * f_max / SPEED_OF_LIGHT * math.sqrt(3.0) * extent + turn
         if not (math.isfinite(extent) and math.isfinite(phase)):
             raise DomainError("the lattice extent in metres or its largest phase is not finite")
+        if not self.waves:
+            raise DomainError("scene needs at least one wave")
 
 
 def synth_field(scene: PlaneWaveScene) -> SpatialGrid:
@@ -170,11 +194,8 @@ def synth_field(scene: PlaneWaveScene) -> SpatialGrid:
     H(p, f) = sum_w A_w exp(j (2 pi f / c) d_w . p + j phi_w - j 2 pi f tau_w)
     with p the point coordinates in metres, plus the optional diffuse field.
     """
-    if len(scene.waves) == 0:
-        raise DomainError("scene needs at least one wave")
     nx, ny, nz = scene.shape
-    freqs = (np.asarray(scene.freq_axis, dtype=float)
-             if scene.freq_axis is not None
+    freqs = (scene.freq_axis if scene.freq_axis is not None
              else np.array([SPEED_OF_LIGHT / scene.wavelength]))
     rng = _rng(scene.seed)
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -407,6 +408,22 @@ class TestSpatialAndSynth:
     def test_synth_grid_requires_wave(self, tmp_path, capsys):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv")]) == 3
         assert "scene needs at least one wave" in one_error_line(capsys)
+
+    @pytest.mark.parametrize("lattice", [
+        ["--shape", "100000,100000,100000"], ["--freqs", "6e10,1e6,10000000000000"]])
+    def test_synth_grid_beyond_the_draw_budget_exits_3(self, tmp_path, capsys, lattice):
+        # the lattice ended in a numpy memory error (exit 1), and the tone
+        # axis was built before any check
+        out = tmp_path / "g.csv"
+        tracemalloc.start()
+        try:
+            code = run(["synth", "grid", "-o", str(out), "--wave", "1:1,0,0", *lattice])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and peak < 2 ** 20
+        assert "bytes" in one_error_line(capsys)
+        assert not out.exists()
 
     def test_synth_grid_bad_shape_exits_2(self, tmp_path):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv"),

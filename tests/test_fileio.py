@@ -1,11 +1,13 @@
 """File formats: round trips, parse failures, schema validation, atomicity."""
 
 import copy
+import dataclasses
 import functools
 import json
 import os
 import re
 import stat
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from twdpfit import (
     synth_field,
     average_corr,
 )
-from twdpfit import fileio
+from twdpfit import cli, fileio
 from twdpfit.inference import MAX_GRID_CELLS, FitReport, GTestResult, ModelFit
 from twdpfit.linksim import BerCurve
 from twdpfit.measurement import SPEED_OF_LIGHT, CorrelationMap, SpatialGrid
@@ -163,9 +165,7 @@ class TestGrid:
             wavelength=0.005, shape=(3, 2, 2),
             freq_axis=SPEED_OF_LIGHT / 0.005 + 5e6 * np.arange(4),
             diffuse_sigma2=0.1, seed=6)
-        grid = synth_field(scene)
-        grid.direction = (160.0, 110.0)
-        return grid
+        return dataclasses.replace(synth_field(scene), direction=(160.0, 110.0))
 
     def test_round_trip_exact(self, tmp_path):
         grid = self.make_grid()
@@ -409,6 +409,21 @@ class TestReaderGuards:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=match):
             read(path)
+
+    @pytest.mark.parametrize("make, command", [
+        (small_grid_file, "spatial"), (small_scan_file, "scan")])
+    def test_header_line_without_rows(self, tmp_path, capsys, make, command):
+        # numpy warned "input contained no data", then the reader blamed the
+        # column count
+        path = make(tmp_path)
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, str(path), "-o", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: row count does not match the header shape"]
+        assert sorted(tmp_path.iterdir()) == sorted([path, path.with_suffix(".json")])
 
 
 def hand_report() -> FitReport:

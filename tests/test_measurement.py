@@ -6,6 +6,7 @@ closed form for a delayed plane wave whose per-tone phases cancel the
 finite-window cross term.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ import pytest
 from twdpfit import (
     DomainError,
     DirectionalScan,
+    EnvelopeSet,
     GridConfig,
     PlaneWave,
     PlaneWaveScene,
@@ -187,6 +189,10 @@ class TestAutocorr2d:
             autocorr2d(np.zeros((9, 9)))
         with pytest.raises(DomainError):
             autocorr2d(np.ones((1, 9)))
+        with pytest.raises(DomainError, match="finite"):
+            autocorr2d(np.full((3, 3), np.nan))
+        with pytest.raises(DomainError, match="2-D"):
+            autocorr2d(np.ones((3, 3, 1)))
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -700, 1e160, 1e-200])
@@ -205,6 +211,80 @@ def test_huge_or_tiny_fields_give_the_unscaled_map(scale):
     else:
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.max(np.abs(got_slice - want_slice)) <= 1e-12
+
+
+def frozen_containers():
+    """One valid instance of each container that checks its fields when built,
+    with the name of an array field to break."""
+    h = np.random.default_rng(14).normal(size=(3, 3, 1, 2, 2)) @ [1, 1j]
+    lags = np.arange(-2.0, 3.0)
+    cases = [
+        (SpatialGrid(h, 0.35, freq_axis=[6e10, 6.1e10], direction=(10.0, 90.0)), "h"),
+        (DirectionalScan([0.0, 90.0], [90.0, 90.0], h[0, :2, 0], [1e-6, 1e-6], [6e10, 6.1e10]),
+         "samples"),
+        (measurement.CorrelationMap(lags, lags, np.ones((5, 5)), np.ones(5), np.ones(5)),
+         "values"),
+        (EnvelopeSet(np.abs(h).ravel(), np.arange(18) % 2 == 0), "values"),
+        (PlaneWaveScene([PlaneWave(1.0, (1.0, 0.0, 0.0))], 0.005, (2, 2, 1),
+                        freq_axis=[6e10, 6.1e10]), "freq_axis"),
+    ]
+    return [pytest.param(c, name, id=type(c).__name__) for c, name in cases]
+
+
+@pytest.mark.parametrize("container, name", frozen_containers())
+def test_containers_keep_their_checks(container, name):
+    # each was a mutable dataclass, so a field could be replaced or written
+    # after its checks had run
+    broken = np.array(getattr(container, name))
+    broken.flat[0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(container, name, broken)
+    for field in dataclasses.fields(container):
+        value = getattr(container, field.name)
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value.flat[0] = 0.0
+    with pytest.raises(DomainError):
+        dataclasses.replace(container, **{name: broken})
+
+
+def test_containers_hold_views_of_the_caller_arrays():
+    h = np.ones((2, 2, 1, 1), complex)
+    grid = SpatialGrid(h)
+    assert np.shares_memory(grid.h, h) and h.flags.writeable
+    moved = dataclasses.replace(grid, spacing=0.5)
+    assert np.shares_memory(moved.h, h) and moved.spacing == 0.5
+
+
+def test_grid_samples_cannot_be_replaced_after_the_checks():
+    # a NaN h assigned to a checked grid reached average_corr, which reported
+    # it as "all-zero grid; correlation normalization undefined"
+    grid = SpatialGrid(np.ones((3, 3, 1, 1)), 0.35)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        grid.h = np.full((3, 3, 1, 1), np.nan + 0j)
+    assert np.array_equal(average_corr(grid, 1).values, np.ones((5, 5)))
+
+
+def test_envelope_values_cannot_be_replaced_after_the_checks():
+    # values rebound to an array with one NaN fit sample made fit_envelopes
+    # die with an IndexError in likelihood._interp_histogram
+    values = np.random.default_rng(15).rayleigh(size=2000)
+    env = EnvelopeSet(values, np.arange(2000) % 10 == 0)
+    bad = values.copy()
+    bad[0] = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        env.values = bad
+    with pytest.raises(DomainError, match="finite"):
+        fit_envelopes(dataclasses.replace(env, values=bad), GridConfig(k_max=20.0))
+
+
+def test_plane_wave_is_frozen():
+    wave = PlaneWave(1.0, np.array([0.0, 1.0, 0.0]))
+    assert wave.direction == (0.0, 1.0, 0.0)       # a tuple, not the caller's array
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        wave.amplitude = np.nan
+    with pytest.raises(DomainError, match="amplitude"):
+        dataclasses.replace(wave, amplitude=np.nan)
 
 
 def test_correlation_map_checks_fail_on_nan():
@@ -228,7 +308,7 @@ class TestAverageCorr:
         grid = SpatialGrid(grid_h, spacing=0.35,
                            freq_axis=np.array([SPEED_OF_LIGHT / 0.005]))
         cmap = average_corr(grid, interp_factor=1)
-        assert np.max(np.abs(cmap.values - autocorr2d(field))) < 1e-12
+        assert np.array_equal(cmap.values, autocorr2d(field))
 
     def test_single_wave_cosine_cut(self):
         scene = delayed_wave_scene([(1.0, 0.0, 0.0)], [1.0], shape=(9, 9, 1))
@@ -431,6 +511,7 @@ class TestTapEnvelopes:
         scene = delayed_wave_scene([(1.0, 0.0, 0.0)], [1.0], n_tones=8,
                                    shape=(4, 4, 4))
         grid = synth_field(scene)
-        grid.freq_axis = grid.freq_axis + np.array([0, 0, 0, 0, 0, 0, 0, 1e5])
+        grid = dataclasses.replace(
+            grid, freq_axis=grid.freq_axis + np.array([0, 0, 0, 0, 0, 0, 0, 1e5]))
         with pytest.raises(DomainError):
             tap_envelopes(grid, 0)

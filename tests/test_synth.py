@@ -142,6 +142,28 @@ class TestSynthField:
         with pytest.raises(DomainError):
             synth_field(PlaneWaveScene(waves=[], wavelength=0.005))
 
+    def test_scene_beyond_the_draw_budget_is_refused_when_built(self, monkeypatch):
+        # a (1e5)^3 lattice ran out of memory in synth_field; 128 bytes a
+        # lattice point and 64 a (point, tone) entry are counted before any
+        # array is made
+        wave = PlaneWave(1.0, (1.0, 0.0, 0.0))
+        tones = 6e10 + np.arange(50_000.0)
+        tracemalloc.start()
+        try:
+            for shape, freqs in (((10 ** 5,) * 3, None), ((9, 9, 9), tones)):
+                with pytest.raises(DomainError, match="bytes"):
+                    PlaneWaveScene([wave], 0.005, shape, freq_axis=freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        monkeypatch.setattr(synth, "MAX_DRAW_BYTES", 8 * (128 + 2 * 64))
+        grid = synth_field(PlaneWaveScene([wave], 0.005, (2, 2, 2), freq_axis=tones[:2]))
+        assert grid.shape == (2, 2, 2, 2)
+        for shape, n_freq in (((2, 2, 2), 3), ((3, 2, 2), 2)):
+            with pytest.raises(DomainError, match="bytes"):
+                PlaneWaveScene([wave], 0.005, shape, freq_axis=tones[:n_freq])
+
     def test_non_positive_frequency_rejected(self):
         scene = PlaneWaveScene(waves=[PlaneWave(1.0, (1.0, 0.0, 0.0))], wavelength=0.005,
                                shape=(2, 2, 1), freq_axis=np.array([6e10, 0.0]))
