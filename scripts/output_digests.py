@@ -31,7 +31,12 @@ reaches), one for the values of `rice_cdf`, `twdp_cdf` and `marcum_q1` on a fixe
 `chi2_quantile` at dof 1-2000 and p 0.95 and 0.99, one for the fit report's
 schema, one per `autocorr2d` map of a fixed seeded 9 x 11 field and of its
 copies scaled by 2^600 (the same map) and by 1e160, which no command
-reads, and one per sidecar reader: the arrays
+reads, one for the reports of six fixed 1e5-envelope TWDP sets (the
+benchmark's warm truths) at k_max 100, each decided twice in one process,
+so that the second pass reads the mixing tails the first cached, one for
+`ml_fit` on the default grid of a Rayleigh set whose argmax lies on the
+K = 0 row, where all 21 Delta columns tie exactly and resolve to
+Delta = 0, and one per sidecar reader: the arrays
 `read_grid` parses from a grid written with a direction and a frequency
 axis, and those `read_scan` parses from the scan. Two source trees wrote
 byte-identical outputs exactly when their lines are equal:
@@ -43,6 +48,7 @@ byte-identical outputs exactly when their lines are equal:
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -54,7 +60,8 @@ import numpy as np
 
 from twdpfit import cli, fileio, likelihood
 from twdpfit.fading import FadingParams, _i0e, marcum_q1, rice_cdf, twdp_cdf
-from twdpfit.inference import GridConfig, chi2_quantile, fit_envelopes, partition_stride
+from twdpfit.inference import (GridConfig, chi2_quantile, estimate_omega, fit_envelopes, ml_fit,
+                               partition_stride)
 from twdpfit.likelihood import get_table
 from twdpfit.measurement import DirectionalScan, SpatialGrid, autocorr2d
 from twdpfit.synth import sample_twdp
@@ -63,6 +70,7 @@ K30 = ["--k-max", "30"]
 CDF_KS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 CDF_DELTAS = (0.0, 0.5, 0.9, 1.0)
 CDF_R = np.linspace(0.0, 4.0, 81)
+WARM_TRUTHS = ((4.0, 0.9), (10.0, 0.5), (10.0, 0.9), (10.0, 1.0), (30.0, 0.5), (30.0, 0.9))
 
 
 def sha(data: bytes) -> str:
@@ -115,6 +123,24 @@ def extended_surface() -> bytes:
     x[77] = 3.9
     (table,) = likelihood._TABLE_CACHE.values()        # as the fit left it
     return parsed(table.loglik_surface(x))
+
+
+def warm_reports() -> bytes:
+    """The JSON of the reports of 1e5 seeded envelopes at each of
+    WARM_TRUTHS on the k_max 100 grid, the sets decided in turn twice."""
+    grid = GridConfig(k_max=100)
+    sets = [partition_stride(sample_twdp(FadingParams(k, d, 1.0), 100_000, 60 + i).envelopes, 10)
+            for i, (k, d) in enumerate(WARM_TRUTHS)]
+    reports = [dataclasses.asdict(fit_envelopes(s, grid)) for _ in range(2) for s in sets]
+    return json.dumps(reports).encode()
+
+
+def rayleigh_fit() -> bytes:
+    """The Rice and TWDP fits of 1e5 seeded Rayleigh envelopes on the
+    default grid, whose argmax lies on the K = 0 row."""
+    es = partition_stride(sample_twdp(FadingParams(0.0), 100_000, 0).envelopes, 10)
+    fits = ml_fit(es, estimate_omega(es), GridConfig())
+    return json.dumps([dataclasses.asdict(f) for f in fits]).encode()
 
 
 def write_inputs() -> None:
@@ -220,6 +246,8 @@ def main():
     field = np.random.default_rng(50).normal(size=(9, 11))
     for name, scale in (("", 1.0), (" x2^600", 2.0 ** 600), (" x1e160", 1e160)):
         lines.append(f"{sha(autocorr2d(field * scale).tobytes())}  autocorr2d{name}")
+    lines.append(f"{sha(warm_reports())}  fit_envelopes k_max 100, six sets twice")
+    lines.append(f"{sha(rayleigh_fit())}  ml_fit default grid, Rayleigh")
     grid, scan = fileio.read_grid("grid_dir.csv"), fileio.read_scan("scan.csv")
     grid_arrays = parsed(grid.h, grid.spacing, grid.freq_axis, grid.direction)
     big = fileio.read_grid("grid_big.csv")

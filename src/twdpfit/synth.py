@@ -10,6 +10,7 @@ avoids log(0)).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,8 +171,13 @@ class PlaneWaveScene:
             raise DomainError("wavelength and spacing must be positive and finite")
         if not (0 <= self.diffuse_sigma2 < np.inf and 0 <= self.position_jitter < np.inf):
             raise DomainError("diffuse_sigma2 and position_jitter must be finite and >= 0")
-        if min(self.shape) < 1:
-            raise DomainError("grid dimensions must be >= 1")
+        try:
+            shape = tuple(operator.index(n) for n in self.shape)
+        except TypeError:       # not iterable, or a dimension that is not an integer
+            shape = ()
+        if len(shape) != 3 or min(shape) < 1:
+            raise DomainError("grid dimensions must be three integers >= 1")
+        _freeze(self, shape=shape)
         _check_field_bytes(self.shape, 1 if self.freq_axis is None else self.freq_axis.size)
         # in Python floats, which overflow to inf without a warning: the
         # extent bounds every coordinate, sqrt(3) extent every projection

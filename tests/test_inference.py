@@ -4,6 +4,7 @@ the grids are kept small, apart from the default-grid table (~4 s to build)
 behind the high-K accuracy checks, so the module runs in well under a minute.
 """
 
+import dataclasses
 import json
 import logging
 import math
@@ -117,6 +118,37 @@ class TestPartitions:
         assert mask.sum() == 1  # empty moment class rejected downstream
         with pytest.raises(DomainError):
             estimate_omega(EnvelopeSet(np.ones(1), mask.reshape(-1)))
+
+
+class TestDerivedArrays:
+    def test_envelope_set_derives_its_fit_class_once(self):
+        values = np.random.default_rng(16).rayleigh(size=2000)
+        mask = np.arange(2000) % 7 == 3
+        es = EnvelopeSet(values, mask)
+        assert np.array_equal(es.fit_values, values[mask])
+        assert es.fit_values is es.fit_values
+        assert (es.n_fit, es.n_moment) == (int(mask.sum()), int((~mask).sum()))
+        with pytest.raises(ValueError, match="read-only"):
+            es.fit_values[0] = 0.0
+        # a replaced set derives them again from its own fields
+        moved = dataclasses.replace(es, fit_mask=~mask)
+        assert np.array_equal(moved.fit_values, values[~mask])
+        assert (moved.n_fit, moved.n_moment) == (es.n_moment, es.n_fit)
+        assert not moved.fit_values.flags.writeable
+
+    def test_grid_derives_its_values_once(self):
+        grid = GridConfig(k_min=1.0, k_max=3.0, k_step=0.5, delta_step=0.25)
+        assert np.array_equal(grid.k_values, [1.0, 1.5, 2.0, 2.5, 3.0])
+        assert np.array_equal(grid.delta_values, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert grid.k_values is grid.k_values
+        for values in (grid.k_values, grid.delta_values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.5
+        assert len(dataclasses.replace(grid, k_max=2.0).k_values) == 3
+        # the derived arrays are no fields: the report's grid block and the
+        # grid's equality keep the four steps and bounds alone
+        assert asdict(grid) == {"k_min": 1.0, "k_max": 3.0, "k_step": 0.5, "delta_step": 0.25}
+        assert grid == GridConfig(k_min=1.0, k_max=3.0, k_step=0.5, delta_step=0.25)
 
 
 class TestEstimateOmega:
@@ -506,7 +538,7 @@ class TestTableAccuracy:
         trimmed = 0
         for seed in range(12):
             x = make_set(rng.uniform(0.0, 30.0), rng.uniform(), int(rng.integers(200, 20000)),
-                         seed).fit_values
+                         seed).fit_values.copy()         # the set's fit class is read-only
             x *= rng.uniform(0.3, 1.2) / np.sqrt(np.mean(x ** 2))
             x[:seed % 3] = rng.uniform(4.05, 8.0, seed % 3)
             beyond = x > TableSpec.r_max
@@ -550,6 +582,88 @@ class TestTableAccuracy:
             w, const = table.sample_weights(x)
             want = table.log_rows @ w + const
             assert np.allclose(table.loglik_surface(x), want, rtol=0, atol=1e-9)
+
+
+def full_argmaxes(surface):
+    """The Rice argmax row and the TWDP argmax cell of a whole surface, and
+    their values: the first in row-major order, so smallest K, then Delta."""
+    i_rice = int(np.argmax(surface[:, 0]))
+    cell = divmod(int(np.argmax(surface)), surface.shape[1])
+    return i_rice, surface[i_rice, 0], cell, surface[cell]
+
+
+def peak_argmaxes(rows, values):
+    """``full_argmaxes`` read off the rows that ``loglik_peaks`` kept."""
+    r_rice = int(np.argmax(values[:, 0]))
+    r, j = divmod(int(np.argmax(values)), values.shape[1])
+    return int(rows[r_rice]), values[r_rice, 0], (int(rows[r]), j), values[r, j]
+
+
+class TestPeakRows:
+    """``ml_fit`` interpolates K only on the groups of fine rows whose
+    stencil bound can reach the best tabulated value; the argmaxes, their
+    values and their ties must be those of the whole surface."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(levels=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=153 * 3, max_size=153 * 3),
+           scale=st.sampled_from([1.0, 1e3, 1e6]),
+           const=st.floats(-1e7, 1e7))
+    def test_random_coarse_surfaces_with_ties_and_plateaus(self, levels, picks, scale, const):
+        # a few distinct levels over 3 Delta columns of the k_max 30 rows:
+        # plateaus, whole tied stencils and exact ties between cells
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values[:3])
+        coarse = scale * np.array([levels[i % len(levels)] for i in picks]).reshape(153, 3)
+        rows = table._peak_rows(coarse, const)
+        assert np.all(np.diff(rows) > 0)
+        full = table._stencil(coarse) + const
+        kept = table._stencil(coarse, rows) + const
+        assert np.array_equal(kept, full[rows])
+        got, want = peak_argmaxes(rows, kept), full_argmaxes(full)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1] == want[1] and got[3] == want[3]
+
+    @pytest.mark.parametrize("k_max", [30.0, 100.0, None])
+    def test_real_sets_keep_the_argmaxes_of_the_whole_surface(self, k_max):
+        grid = GridConfig() if k_max is None else GridConfig(k_max=k_max)
+        table = get_table(grid.k_values, grid.delta_values)
+        truths = [(0.0, 0.0), (4.0, 0.0), (10.0, 0.9), (25.0, 0.5)]
+        if k_max != 30.0:
+            truths += [(90.0, 1.0), (300.0, 0.3)]
+        evaluated = []
+        for seed, (k, d) in enumerate(truths):
+            es = make_set(k, d, 10 ** 5, 500 + seed)
+            x = es.fit_values / math.sqrt(estimate_omega(es))
+            rows, values = table.loglik_peaks(x)
+            surface = table.loglik_surface(x)
+            assert np.array_equal(values, surface[rows])
+            got, want = peak_argmaxes(rows, values), full_argmaxes(surface)
+            assert got[0] == want[0] and got[2] == want[2]
+            assert got[1] == want[1] and got[3] == want[3]
+            evaluated.append(len(rows))
+        # the pruning keeps a small share of the rows
+        assert np.median(evaluated) <= 0.2 * len(grid.k_values)
+
+    def test_rayleigh_ties_resolve_to_the_smallest_delta(self):
+        # on the K = 0 row every Delta column is the same Rayleigh density,
+        # so a Rayleigh set's TWDP argmax ties across all 21 columns
+        es = make_set(0.0, 0.0, 10 ** 5, 0)
+        x = es.fit_values / math.sqrt(estimate_omega(es))
+        table = get_table(SMALL_GRID.k_values, SMALL_GRID.delta_values)
+        surface = table.loglik_surface(x)
+        rice, twdp = ml_fit(es, estimate_omega(es), SMALL_GRID)
+        assert full_argmaxes(surface)[2] == (0, 0)
+        assert np.all(surface[0] == surface[0, 0])
+        assert (twdp.k_hat, twdp.delta_hat, twdp.loglik) == (0.0, 0.0, surface[0, 0])
+        assert (rice.k_hat, rice.loglik) == (0.0, surface[0, 0])
+
+    def test_ml_fit_logs_the_rows_it_interpolated(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="twdpfit.inference")
+        es = make_set(10.0, 0.9, 10 ** 5, 3)
+        ml_fit(es, estimate_omega(es), SMALL_GRID)
+        (line,) = [r.getMessage() for r in caplog.records if r.name == "twdpfit.inference"]
+        kept = int(line.split()[5])
+        assert line == f"ml fit: K interpolated on {kept} of 601 rows" and 4 <= kept < 601
 
 
 def fixed_step_rows(k_values):

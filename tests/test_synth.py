@@ -164,6 +164,20 @@ class TestSynthField:
             with pytest.raises(DomainError, match="bytes"):
                 PlaneWaveScene([wave], 0.005, shape, freq_axis=tones[:n_freq])
 
+    @pytest.mark.parametrize("shape", [(9, 9), (2.5, 2, 2), (2, 2, 2, 2), (0, 2, 2), 9])
+    def test_shape_must_be_three_integers(self, shape):
+        # (9, 9) passed every check and synth_field failed to unpack it;
+        # (2.5, 2, 2) died in np.arange with a TypeError
+        wave = PlaneWave(1.0, (1.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="three integers >= 1"):
+            PlaneWaveScene([wave], 0.005, shape)
+
+    def test_shape_is_frozen_as_ints(self):
+        scene = PlaneWaveScene([PlaneWave(1.0, (1.0, 0.0, 0.0))], 0.005,
+                               np.array([3, 2, 1]))
+        assert scene.shape == (3, 2, 1) and all(type(n) is int for n in scene.shape)
+        assert synth_field(scene).h.shape == (3, 2, 1, 1)
+
     def test_non_positive_frequency_rejected(self):
         scene = PlaneWaveScene(waves=[PlaneWave(1.0, (1.0, 0.0, 0.0))], wavelength=0.005,
                                shape=(2, 2, 1), freq_axis=np.array([6e10, 0.0]))
