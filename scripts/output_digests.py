@@ -33,7 +33,7 @@ schema, one per `autocorr2d` map of a fixed seeded 9 x 11 field and of its
 copies scaled by 2^600 (the same map) and by 1e160, which no command
 reads, one for the reports of six fixed 1e5-envelope TWDP sets (the
 benchmark's warm truths) at k_max 100, each decided twice in one process,
-so that the second pass reads the mixing tails the first cached, one for
+so that the second pass reads the arrays the first derived, one for
 `ml_fit` on the default grid of a Rayleigh set whose argmax lies on the
 K = 0 row, where all 21 Delta columns tie exactly and resolve to
 Delta = 0, and one per sidecar reader: the arrays

@@ -17,20 +17,16 @@ Loader 2000 for the Poisson pmf): a 2-dof noncentral chi-square CDF is a
 Poisson mixture of central ones, and each of those is a Poisson tail. So
 with y = r^2 / (2 sigma^2), F(r) = sum_m Pois(m; y) S_(m-1), where S is the
 CDF of the phase mixture of Poisson(K (1 + Delta cos alpha)). S is averaged
-once per (K, Delta) to 1e-13, and kept, read-only, for the last 32 cells
-used (at most 10.9 MB, for cells at K (1 + Delta) = 2e4): a g-test and the
-overlay of the same fit, or sets that share a cell, average it once. Then
-each envelope costs one pmf row of a few hundred terms, reached by ratio
-products from an anchor near its mode, instead of one scipy ``chndtr`` call
-(~430 ns) per phase node. Every term is positive, so both tails keep their
-relative digits. The rows go in fixed blocks, at most 2 MB of terms each,
-on the shared pool (``pool.executor``): numpy's own loops, never an
-OpenBLAS product, which would busy-wait on the pool's cores. Each block is
-summed on its own, so the values are the same bits on any number of
-threads. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's points, the phase
-nodes its mixing weights converged at, whether they came from the cache,
-milliseconds and threads. ``rice_cdf`` is this CDF at Delta = 0, where N is
-Poisson(K).
+once per (K, Delta) to 1e-13; then each envelope costs one pmf row of a few
+hundred terms, reached by ratio products from an anchor near its mode,
+instead of one scipy ``chndtr`` call (~430 ns) per phase node. Every term is
+positive, so both tails keep their relative digits. The rows go in fixed
+blocks, at most 2 MB of terms each, on the shared pool (``pool.executor``):
+numpy's own loops, never an OpenBLAS product, which would busy-wait on the
+pool's cores. Each block is summed on its own, so the values are the same
+bits on any number of threads. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's
+points, the phase nodes its mixing weights converged at, milliseconds and
+threads. ``rice_cdf`` is this CDF at Delta = 0, where N is Poisson(K).
 
 ``marcum_q1`` is the survival of the same mixture at Delta = 0, K = a^2 / 2,
 one mixture per distinct a, so its upper tail keeps its relative digits too
@@ -44,17 +40,15 @@ The Rician kernel's i0e is Cephes's two expansions by Horner's rule in numpy
 and the CDF needs no incomplete gamma function, so the package imports no
 scipy: numpy is its only dependency.
 
-All functions are pure and thread-safe (the tail cache takes a lock); array
-inputs broadcast in the usual numpy fashion. K is capped at
-``K_MAX_SUPPORTED`` = 1e4, above which the numerics of the distribution
-kernels are not guaranteed.
+All functions are pure and thread-safe; array inputs broadcast in the usual
+numpy fashion. K is capped at ``K_MAX_SUPPORTED`` = 1e4, above which the
+numerics of the distribution kernels are not guaranteed.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import threading
 import time
 from dataclasses import dataclass
 
@@ -208,7 +202,7 @@ def marcum_q1(a, b):
     values, group = np.unique(a_arr.ravel(), return_inverse=True)
     for i, value in enumerate(values):
         at = (group == i).reshape(q.shape)
-        below, above, *_ = _cdf_sums(b_arr[at], 0.5 * value * value, 0.0, 1.0)
+        below, above, _, _ = _cdf_sums(b_arr[at], 0.5 * value * value, 0.0, 1.0)
         q[at] = np.where(below <= 0.5, 1.0 - below, above)
     return float(q) if q.ndim == 0 else q
 
@@ -506,34 +500,7 @@ def _block_rows(width: int) -> int:
     return max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // width))
 
 
-# The mixing tails of the most recently used (K, Delta) cells, oldest first,
-# read-only: (2, J + 2) floats each, at most 340 KB at K (1 + Delta) = 2e4
-# (K_MAX_SUPPORTED, or marcum_q1's largest a), so at most 10.9 MB in all
-_TAILS_CELLS = 32
-_TAILS: dict[tuple[float, float], tuple[np.ndarray, int]] = {}
-_TAILS_LOCK = threading.Lock()
-
-
-def _mixing_tails(k: float, delta: float) -> tuple[np.ndarray, int, bool]:
-    """``_average_tails(k, delta)``, memoized for the last _TAILS_CELLS
-    cells, as a read-only array, and whether it came from the cache."""
-    key = (float(k), float(delta))
-    with _TAILS_LOCK:
-        hit = _TAILS.pop(key, None)
-        if hit is not None:
-            _TAILS[key] = hit
-            return (*hit, True)
-    tails, nodes = _average_tails(k, delta)
-    tails.flags.writeable = False
-    with _TAILS_LOCK:
-        _TAILS.pop(key, None)       # another thread may have averaged it meanwhile
-        while len(_TAILS) >= _TAILS_CELLS:
-            del _TAILS[next(iter(_TAILS))]
-        _TAILS[key] = tails, nodes
-    return tails, nodes, False
-
-
-def _average_tails(k: float, delta: float) -> tuple[np.ndarray, int]:
+def _mixing_tails(k: float, delta: float) -> tuple[np.ndarray, int]:
     """The phase-balance mixture N of Poisson(K (1 + Delta cos alpha)) as its
     two tails, rows P[N <= m - 1] and P[N >= m] for m = 0..J + 1, and the
     trapezoid nodes they converged at. J ends the support: P[N > J] <=
@@ -591,23 +558,21 @@ def _cdf_sums(r, k: float, delta: float, sigma2: float):
     M ~ Poisson(y) and N_alpha ~ Poisson(K (1 + Delta cos alpha)): the
     noncentral chi-square CDF is a Poisson mixture of central ones, each a
     Poisson tail. So the TWDP CDF is P[M > N] for the phase mixture N, whose
-    tails are averaged once per (K, Delta) to 1e-13 and kept for the last
-    cells (``_mixing_tails``). Each envelope then takes one pmf row of M
-    over N's support J. Returns the lower sum ``below``, sum_m Pois(m; y)
-    P[N <= m - 1] plus P[M >= J + 2] beyond the support
-    (``_beyond_support``), the upper sum ``above``, sum_m Pois(m; y)
-    P[N >= m] over the support, the trapezoid nodes and row blocks they
-    took, and whether the tails came from the cache. The CDF is ``below``
-    where that is at most 1/2 and 1 - ``above`` elsewhere; the survival is
-    the complement. Both add positive terms, so each tail keeps its
-    relative digits, down to the support's cut-off P[N > J] <=
-    e^-_SUPPORT_TAIL, which ``above`` leaves out. The rows go in fixed
-    blocks on the shared pool, each summed on its own over the same
-    columns, so a value depends on its envelope alone and is the same bits
-    on any number of threads."""
+    tails are averaged once per (K, Delta) to 1e-13 (``_mixing_tails``).
+    Each envelope then takes one pmf row of M over N's support J. Returns
+    the lower sum ``below``, sum_m Pois(m; y) P[N <= m - 1] plus P[M >= J + 2]
+    beyond the support (``_beyond_support``), the upper sum ``above``,
+    sum_m Pois(m; y) P[N >= m] over the support, and the trapezoid nodes and
+    row blocks they took. The CDF is ``below`` where that is at most 1/2 and
+    1 - ``above`` elsewhere; the survival is the complement. Both add
+    positive terms, so each tail keeps its relative digits, down to the
+    support's cut-off P[N > J] <= e^-_SUPPORT_TAIL, which ``above`` leaves
+    out. The rows go in fixed blocks on the shared pool, each summed on its
+    own over the same columns, so a value depends on its envelope alone and
+    is the same bits on any number of threads."""
     with np.errstate(over="ignore"):    # beyond 1e154 sigma the CDF is 1 all the same
         y = np.minimum(r ** 2 / (2.0 * sigma2), np.finfo(float).max)
-    tails, nodes, cached = _mixing_tails(k, delta)
+    tails, nodes = _mixing_tails(k, delta)
     top = tails.shape[1]                                                    # J + 2
     anchor, at_anchor = _anchors(y, top)
     step = _block_rows(top)
@@ -620,7 +585,7 @@ def _cdf_sums(r, k: float, delta: float, sigma2: float):
     starts = range(0, y.size, step)
     sums = (executor().map if len(starts) > 1 else map)(block_sums, starts)
     below, above = np.concatenate([np.zeros((0, 2)), *sums]).T
-    return below + _beyond_support(below, y, top), above, nodes, len(starts), cached
+    return below + _beyond_support(below, y, top), above, nodes, len(starts)
 
 
 def twdp_cdf(r, params: FadingParams):
@@ -632,11 +597,9 @@ def twdp_cdf(r, params: FadingParams):
     if params.k > K_MAX_SUPPORTED:      # params passed every other check when built
         raise DomainError(f"k={params.k} exceeds the supported cap {K_MAX_SUPPORTED:g}")
     start = time.perf_counter()
-    below, above, nodes, blocks, cached = _cdf_sums(arr.ravel(), params.k, params.delta,
-                                                    params.sigma2)
+    below, above, nodes, blocks = _cdf_sums(arr.ravel(), params.k, params.delta, params.sigma2)
     out = np.where(below <= 0.5, below, 1.0 - above)
-    log.debug("twdp cdf: %d points x %d nodes, mixing tails %s, %.1f ms on %d threads",
-              below.size, nodes, "cached" if cached else "averaged",
+    log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", below.size, nodes,
               1e3 * (time.perf_counter() - start), max(1, min(threads(), blocks)))
     return _shaped_like(r, np.clip(out, 0.0, 1.0))
 

@@ -72,8 +72,9 @@ class EnvelopeSet:
     ``fit_mask`` is True for samples used in shape fitting and hypothesis
     testing, False for the complementary moment-estimation set. The fit
     class ``fit_values`` (read-only) and the class sizes ``n_fit`` and
-    ``n_moment`` are derived once, when the set is built: 0.8 bytes per
-    sample at stride 10, held as long as the set.
+    ``n_moment`` are derived once, when the set is built, and held as long
+    as the set: 8 bytes per fit-class sample, so 0.8 bytes per sample at
+    stride 10 and 4 for a chequerboard half (``measurement``).
     """
 
     values: np.ndarray
@@ -107,7 +108,8 @@ class GridConfig:
     """Search grid for the (K, Delta) maximum-likelihood fit (linear K), of
     at most ``MAX_GRID_CELLS`` cells and a density table of at most
     ``likelihood.MAX_TABLE_BYTES``. Its ``k_values`` and ``delta_values``
-    (read-only) are derived once, when it is built."""
+    (read-only) are derived once, when it is built: 8 bytes a value, 160 KB
+    on the default grid and at most 40 MB at the cell cap."""
 
     k_min: float = 0.0
     k_max: float = 1000.0

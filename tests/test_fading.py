@@ -8,8 +8,6 @@ by the code paths under test.
 import logging
 import math
 import re
-import sys
-import threading
 import tracemalloc
 
 import mpmath
@@ -439,10 +437,8 @@ class TestTwdpCdf:
                 assert abs(got_scalar - float(want.ravel()[i])) <= 1e-13
 
     def test_unconverged_quadrature_raises(self, monkeypatch):
-        # a tolerance no sum can meet drives the doubling to its node cap;
-        # an empty cache holds no tails that an earlier test averaged
+        # a tolerance no sum can meet drives the doubling to its node cap
         monkeypatch.setattr(fading, "_CDF_TOL", -1.0)
-        monkeypatch.setattr(fading, "_TAILS", {})
         with pytest.raises(NumericalError, match="32768 nodes"):
             twdp_cdf(1.0, FadingParams(10.0, 0.9, 1.0))
 
@@ -463,77 +459,16 @@ class TestTwdpCdf:
         assert np.array_equal(twdp_cdf(r, p), many)
         assert twdp_cdf(r[400], p) == one
 
-    def test_each_cdf_is_logged_at_debug(self, caplog, pool_threads, monkeypatch):
+    def test_each_cdf_is_logged_at_debug(self, caplog, pool_threads):
         # "nodes" counts the phase nodes of the mixing weights; 999 points
-        # at K = 10 are two blocks of pmf rows. The second CDF of the cell
-        # reads the tails the first averaged
+        # at K = 10 are two blocks of pmf rows
         pool_threads(2)
-        monkeypatch.setattr(fading, "_TAILS", {})
         caplog.set_level(logging.DEBUG, logger="twdpfit.fading")
         twdp_cdf(np.linspace(0.0, 3.0, 999), FadingParams(10.0, 0.9, 1.0))
         twdp_cdf(1.0, FadingParams(10.0, 0.9, 1.0))
         many, one = [r.getMessage() for r in caplog.records if r.name == "twdpfit.fading"]
-        assert re.fullmatch(r"twdp cdf: 999 points x (\d+) nodes, mixing tails averaged, "
-                            r"[\d.]+ ms on 2 threads", many)
-        assert re.fullmatch(r"twdp cdf: 1 points x (\d+) nodes, mixing tails cached, "
-                            r"[\d.]+ ms on 1 threads", one)
-        assert many.split()[5] == one.split()[5]
-
-    def test_cached_mixing_tails_are_read_only_and_bit_identical(self, monkeypatch):
-        monkeypatch.setattr(fading, "_TAILS", {})
-        fresh, nodes = fading._average_tails(30.0, 0.9)
-        first = fading._mixing_tails(30.0, 0.9)
-        again = fading._mixing_tails(30.0, 0.9)
-        assert first[1:] == (nodes, False) and again[1:] == (nodes, True)
-        assert again[0] is first[0] and np.array_equal(again[0], fresh)
-        with pytest.raises(ValueError, match="read-only"):
-            again[0][0, 0] = 1.0
-        # the same CDF bits from an averaged and from a cached cell
-        r = np.linspace(0.0, 3.0, 200)
-        monkeypatch.setattr(fading, "_TAILS", {})
-        averaged = twdp_cdf(r, FadingParams(30.0, 0.9, 1.0))
-        assert np.array_equal(twdp_cdf(r, FadingParams(30.0, 0.9, 1.0)), averaged)
-
-    def test_mixing_tail_cache_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(fading, "_TAILS", {})
-        cells = [(float(k), 0.5) for k in range(fading._TAILS_CELLS + 8)]
-        for k, d in cells:
-            fading._mixing_tails(k, d)
-            assert len(fading._TAILS) <= fading._TAILS_CELLS
-        # the oldest cells went first, and a hit makes a cell the newest
-        assert list(fading._TAILS) == cells[8:]
-        fading._mixing_tails(*cells[8])
-        fading._mixing_tails(99.5, 0.5)
-        assert cells[8] in fading._TAILS and cells[9] not in fading._TAILS
-
-    def test_mixing_tail_cache_under_threads(self, monkeypatch):
-        # more threads than cores, switching often, over more cells than
-        # the cache holds: every result has its cell's bits, and the cache
-        # never passes its bound
-        monkeypatch.setattr(fading, "_TAILS", {})
-        cells = [(float(k), d) for k in range(0, 60, 3) for d in (0.0, 0.7)]
-        want = {cell: fading._average_tails(*cell)[0] for cell in cells}
-        wrong, sizes = [], []
-
-        def work(seed):
-            for i in np.random.default_rng(seed).integers(0, len(cells), 150):
-                tails = fading._mixing_tails(*cells[i])[0]
-                if not np.array_equal(tails, want[cells[i]]):
-                    wrong.append(cells[i])
-                sizes.append(len(fading._TAILS))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            workers = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert not wrong and len(sizes) == 900 and max(sizes) <= fading._TAILS_CELLS
+        assert re.fullmatch(r"twdp cdf: 999 points x \d+ nodes, [\d.]+ ms on 2 threads", many)
+        assert re.fullmatch(r"twdp cdf: 1 points x \d+ nodes, [\d.]+ ms on 1 threads", one)
 
     def test_far_upper_tail_is_one(self):
         # far beyond N's support the row anchors sit at its end, far below
