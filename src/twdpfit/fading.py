@@ -21,7 +21,7 @@ once per (K, Delta) to 1e-13; then each envelope costs one pmf row of a few
 hundred terms, reached by ratio products from an anchor near its mode,
 instead of one scipy ``chndtr`` call (~430 ns) per phase node. Every term is
 positive, so both tails keep their relative digits. The rows go in fixed
-blocks, at most 2 MB of terms each, on the shared pool (``pool.executor``):
+blocks, at most 2 MB of terms each, through ``pool.map_blocks``:
 numpy's own loops, never an OpenBLAS product, which would busy-wait on the
 pool's cores. Each block is summed on its own, so the values are the same
 bits on any number of threads. ``TWDPFIT_LOG=debug`` logs each TWDP CDF's
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .pool import executor, threads
+from .pool import map_blocks, threads
 
 __all__ = [
     "FadingParams",
@@ -583,8 +583,7 @@ def _cdf_sums(r, k: float, delta: float, sigma2: float):
         return np.einsum("ij,kj->ik", rows, tails)
 
     starts = range(0, y.size, step)
-    sums = (executor().map if len(starts) > 1 else map)(block_sums, starts)
-    below, above = np.concatenate([np.zeros((0, 2)), *sums]).T
+    below, above = np.concatenate([np.zeros((0, 2)), *map_blocks(block_sums, starts)]).T
     return below + _beyond_support(below, y, top), above, nodes, len(starts)
 
 
@@ -600,7 +599,7 @@ def twdp_cdf(r, params: FadingParams):
     below, above, nodes, blocks = _cdf_sums(arr.ravel(), params.k, params.delta, params.sigma2)
     out = np.where(below <= 0.5, below, 1.0 - above)
     log.debug("twdp cdf: %d points x %d nodes, %.1f ms on %d threads", below.size, nodes,
-              1e3 * (time.perf_counter() - start), max(1, min(threads(), blocks)))
+              1e3 * (time.perf_counter() - start), max(1, min(threads() + 1, blocks)))
     return _shaped_like(r, np.clip(out, 0.0, 1.0))
 
 

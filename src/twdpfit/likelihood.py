@@ -37,9 +37,9 @@ product against a per-dataset weight vector:
   above, the pieces are the bands of blocks of 64 amplitudes, assembled
   into the row's kernel matrix. Every entry has the bits of the row's own
   evaluation. Rows are independent and the kernel's passes release the
-  GIL, so tasks of rows filling about one chunk, largest first, run on
-  twdpfit's shared thread pool (``pool.executor``, one thread per usable
-  CPU), as the BER Monte Carlo maps its SNR points. One greedy packer
+  GIL, so tasks of rows filling about one chunk, largest first, run
+  through ``pool.map_blocks``: the calling thread builds the largest, the
+  shared pool (one thread per usable CPU) the rest. One greedy packer
   (``_pack``) groups the rows into tasks and the pieces into chunks. A
   task evaluates all its chunks in two chunk vectors of its own (1.5 MB)
   and folds each row straight into ``log_rows``; only each chunk's masks
@@ -80,8 +80,8 @@ product against a per-dataset weight vector:
 * For a dataset, sum_n L(x_n) of the cubic-convolution interpolant of the
   tabulated L equals a weighted histogram of the samples dotted with the
   table row, so the whole grid evaluates as one GEMV. That GEMV is numpy's
-  own einsum loop too, over row blocks of the table on the shared pool
-  (``pool.map_row_blocks``): each surface row is the same dot product on any
+  own einsum loop too, over one row block of the table per pool thread
+  (``pool.map_blocks``): each surface row is the same dot product on any
   number of threads, within 1e-12 relative of OpenBLAS's. It runs only over
   the columns up to the data's last nonzero weight, rounded up to a multiple
   of 32 (typical 1e5-envelope sets reach nodes 206-304 of 514), and gives
@@ -118,7 +118,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fading import _rice_kernel, _trapezoid_nodes
-from .pool import executor, map_row_blocks, threads
+from .pool import map_blocks, threads
 
 __all__ = ["TableSpec", "PdfTable", "MAX_TABLE_BYTES", "table_bytes", "table_reach",
            "get_table", "clear_table_cache"]
@@ -378,8 +378,8 @@ class PdfTable:
         lowest = {}
         for n, low in zip((na + 2).tolist(), lows.tolist()):
             lowest[n] = min(lowest.get(n, low), low)
-        self.folds = dict(zip(lowest, executor().map(self._fold_weights, lowest,
-                                                     lowest.values())))
+        folds = map_blocks(lambda n: self._fold_weights(n, lowest[n]), [*lowest])
+        self.folds = dict(zip(lowest, folds))
         self._build(nr if columns is None else columns)
 
     # -- construction ------------------------------------------------------
@@ -419,7 +419,7 @@ class PdfTable:
             return chunks
 
         # the kernel's numpy passes release the GIL, so tasks build in parallel
-        self.chunks += sum(executor().map(build, tasks))
+        self.chunks += sum(map_blocks(build, tasks))
         self.columns = c1
         return True
 
@@ -542,8 +542,9 @@ class PdfTable:
         reach = np.flatnonzero(w)
         cols = min(nr, -(-(reach[-1] + 1) // 32) * 32) if reach.size else 0
         self.cover(cols)
-        coarse = map_row_blocks(lambda rows: np.einsum("ij,j->i", rows, w[:cols]),
-                                self.log_rows.reshape(nc * nd, nr)[:, :cols]).reshape(nc, nd)
+        rows = np.array_split(self.log_rows.reshape(nc * nd, nr)[:, :cols], min(threads(), nc * nd))
+        coarse = np.concatenate(map_blocks(lambda block: np.einsum("ij,j->i", block, w[:cols]),
+                                           rows)).reshape(nc, nd)
         # blocks of spikes bound the kernel matrix of a row
         for i in range(0, len(x_out), _SPIKE_BLOCK):
             coarse += self._spike_sums(x_out[i:i + _SPIKE_BLOCK])

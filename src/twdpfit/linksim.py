@@ -105,6 +105,8 @@ def simulate_ber(params: FadingParams, snr_db, n_symbols: int, seed: int) -> Ber
                           f"{n_symbols * workers * _DRAW_BYTES:.3g} bytes, "
                           f"more than {MAX_DRAW_BYTES:.3g}")
     start = time.perf_counter()
+    # not pool.map_blocks: the bound above counts min(threads(), points)
+    # points in flight, and map_blocks runs one more on this thread
     ber = np.fromiter(executor().map(lambda i: _ber_point(params, snr_db[i], n_symbols, seed, i),
                                      range(len(snr_db))), float, len(snr_db))
     log.info("BER curve simulated: %d SNR points x %d symbols, %.2f s on %d threads",

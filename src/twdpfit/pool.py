@@ -1,12 +1,10 @@
 """The one thread pool of twdpfit's numeric stages.
 
-Independent tasks whose numpy kernels release the GIL (density
-table rows and their fold weights, BER SNR points, blocks of the TWDP
-CDF's pmf rows and row blocks of the likelihood GEMV) run on one process-wide
-``ThreadPoolExecutor`` with one thread per usable CPU. It is made on first
-use, so a command that never needs it starts no thread, and a forked child
-makes its own: the parent's threads do not exist there. A task must not
-itself wait on the pool.
+``map_blocks`` maps independent blocks whose numpy kernels release the GIL
+(table rows and fold weights, the TWDP CDF's pmf rows, the likelihood GEMV):
+the calling thread runs the first while one process-wide ``ThreadPoolExecutor``,
+one thread per usable CPU, made on first use, runs the rest. A forked child
+makes its own pool. A block must not itself wait on the pool.
 
 The GEMV, the CDF's row sums and the table's fold are numpy's own loops on
 these threads, not OpenBLAS products: OpenBLAS's worker threads busy-wait
@@ -19,9 +17,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
-__all__ = ["worker_count", "executor", "threads", "map_row_blocks"]
+__all__ = ["worker_count", "executor", "threads", "map_blocks"]
 
 _lock = threading.Lock()
 _shared: tuple[ThreadPoolExecutor, int] | None = None    # the pool and its threads
@@ -62,12 +58,13 @@ def _forget_in_child() -> None:
 os.register_at_fork(after_in_child=_forget_in_child)
 
 
-def map_row_blocks(func, rows: np.ndarray) -> np.ndarray:
-    """``func`` applied to min(threads(), len(rows)) consecutive row blocks of
-    ``rows`` on the pool, the results stacked in order along axis 0; a single
-    block runs on the calling thread. Equal to ``func(rows)`` wherever
-    ``func`` maps each row on its own."""
-    n = min(threads(), len(rows))
-    if n <= 1:
-        return func(rows)
-    return np.concatenate(list(executor().map(func, np.array_split(rows, n))))
+def map_blocks(func, blocks) -> list:
+    """``[func(b) for b in blocks]``: the pool runs blocks[1:] while the
+    calling thread runs blocks[0]. An exception from any block reaches the
+    caller, and the blocks still queued are cancelled."""
+    futures = [executor().submit(func, block) for block in blocks[1:]]
+    try:
+        return [func(block) for block in blocks[:1]] + [future.result() for future in futures]
+    finally:
+        for future in futures:
+            future.cancel()
