@@ -209,19 +209,18 @@ def _cmd_synth(args) -> int:
         nx, ny, nz = map(int, args.shape.split(","))
     except ValueError:
         raise ParseError("--shape must be nx,ny,nz")
-    shape = (nx, ny, nz)
-    freq_axis = None
+    shape, n = (nx, ny, nz), 1
     if args.freqs:
         try:
             f0, df, n = args.freqs.split(",")
             f0, df, n = float(f0), float(df), int(n)
         except ValueError:
             raise ParseError("--freqs must be f0,df,count")
-        _check_field_bytes(shape, n)        # the scene's rule, before the axis is made
-        freq_axis = f0 + df * np.arange(n)
+    _check_field_bytes(shape, n, written=True)      # before any array is made
     scene = PlaneWaveScene(
         waves=waves, wavelength=args.wavelength, shape=shape, spacing=args.spacing,
-        freq_axis=freq_axis, diffuse_sigma2=args.diffuse_sigma2,
+        freq_axis=f0 + df * np.arange(n) if args.freqs else None,
+        diffuse_sigma2=args.diffuse_sigma2,
         position_jitter=args.jitter, seed=args.seed)
     grid = synth_field(scene)
     fileio.write_grid(args.output, grid)

@@ -219,18 +219,20 @@ def estimate_omega(envelope_set: EnvelopeSet) -> float:
     (its squares or their sum overflow or underflow), it is taken again on
     the values scaled by an exact power of two, so only the mean itself
     must lie in the double range."""
-    mom = envelope_set.moment_values
-    if len(mom) == 0:
+    squares = envelope_set.moment_values        # a copy of the class, squared in place
+    if len(squares) == 0:
         raise DomainError("moment class is empty")
     normal = np.finfo(float)
     with np.errstate(over="ignore", under="ignore"):
-        omega = float(np.mean(mom ** 2))
-        if not normal.tiny <= omega <= normal.max and mom.any():
+        omega = float(np.mean(np.square(squares, out=squares)))
+        if not normal.tiny <= omega <= normal.max:
+            mom = envelope_set.moment_values
+            if not mom.any():
+                raise DomainError("moment set has zero mean power")
             exponent = math.frexp(float(mom.max()))[1]
-            omega = float(np.ldexp(np.mean(np.ldexp(mom, -exponent) ** 2), 2 * exponent))
+            omega = float(np.ldexp(np.mean(np.square(np.ldexp(mom, -exponent, out=mom), out=mom)),
+                                   2 * exponent))
     if not normal.tiny <= omega <= normal.max:
-        if not mom.any():
-            raise DomainError("moment set has zero mean power")
         raise DomainError(f"moment set mean power {omega:g} lies outside the normal double "
                           f"range [{normal.tiny:g}, {normal.max:g}]; rescale the envelopes")
     return omega
@@ -414,6 +416,24 @@ def _check_test_options(alpha: float, per_cell: int) -> None:
         raise DomainError("per_cell must be >= 1")
 
 
+def _cell_cuts(x: np.ndarray, per_cell: int) -> np.ndarray:
+    """The g-test's cuts of the sorted values x: each equal-count cut moved up
+    to the first change of value at or after it (n if none), dropped above
+    n - per_cell or fewer than per_cell after the last kept cut. Only ties
+    bring two cuts that close, so tie-free data skip the walk."""
+    n = len(x)
+    rises = np.append(np.flatnonzero(np.diff(x) > 0.0) + 1, n)
+    cuts = rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))]
+    cuts = cuts[cuts <= n - per_cell]
+    if np.all(np.diff(cuts, prepend=0) >= per_cell):
+        return cuts
+    kept = [0]
+    for cut in cuts.tolist():
+        if cut - kept[-1] >= per_cell:
+            kept.append(cut)
+    return np.array(kept[1:], dtype=np.int64)
+
+
 def g_test(
     envelope_set: EnvelopeSet,
     model_fit: ModelFit,
@@ -445,13 +465,7 @@ def g_test(
         raise DomainError("omega_hat must be positive")
 
     x = np.sort(fit) / math.sqrt(omega_hat)
-    # the first change of value at or after each equal-count cut (n if none)
-    rises = np.append(np.flatnonzero(np.diff(x) > 0.0) + 1, n)
-    kept = [0]
-    for cut in rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))].tolist():
-        if cut - kept[-1] >= per_cell and cut <= n - per_cell:
-            kept.append(cut)
-    cuts = np.array(kept[1:], dtype=np.int64)
+    cuts = _cell_cuts(x, per_cell)
     m = len(cuts) + 1
     if m < e + 2:
         raise DomainError(f"{m} g-test cells between distinct values; need {e + 2}")

@@ -39,18 +39,26 @@ __all__ = [
 # is made. synth_field holds up to 96 bytes per lattice point (coordinates,
 # positions, jitter and one tone's phase terms) and 48 per (point, tone)
 # entry (the field and its diffuse Gaussian pairs), counted as _POINT_BYTES
-# and _ENTRY_BYTES: a larger scene is refused when it is built.
+# and _ENTRY_BYTES: a larger scene is refused when it is built. Writing the
+# field (``fileio.write_grid``) holds, besides its 16 bytes an entry, the
+# np.indices columns (32) and the CSV text twice, as blocks and then joined:
+# 132-135 bytes an entry at tracemalloc's peak on grids of 5e4-2e5 entries,
+# whose rows run to about 50 characters. `synth grid` counts _WRITTEN_BYTES
+# an entry in all, 16 + 32 + 2 * 72, enough for rows of 72 characters.
 MAX_DRAW_BYTES = 2 * 10 ** 9
 _DRAW_BYTES = 64
-_POINT_BYTES, _ENTRY_BYTES = 128, 64
+_POINT_BYTES, _ENTRY_BYTES, _WRITTEN_BYTES = 128, 64, 192
 
 
-def _check_field_bytes(shape, n_freq: int) -> None:
+def _check_field_bytes(shape, n_freq: int, written: bool = False) -> None:
     """Refuse a lattice of `shape` points at n_freq tones whose synth_field
-    evaluation would hold more than MAX_DRAW_BYTES, counted in Python ints;
-    a dimension below 1 is left to the scene's own check."""
+    evaluation, or if `written` its write, would hold more than
+    MAX_DRAW_BYTES, counted in Python ints; a dimension below 1 is left to
+    the scene's own check."""
     points = math.prod(map(int, shape)) if min(shape) >= 1 else 0
     need = points * (_POINT_BYTES + n_freq * _ENTRY_BYTES)
+    if written:
+        need = max(need, points * n_freq * _WRITTEN_BYTES)
     if need > MAX_DRAW_BYTES:
         raise DomainError(f"a {'x'.join(map(str, (*shape, n_freq)))} grid would take about "
                           f"{need:.3g} bytes, more than {MAX_DRAW_BYTES:.3g}")

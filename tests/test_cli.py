@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twdpfit import DirectionalScan, FadingParams, NumericalError, sample_twdp
-from twdpfit import cli, fileio, likelihood, linksim
+from twdpfit import cli, fileio, likelihood, linksim, synth
 from twdpfit.cli import main
 from twdpfit.errors import DomainError, EstimationError, ParseError, TwdpfitError
 from twdpfit.inference import FitReport, GTestResult, ModelFit
@@ -424,6 +424,30 @@ class TestSpatialAndSynth:
         assert code == 3 and peak < 2 ** 20
         assert "bytes" in one_error_line(capsys)
         assert not out.exists()
+
+    def test_synth_grid_whose_write_passes_the_draw_budget_exits_3(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # 2x2x2 points x 4 tones: the evaluation holds 8 * (128 + 4 * 64) =
+        # 3072 bytes and the write 8 * 4 * 192 = 6144; a library scene keeps
+        # the evaluation's bound
+        args = ["synth", "grid", "--wave", "1:1,0,0", "--shape", "2,2,2", "--freqs", "6e10,1e6,4"]
+        monkeypatch.setattr(synth, "MAX_DRAW_BYTES", 6143)
+        synth.PlaneWaveScene([synth.PlaneWave(1.0, (1.0, 0.0, 0.0))], 0.005, (2, 2, 2),
+                             freq_axis=6e10 + 1e6 * np.arange(4))
+        out = tmp_path / "g.csv"
+        assert run([*args, "-o", str(out)]) == 3
+        assert "6.14e+03 bytes, more than 6.14e+03" in one_error_line(capsys)
+        assert not out.exists() and not out.with_suffix(".json").exists()
+        monkeypatch.setattr(synth, "MAX_DRAW_BYTES", 6144)
+        assert run([*args, "-o", str(out)]) == 0
+        assert fileio.read_grid(out).shape == (2, 2, 2, 4)
+
+    def test_synth_grid_of_the_benchmark_size_writes(self, tmp_path):
+        # 9x9x9 points x 64 tones, 46656 entries
+        out = tmp_path / "g.csv"
+        assert run(["synth", "grid", "-o", str(out), "--wave", "1:1,0,0", "--wave", "0.5:0,1,0",
+                    "--freqs", "6e10,1e6,64"]) == 0
+        assert fileio.read_grid(out).shape == (9, 9, 9, 64)
 
     def test_synth_grid_bad_shape_exits_2(self, tmp_path):
         assert run(["synth", "grid", "-o", str(tmp_path / "g.csv"),

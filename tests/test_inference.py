@@ -194,6 +194,15 @@ class TestEstimateOmega:
                 omega = estimate_omega(EnvelopeSet(values, np.zeros(1000, bool)))
             assert omega == np.mean((values * 2.0 ** -power) ** 2) * 2.0 ** (2 * power)
 
+    def test_the_class_is_squared_in_a_copy(self):
+        # also where the sum overflows and the class is rescaled
+        env = sample_twdp(FadingParams(10.0, 0.9, 1.0), 10 ** 4, 2).envelopes
+        for values, want in ((env, None), (np.full(1000, 2.0 ** 511), 2.0 ** 1022)):
+            es = partition_stride(values, 10)
+            mom = values[~es.fit_mask]
+            assert estimate_omega(es) == (np.mean(mom ** 2) if want is None else want)
+            assert np.array_equal(es.values, values) and np.array_equal(es.moment_values, mom)
+
     @pytest.mark.parametrize("power", [300, -300])
     def test_dyadic_scale_moves_only_omega(self, power):
         env = sample_twdp(FadingParams(10.0, 0.9, 1.0), 10 ** 5, 1).envelopes
@@ -1285,6 +1294,34 @@ class TestGTest:
         cuts = np.array([18, 30, 40, 50, 60, 70, 80, 90])
         assert np.array_equal(edges[0], 0.5 * (x[cuts - 1] + x[cuts]))
         assert (res.n_cells, res.dof) == (9, 7)
+
+    @staticmethod
+    def walked_cuts(x, per_cell):
+        # the cut rule as a walk over every equal-count cut
+        n = len(x)
+        rises = np.append(np.flatnonzero(np.diff(x) > 0.0) + 1, n)
+        kept = [0]
+        for cut in rises[np.searchsorted(rises, per_cell * np.arange(1, n // per_cell))].tolist():
+            if cut - kept[-1] >= per_cell and cut <= n - per_cell:
+                kept.append(cut)
+        return kept[1:]
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["tie-free", "quantized", "tied"]), n=st.integers(1, 600),
+           per_cell=st.sampled_from([1, 2, 3, 7, 10, 25]), levels=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_cuts_equal_the_walk(self, kind, n, per_cell, levels, seed):
+        # tie-free data take the vectorized cuts, tied data the walk
+        x = np.random.default_rng(seed).random(n)
+        if kind == "quantized":
+            x = np.round(x * levels) / levels
+        elif kind == "tied":
+            x = np.floor(x * min(levels, 5))
+        x = np.sort(x)
+        cuts = inference._cell_cuts(x, per_cell)
+        assert cuts.dtype == np.int64 and cuts.tolist() == self.walked_cuts(x, per_cell)
+        if kind == "tie-free":
+            assert cuts.tolist() == list(range(per_cell, n - per_cell + 1, per_cell))
 
     def test_three_distinct_values_leave_too_few_cells(self):
         # 40 fit samples at each of 0.5, 1 and 1.5: three cells at most

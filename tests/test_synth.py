@@ -15,7 +15,7 @@ from twdpfit import (
     sample_twdp,
     synth_field,
 )
-from twdpfit import synth
+from twdpfit import fileio, synth
 
 
 class TestSampleTwdp:
@@ -163,6 +163,22 @@ class TestSynthField:
         for shape, n_freq in (((2, 2, 2), 3), ((3, 2, 2), 2)):
             with pytest.raises(DomainError, match="bytes"):
                 PlaneWaveScene([wave], 0.005, shape, freq_axis=tones[:n_freq])
+
+    def test_written_grid_fits_its_count(self, tmp_path):
+        # synth grid counts _WRITTEN_BYTES an entry for the field and its
+        # write; the writer's own peak, on rows of about 50 characters
+        scene = PlaneWaveScene([PlaneWave(1.0, (1.0, 0.0, 0.0)), PlaneWave(0.5, (0.0, 1.0, 0.0))],
+                               0.005, (9, 9, 9), freq_axis=6e10 + 1e6 * np.arange(64),
+                               diffuse_sigma2=0.1, seed=3)
+        grid = synth_field(scene)
+        tracemalloc.start()
+        try:
+            fileio.write_grid(tmp_path / "g.csv", grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak + grid.h.nbytes <= grid.h.size * synth._WRITTEN_BYTES
+        assert peak >= 100 * grid.h.size        # the text is held twice
 
     @pytest.mark.parametrize("shape", [(9, 9), (2.5, 2, 2), (2, 2, 2, 2), (0, 2, 2), 9])
     def test_shape_must_be_three_integers(self, shape):
