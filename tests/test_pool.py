@@ -49,7 +49,7 @@ class TestMapBlocks:
         with pytest.raises(ValueError, match="block 0"):
             pool.map_blocks(func, range(4))
         release.set()
-        pool.executor().submit(lambda: None).result()     # queued after block 1
+        pool.executor().submit(lambda: None).result(timeout=10)     # queued after block 1
         assert ran == [1]
 
     def test_an_error_on_the_pool_cancels_the_queued_blocks(self, pool_threads):
@@ -69,5 +69,5 @@ class TestMapBlocks:
         with pytest.raises(ValueError, match="block 1"):
             pool.map_blocks(func, range(4))
         release.set()
-        pool.executor().submit(lambda: None).result()
+        pool.executor().submit(lambda: None).result(timeout=10)
         assert ran in ([0], [0, 2])

@@ -165,8 +165,8 @@ class TestSynthField:
                 PlaneWaveScene([wave], 0.005, shape, freq_axis=tones[:n_freq])
 
     def test_written_grid_fits_its_count(self, tmp_path):
-        # synth grid counts _WRITTEN_BYTES an entry for the field and its
-        # write; the writer's own peak, on rows of about 50 characters
+        # the writer's peak plus the field stays within the _WRITTEN_BYTES an
+        # entry that synth grid counts (rows of about 50 characters here)
         scene = PlaneWaveScene([PlaneWave(1.0, (1.0, 0.0, 0.0)), PlaneWave(0.5, (0.0, 1.0, 0.0))],
                                0.005, (9, 9, 9), freq_axis=6e10 + 1e6 * np.arange(64),
                                diffuse_sigma2=0.1, seed=3)
